@@ -2,9 +2,9 @@
 
 Not a paper table by itself, but the cost model behind them: FVM assembly and
 solve at the two Table II resolutions — cold (per-case factorisation, the
-seed pipeline's cost model), warm (cached factorisation, batched RHS) and the
-float32 stacked-RHS variant — the HotSpot network solve, one forward pass of
-each operator family, and one training step of SAU-FNO.  Useful for tracking performance regressions of
+seed pipeline's cost model) and warm (cached factorisation, batched RHS) —
+the HotSpot network solve, one forward pass of each operator family, and
+one training step of SAU-FNO.  Useful for tracking performance regressions of
 the substrates; the cached-vs-cold pair reports the amortised speedup the
 prepare-once / solve-many refactor buys dataset generation.
 """
@@ -20,8 +20,7 @@ from repro.chip.designs import get_chip
 from repro.data.power import PowerSampler
 from repro.operators import FNO2d, SAUFNO2d, UFNO2d
 from repro.optim import Adam
-from repro.solvers.factor import CHOLMOD_AVAILABLE, factorize
-from repro.solvers.fvm import FLOAT32_SINGLE_SWEEP_BOUND_K, FVMSolver
+from repro.solvers.fvm import FVMSolver
 from repro.solvers.hotspot import HotSpotModel
 
 
@@ -67,38 +66,6 @@ def test_fvm_solve_batch_amortized(benchmark, chip_and_case):
     benchmark.extra_info["cases_per_round"] = 16
 
 
-def test_fvm_solve_batch_float32(benchmark, chip_and_case):
-    """The float32 RHS-stacking datapoint: the same 16-case batch at
-    resolution 48 through the single-precision factorisation (ambient-shift
-    + one mixed-precision refinement sweep).  ``extra_info`` records the
-    measured ratio against the float64 batch and the worst-case error —
-    the refinement sweep costs a second triangular pass, so the honest
-    number here (not a naive 2x) is what capacity planning should use."""
-    chip, _ = chip_and_case
-    sampler = PowerSampler(chip)
-    cases = sampler.sample_many(16, np.random.default_rng(1))
-    assignments = [case.assignment for case in cases]
-    solver = FVMSolver(chip, nx=48, cells_per_layer=2)
-    solver.prepare()
-    reference = solver.solve_batch(assignments)  # also warms the float64 LU
-    solver.solve_batch(assignments, dtype="float32")  # warm the float32 LU
-
-    start = time.perf_counter()
-    solver.solve_batch(assignments)
-    float64_seconds = time.perf_counter() - start
-
-    fields = benchmark(lambda: solver.solve_batch(assignments, dtype="float32"))
-    assert len(fields) == 16
-    worst = max(
-        float(np.abs(f32.values.astype(np.float64) - f64.values).max())
-        for f32, f64 in zip(fields, reference)
-    )
-    assert worst <= 1e-3
-    benchmark.extra_info["cases_per_round"] = 16
-    benchmark.extra_info["float64_batch_seconds"] = float64_seconds
-    benchmark.extra_info["max_abs_error_K"] = worst
-
-
 def test_csc_assembly_prepare_win(benchmark, chip_and_case):
     """Direct CSC assembly vs the legacy COO -> CSR -> tocsc() pipeline at
     resolution 64.  The two produce bitwise-identical matrices (asserted);
@@ -134,107 +101,6 @@ def test_csc_assembly_prepare_win(benchmark, chip_and_case):
     benchmark.extra_info["direct_csc_seconds"] = direct_seconds
     benchmark.extra_info["prepare_speedup"] = legacy_seconds / direct_seconds
     assert legacy_seconds / direct_seconds >= 1.05
-
-
-def test_cholesky_vs_lu_factor(benchmark, chip_and_case):
-    """The factorization-selection datapoint at resolution 64.  With CHOLMOD
-    installed, the Cholesky factor must cost no more than the LU factor (the
-    SPD structure halves the flops); without it, the 'cholesky' request must
-    fall back cleanly — flagged, and bitwise-identical to 'lu'."""
-    chip, _ = chip_and_case
-    solver = FVMSolver(chip, nx=64, cells_per_layer=2)
-    matrix = solver._prepare_assembly().matrix
-
-    def best_factor(kind, rounds=3):
-        factors = [factorize(matrix, kind) for _ in range(rounds)]
-        return factors[0], min(f.factor_seconds for f in factors)
-
-    lu_factor, lu_seconds = best_factor("lu")
-    requested, cholesky_seconds = best_factor("cholesky")
-    benchmark(lambda: factorize(matrix, "cholesky"))
-    benchmark.extra_info["cholmod_available"] = CHOLMOD_AVAILABLE
-    benchmark.extra_info["lu_factor_seconds"] = lu_seconds
-    benchmark.extra_info["cholesky_factor_seconds"] = cholesky_seconds
-
-    rhs = np.linspace(1.0, 2.0, matrix.shape[0])
-    if CHOLMOD_AVAILABLE:
-        assert requested.kind == "cholmod" and not requested.fallback
-        # The SPD kernel's reason to exist: factor time <= LU (with margin
-        # for timer noise on small systems).
-        assert cholesky_seconds <= lu_seconds * 1.1
-        assert np.abs(requested.solve(rhs) - lu_factor.solve(rhs)).max() < 1e-9
-    else:
-        assert requested.kind == "lu" and requested.fallback
-        assert np.array_equal(requested.solve(rhs), lu_factor.solve(rhs))
-
-
-def test_fvm_solve_batch_float32_single_sweep(benchmark, chip_and_case):
-    """The honest unrefined float32 datapoint: the same 16-case batch as the
-    refined benchmark, minus the refinement sweep.  One triangular pass
-    instead of two (plus the float64 SpMV), so the single-sweep batch must
-    beat the refined batch; the price is the looser documented bound
-    (asserted against FLOAT32_SINGLE_SWEEP_BOUND_K) — fine for
-    surrogate-training data, not for the 1e-3 K serving bar."""
-    chip, _ = chip_and_case
-    sampler = PowerSampler(chip)
-    cases = sampler.sample_many(16, np.random.default_rng(1))
-    assignments = [case.assignment for case in cases]
-    solver = FVMSolver(chip, nx=48, cells_per_layer=2)
-    solver.prepare()
-    reference = solver.solve_batch(assignments)
-    solver.solve_batch(assignments, dtype="float32")  # warm the float32 LU
-
-    def best_of(fn, rounds=5):
-        times = []
-        for _ in range(rounds):
-            start = time.perf_counter()
-            fn()
-            times.append(time.perf_counter() - start)
-        return min(times)
-
-    refined_seconds = best_of(lambda: solver.solve_batch(assignments, dtype="float32"))
-    single_seconds = best_of(
-        lambda: solver.solve_batch(assignments, dtype="float32", refine=False)
-    )
-    fields = benchmark(
-        lambda: solver.solve_batch(assignments, dtype="float32", refine=False)
-    )
-    worst = max(
-        float(np.abs(f32.values.astype(np.float64) - f64.values).max())
-        for f32, f64 in zip(fields, reference)
-    )
-    assert worst <= FLOAT32_SINGLE_SWEEP_BOUND_K
-    assert single_seconds < refined_seconds
-    benchmark.extra_info["cases_per_round"] = 16
-    benchmark.extra_info["refined_batch_seconds"] = refined_seconds
-    benchmark.extra_info["single_sweep_batch_seconds"] = single_seconds
-    benchmark.extra_info["single_sweep_speedup"] = refined_seconds / single_seconds
-    benchmark.extra_info["max_abs_error_K"] = worst
-
-
-def test_cg_coarse_warm_start(benchmark, chip_and_case):
-    """The coarse-grid warm-start datapoint: CG at resolution 64 seeded by a
-    direct solve on the factor-2 coarsened geometry vs a cold ambient start.
-    The warm start must cut the iteration count (measured ~466 -> ~330 on
-    chip1); both converge to the direct answer within the CG tolerance."""
-    chip, case = chip_and_case
-    cold = FVMSolver(chip, nx=64, cells_per_layer=2, method="cg")
-    cold.prepare()
-    cold.solve(case.assignment)
-    cold_iterations = cold.last_cg_iterations
-
-    warm = FVMSolver(chip, nx=64, cells_per_layer=2, method="cg", coarse_warm_start=2)
-    warm.prepare()
-    warm.solve(case.assignment)  # warms the coarse factorisation
-    field = benchmark(lambda: warm.solve(case.assignment))
-    warm_iterations = warm.last_cg_iterations
-
-    direct = FVMSolver(chip, nx=64, cells_per_layer=2).solve(case.assignment)
-    assert np.abs(field.values - direct.values).max() < 1e-5
-    assert warm_iterations < cold_iterations
-    benchmark.extra_info["cold_cg_iterations"] = cold_iterations
-    benchmark.extra_info["warm_cg_iterations"] = warm_iterations
-    benchmark.extra_info["iteration_reduction"] = 1.0 - warm_iterations / cold_iterations
 
 
 def test_dataset_generation_cached_vs_cold(benchmark, chip_and_case):

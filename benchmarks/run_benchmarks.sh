@@ -41,33 +41,6 @@ if [[ "${1:-}" == "--smoke" ]]; then
     python -m repro.cli generate --chip chip1 --resolution 12 --samples 8 \
         --batch-size 4 --exec processes --exec-workers 2 \
         --output "$SMOKE_DATASET" > /dev/null
-    echo "== smoke: generate --factorization cholesky (CHOLMOD or clean LU fallback) =="
-    python -m repro.cli generate --chip chip1 --resolution 12 --samples 4 \
-        --batch-size 4 --factorization cholesky \
-        --output "$SMOKE_DATASET" > /dev/null
-    python - <<'PYEOF'
-# The cholesky request must either run CHOLMOD or fall back to the
-# bitwise-identical LU kernel — flagged, never silently different.
-import numpy as np
-from repro.chip.designs import get_chip
-from repro.solvers.factor import CHOLMOD_AVAILABLE
-from repro.solvers.fvm import FVMSolver
-
-chip = get_chip("chip1")
-requested = FVMSolver(chip, nx=12, factorization="cholesky")
-lu = FVMSolver(chip, nx=12, factorization="lu")
-factor = requested.prepare().factor
-if CHOLMOD_AVAILABLE:
-    assert factor.kind == "cholmod" and not factor.fallback
-else:
-    assert factor.kind == "lu" and factor.fallback
-    case = {name: 2.0 for name in chip.flat_block_names()}
-    assert np.array_equal(
-        requested.solve(case).values, lu.solve(case).values
-    ), "cholesky->lu fallback must be bitwise-identical to lu"
-print(f"factorization=cholesky resolved to {factor.kind} "
-      f"(fallback={factor.fallback}) ok")
-PYEOF
     echo "== smoke: serve --workers 2 end-to-end (solve + transient + stats) =="
     python benchmarks/smoke_serving.py
     echo "== smoke: serve --exec processes end-to-end (plane-backed solves) =="

@@ -32,6 +32,7 @@ from repro.api.solution import ThermalSolution
 from repro.chip.stack import ChipStack
 from repro.data.power import PowerCase, rasterize_assignment
 from repro.operators.factory import LoadedOperator
+from repro.solvers.factor import KERNEL
 from repro.solvers.fvm import FVMSolver, TemperatureField
 from repro.solvers.hotspot import BlockTemperatures, HotSpotModel
 from repro.solvers.transient import PowerTrace, TransientFVMSolver, TransientResult
@@ -96,35 +97,22 @@ class FVMBackendAdapter:
     """Exact steady-state answers from the finite-volume field solver.
 
     Wraps one prepared :class:`~repro.solvers.fvm.FVMSolver` (cached
-    geometry + assembled matrix + sparse LU) for one ``(chip, resolution)``;
-    batches are answered with one stacked-RHS back-substitution.
+    geometry + assembled matrix + SPD factorisation) for one
+    ``(chip, resolution)``; batches are answered with one stacked-RHS
+    back-substitution.
     """
 
     name = "fvm"
 
-    def __init__(
-        self,
-        chip: ChipStack,
-        resolution: int,
-        cells_per_layer: int = 2,
-        method: str = "direct",
-        factorization: str = "auto",
-    ):
+    def __init__(self, chip: ChipStack, resolution: int, cells_per_layer: int = 2):
         self.chip = chip
         self.resolution = int(resolution)
-        self.solver = FVMSolver(
-            chip,
-            nx=self.resolution,
-            cells_per_layer=cells_per_layer,
-            method=method,
-            factorization=factorization,
-        )
+        self.solver = FVMSolver(chip, nx=self.resolution, cells_per_layer=cells_per_layer)
         # Serialise solves: the adapter is pooled per (chip, resolution) and
         # engine sharding normally gives it one worker, but the exact-refine
         # path legitimately drives the fvm backend from another backend's
-        # shard, and neither SuperLU back-substitution nor the CG warm-start
-        # state is safe under concurrent use.  Uncontended cost is ~us
-        # against ms-scale solves.
+        # shard, and the factor's back-substitution is not safe under
+        # concurrent use.  Uncontended cost is ~us against ms-scale solves.
         self._solver_lock = threading.Lock()
 
     def prepare(self) -> "FVMBackendAdapter":
@@ -155,13 +143,7 @@ class FVMBackendAdapter:
                 else None
             ),
             values=field.values if include_values else None,
-            provenance={
-                "source": "fvm",
-                "method": self.solver.method,
-                # The *resolved* kernel ("cholmod"/"lu"), not the request:
-                # provenance names what actually produced the bits.
-                "kernel": self.solver.resolved_kernel,
-            },
+            provenance={"source": "fvm", "kernel": KERNEL},
         )
 
     def solve(
@@ -200,15 +182,13 @@ class FVMBackendAdapter:
         }
 
     def describe(self) -> Dict[str, Any]:
-        """JSON-friendly identity: chip, resolution, solver method."""
+        """JSON-friendly identity: chip, resolution, solver kernel."""
         return {
             "backend": self.name,
             "chip": self.chip.name,
             "resolution": self.resolution,
-            "method": self.solver.method,
             "cells_per_layer": self.solver.cells_per_layer,
-            "factorization": self.solver.factorization,
-            "kernel": self.solver.resolved_kernel,
+            "kernel": KERNEL,
         }
 
 
@@ -332,17 +312,13 @@ class TransientBackendAdapter:
         cells_per_layer: int = 2,
         horizon_time_constants: float = 8.0,
         steps_per_time_constant: int = 4,
-        factorization: str = "auto",
     ):
         if horizon_time_constants <= 0 or steps_per_time_constant < 1:
             raise ValueError("the transient horizon and step density must be positive")
         self.chip = chip
         self.resolution = int(resolution)
         self.solver = TransientFVMSolver(
-            chip,
-            nx=self.resolution,
-            cells_per_layer=cells_per_layer,
-            factorization=factorization,
+            chip, nx=self.resolution, cells_per_layer=cells_per_layer
         )
         self.horizon_time_constants = horizon_time_constants
         self.steps_per_time_constant = steps_per_time_constant
@@ -599,7 +575,7 @@ class TransientBackendAdapter:
             "resolution": self.resolution,
             "horizon_time_constants": self.horizon_time_constants,
             "steps_per_time_constant": self.steps_per_time_constant,
-            "factorization": self.solver.factorization,
+            "kernel": KERNEL,
         }
 
 

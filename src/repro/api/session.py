@@ -90,7 +90,7 @@ from repro.runtime.tasks import (
     solve_cases,
     warm_state,
 )
-from repro.solvers.factor import validate_factorization
+from repro.solvers.factor import KERNEL
 from repro.solvers.hotspot import HotSpotModel
 from repro.solvers.transient import PowerTrace
 from repro.training.trainer import Trainer, TrainingConfig, TrainingHistory
@@ -282,13 +282,6 @@ class ThermalSession:
     cells_per_layer:
         Vertical discretisation used by the field solvers this session
         builds.
-    factorization:
-        SPD kernel choice (``"auto"``/``"cholesky"``/``"lu"``, see
-        :mod:`repro.solvers.factor`) for every field solver this session
-        builds — pooled fvm/transient adapters, plane warm-state specs and
-        dataset generation all inherit it.  Adapter pools key on it, so two
-        sessions sharing knobs but differing here never share a warm
-        factorisation.
     result_cache_size:
         Memoised answers kept in the result cache.
     result_cache_max_bytes:
@@ -334,7 +327,6 @@ class ThermalSession:
         self,
         pool_size: int = DEFAULT_POOL_SIZE,
         cells_per_layer: int = 2,
-        factorization: str = "auto",
         result_cache_size: int = DEFAULT_RESULT_CACHE_SIZE,
         result_cache_max_bytes: int = DEFAULT_RESULT_CACHE_BYTES,
         result_cache_ttl_s: Optional[float] = None,
@@ -348,7 +340,6 @@ class ThermalSession:
         faults: Optional[FaultPlan] = None,
     ):
         self.cells_per_layer = cells_per_layer
-        self.factorization = validate_factorization(factorization)
         self.operator_batch_size = operator_batch_size
         self.plane = plane
         self.breaker_threshold = int(breaker_threshold)
@@ -559,19 +550,12 @@ class ThermalSession:
         """
         chip_stack = self._resolve_chip(chip)
         resolution = int(resolution)
-        # The factorization knob rides in the pool key so adapters warmed
-        # under one kernel request are never handed to a session configured
-        # for another (pools may be shared through a shared ModelRegistry
-        # or cloned sessions).
-        key = (chip_stack.name, resolution, self.factorization)
+        key = (chip_stack.name, resolution)
         if name == "fvm":
             return self._pools["fvm"].get(
                 key,
                 lambda: FVMBackendAdapter(
-                    chip_stack,
-                    resolution,
-                    cells_per_layer=self.cells_per_layer,
-                    factorization=self.factorization,
+                    chip_stack, resolution, cells_per_layer=self.cells_per_layer
                 ).prepare(),
             )
         if name == "hotspot":
@@ -586,10 +570,7 @@ class ThermalSession:
             return self._pools["transient"].get(
                 key,
                 lambda: TransientBackendAdapter(
-                    chip_stack,
-                    resolution,
-                    cells_per_layer=self.cells_per_layer,
-                    factorization=self.factorization,
+                    chip_stack, resolution, cells_per_layer=self.cells_per_layer
                 ),
             )
         if name == "operator":
@@ -716,9 +697,6 @@ class ThermalSession:
                     chip_stack.name,
                     resolution,
                     backend,
-                    # Kernel hygiene: a shared/injected ResultCache must never
-                    # serve an answer produced under another factorization.
-                    self.factorization,
                     power_map_hash(assignment),
                     detail,
                 )
@@ -1079,7 +1057,6 @@ class ThermalSession:
             resolution=resolution,
             backend=backend,
             cells_per_layer=self.cells_per_layer,
-            factorization=self.factorization,
         )
         key = backend_state_key(spec)
         count = len(assignments)
@@ -1215,7 +1192,6 @@ class ThermalSession:
                         resolution=resolution,
                         backend=backend,
                         cells_per_layer=self.cells_per_layer,
-                        factorization=self.factorization,
                     )
                     plane_jobs.append(
                         (
@@ -1277,7 +1253,6 @@ class ThermalSession:
             num_samples=int(num_samples),
             seed=seed,
             cells_per_layer=self.cells_per_layer,
-            factorization=self.factorization,
             **spec_options,
         )
         return _generate_dataset(
@@ -1298,13 +1273,12 @@ class ThermalSession:
         seed: int = 0,
         batch_size: int = DEFAULT_BATCH_SIZE,
         plane: Optional[ExecutionPlane] = None,
-        share_geometry: bool = True,
     ) -> Tuple[ThermalDataset, ThermalDataset]:
         """The low/high-fidelity dataset pair used by transfer learning.
 
-        When the high resolution is an integer multiple of the low (and
-        ``share_geometry`` is left on), the chip is voxelised once at the
-        high resolution and the low-fidelity geometry is derived by
+        When the high resolution is an integer multiple of the low, the chip
+        is voxelised once at the high resolution and the low-fidelity
+        geometry is derived by
         :meth:`~repro.solvers.voxelize.GridGeometry.coarsen`, sharing the
         vertical layout and floorplan rasters across the pair.
         """
@@ -1320,7 +1294,6 @@ class ThermalSession:
             batch_size=batch_size,
             chip=chip_stack,
             plane=plane if plane is not None else self.plane,
-            share_geometry=share_geometry,
         )
 
     # ------------------------------------------------------------------
@@ -1411,7 +1384,7 @@ class ThermalSession:
             "backends": list(BACKEND_NAMES),
             "models": self.models.describe(),
             "cells_per_layer": self.cells_per_layer,
-            "factorization": self.factorization,
+            "kernel": KERNEL,
         }
 
     def stats(self) -> Dict[str, Any]:

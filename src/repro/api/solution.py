@@ -57,7 +57,7 @@ class ThermalSolution:
         Optional full cell-centred field ``(nz, ny, nx)`` — populated only by
         backends that compute one (fvm, transient) and only on request.
     provenance:
-        How the answer came to be: backend internals (solver method, model
+        How the answer came to be: backend internals (solver kernel, model
         name), ``cached: True`` for session result-cache hits, transient
         integration parameters, and — through the serving engine — a
         ``trace`` dict (``trace_id`` plus ``spans_ms`` with queue-wait /

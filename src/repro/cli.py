@@ -63,7 +63,7 @@ from repro.data.dataset import ThermalDataset
 from repro.data.generation import DEFAULT_BATCH_SIZE
 from repro.data.power import error_message, parse_power_spec
 from repro.runtime.plane import PLANE_KINDS
-from repro.solvers.factor import FACTORIZATION_CHOICES, resolve_factorization
+from repro.solvers.factor import KERNEL
 from repro.evaluation.reporting import ascii_heatmap, format_table
 from repro.operators.factory import OPERATOR_REGISTRY
 from repro.training.trainer import TrainingConfig
@@ -104,13 +104,6 @@ def build_parser() -> argparse.ArgumentParser:
     generate.add_argument("--shards", type=int, default=None, metavar="N",
                           help="with --fleet: number of shards (default: one "
                                "per healthy replica)")
-    generate.add_argument("--factorization", default="auto",
-                          choices=list(FACTORIZATION_CHOICES),
-                          help="SPD kernel factorizing the conduction system: "
-                               "'auto' (CHOLMOD Cholesky when installed, "
-                               "sparse LU otherwise), 'cholesky' (CHOLMOD, "
-                               "falling back to the identical LU call when "
-                               "absent) or 'lu'")
     generate.add_argument("--output", required=True, help="output .npz path")
 
     train = subparsers.add_parser("train", help="train an operator on a generated dataset")
@@ -140,9 +133,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="uniformly distributed total power in watts")
     solve.add_argument("--powers", type=str, default=None,
                        help="JSON mapping of 'layer/block' to watts")
-    solve.add_argument("--factorization", default="auto",
-                       choices=list(FACTORIZATION_CHOICES),
-                       help="SPD kernel for the field solvers (see 'generate')")
     solve.add_argument("--heatmap", action="store_true", help="print ASCII heat maps per layer")
 
     serve = subparsers.add_parser(
@@ -214,9 +204,6 @@ def build_parser() -> argparse.ArgumentParser:
                        metavar="SECONDS",
                        help="telemetry sampler period feeding /metrics/history "
                             "and the watchdog (default: 1.0)")
-    serve.add_argument("--factorization", default="auto",
-                       choices=list(FACTORIZATION_CHOICES),
-                       help="SPD kernel for the field solvers (see 'generate')")
 
     route = subparsers.add_parser(
         "route", help="run the fleet router in front of N serve replicas"
@@ -318,7 +305,7 @@ def _cmd_generate(args) -> int:
     if args.fleet:
         return _generate_fleet(args)
     plane = _make_plane(args)
-    session = ThermalSession(plane=plane, factorization=args.factorization)
+    session = ThermalSession(plane=plane)
     where = f" on a {plane.kind} plane ({plane.workers} workers)" if plane is not None else ""
     print(f"generating {args.samples} cases for {args.chip} "
           f"at {args.resolution}x{args.resolution}{where} ...")
@@ -357,7 +344,6 @@ def _generate_fleet(args) -> int:
         resolution=args.resolution,
         num_samples=args.samples,
         seed=args.seed,
-        factorization=args.factorization,
     )
     print(f"generating {args.samples} cases for {args.chip} "
           f"at {args.resolution}x{args.resolution} via fleet {args.fleet} ...")
@@ -425,7 +411,7 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_solve(args) -> int:
-    session = ThermalSession(factorization=args.factorization)
+    session = ThermalSession()
     chip = session.get_chip(args.chip)
     try:
         assignment = parse_power_spec(
@@ -514,7 +500,6 @@ def _cmd_serve(args) -> int:
         breaker_threshold=args.breaker_threshold,
         breaker_cooldown_s=args.breaker_cooldown,
         faults=faults,
-        factorization=args.factorization,
     )
     for path in args.models:
         _load_model(session, path)
@@ -537,8 +522,7 @@ def _cmd_serve(args) -> int:
     print(f"  workers: {args.workers}"
           + (f" · max queue: {args.max_queue}" if args.max_queue else "")
           + (f" · exec: {plane.kind} ({plane.workers} workers)" if plane is not None else ""))
-    print(f"  solver kernel: {resolve_factorization(args.factorization)} "
-          f"(requested: {args.factorization})")
+    print(f"  solver kernel: {KERNEL}")
     if args.fallback or faults is not None:
         print("  reliability: "
               + ("fallback on" if args.fallback else "fallback off")

@@ -57,7 +57,6 @@ def spec_to_payload(spec: DatasetSpec) -> Dict[str, Any]:
         "num_samples": spec.num_samples,
         "seed": spec.seed,
         "cells_per_layer": spec.cells_per_layer,
-        "factorization": spec.factorization,
         "core_bias": spec.core_bias,
         "idle_probability": spec.idle_probability,
         "total_power_range_W": (
@@ -77,7 +76,6 @@ def spec_from_payload(payload: Dict[str, Any]) -> DatasetSpec:
         num_samples=int(payload["num_samples"]),
         seed=int(payload.get("seed", 0)),
         cells_per_layer=int(payload.get("cells_per_layer", 2)),
-        factorization=str(payload.get("factorization", "auto")),
         core_bias=float(payload.get("core_bias", 3.0)),
         idle_probability=float(payload.get("idle_probability", 0.15)),
         total_power_range_W=(
@@ -128,10 +126,7 @@ def generate_shard(
     chip = chip or get_chip(spec.chip_name)
     _, batches = _draw_batches(spec, chip, batch_size)
     solver_spec = SolverSpec(
-        chip=chip,
-        resolution=spec.resolution,
-        cells_per_layer=spec.cells_per_layer,
-        factorization=spec.factorization,
+        chip=chip, resolution=spec.resolution, cells_per_layer=spec.cells_per_layer
     )
     state_key = solver_state_key(solver_spec)
     plane = plane if plane is not None else SerialPlane()

@@ -14,6 +14,7 @@ solver are regenerated rather than silently reused after a solver change.
 from __future__ import annotations
 
 import os
+import threading
 from pathlib import Path
 from typing import Optional
 
@@ -44,7 +45,18 @@ class DatasetCache:
         if path.exists():
             return ThermalDataset.load(str(path))
         dataset = generate_dataset(spec, verbose=verbose)
-        dataset.save(str(path))
+        # Save to a sibling temp file and rename it into place: a save cut
+        # short must never leave a truncated archive under the final name,
+        # which contains() would report and every later get() fail to load.
+        # The ".npz" suffix stops numpy from appending one of its own.
+        temporary = path.with_name(
+            f"{path.stem}.{os.getpid()}-{threading.get_ident()}.tmp.npz"
+        )
+        try:
+            dataset.save(str(temporary))
+            os.replace(temporary, path)
+        finally:
+            temporary.unlink(missing_ok=True)
         return dataset
 
     def clear(self) -> int:

@@ -35,7 +35,7 @@ from repro.data.dataset import ThermalDataset
 from repro.data.power import PowerCase, PowerSampler
 from repro.runtime.plane import ExecutionPlane, PlaneTask, SerialPlane
 from repro.runtime.tasks import SolverSpec, build_fvm_solver, generate_batch, solver_state_key
-from repro.solvers.factor import resolve_factorization, validate_factorization
+from repro.solvers.factor import KERNEL
 from repro.solvers.fvm import FVMSolver, SOLVER_VERSION, TemperatureField
 from repro.solvers.voxelize import GridGeometry, build_geometry
 
@@ -57,31 +57,26 @@ class DatasetSpec:
     core_bias: float = 3.0
     idle_probability: float = 0.15
     total_power_range_W: Optional[Tuple[float, float]] = None
-    #: SPD kernel request forwarded to the solver (see
-    #: :mod:`repro.solvers.factor`).  The cache key embeds the *resolved*
-    #: kernel, so an "auto" spec regenerates when CHOLMOD (dis)appears.
-    factorization: str = "auto"
 
     def cache_key(self) -> str:
         """A filesystem-safe identifier for caching.
 
         Embeds the solver pipeline version so cached datasets regenerate
-        whenever the solver changes, and the **resolved** factorization
-        kernel (``cholmod``/``lu``, not the request) so a dataset generated
-        under one kernel is never served to a host resolving to another —
-        the kernels agree only to ~1e-9 K, and cached bits must name what
-        produced them.
+        whenever the solver changes, and the platform's factorization
+        kernel (:data:`~repro.solvers.factor.KERNEL`, ``cholmod``/``lu``) so
+        a dataset generated under one kernel is never served to a host
+        running the other — the kernels agree only to ~1e-9 K, and cached
+        bits must name what produced them.
         """
         power = (
             "default"
             if self.total_power_range_W is None
             else f"{self.total_power_range_W[0]:g}-{self.total_power_range_W[1]:g}"
         )
-        kernel = resolve_factorization(self.factorization)
         return (
             f"{self.chip_name}_r{self.resolution}_n{self.num_samples}_s{self.seed}"
             f"_c{self.cells_per_layer}_b{self.core_bias:g}_i{self.idle_probability:g}_p{power}"
-            f"_k{kernel}_v{SOLVER_VERSION}"
+            f"_k{KERNEL}_v{SOLVER_VERSION}"
         )
 
 
@@ -151,7 +146,6 @@ def generate_dataset(
         chip=chip,
         resolution=spec.resolution,
         cells_per_layer=spec.cells_per_layer,
-        factorization=validate_factorization(spec.factorization),
         geometry=geometry,
     )
     state_key = solver_state_key(solver_spec)
@@ -218,8 +212,6 @@ def generate_multifidelity_pair(
     batch_size: int = DEFAULT_BATCH_SIZE,
     chip: Optional[ChipStack] = None,
     plane: Optional[ExecutionPlane] = None,
-    share_geometry: bool = True,
-    factorization: str = "auto",
 ) -> Tuple[ThermalDataset, ThermalDataset]:
     """Generate the low-fidelity / high-fidelity dataset pair for transfer learning.
 
@@ -230,9 +222,9 @@ def generate_multifidelity_pair(
     the batched solver path with its own cached factorisation, optionally
     sharded across an execution ``plane``.
 
-    When ``share_geometry`` is set and the high resolution is an integer
-    multiple of the low, the chip is voxelised **once** at the high
-    resolution and the low-fidelity geometry is derived from it by
+    When the high resolution is an integer multiple of the low, the chip is
+    voxelised **once** at the high resolution and the low-fidelity geometry
+    is derived from it by
     :meth:`~repro.solvers.voxelize.GridGeometry.coarsen` — the two
     geometries then share their vertical layout and floorplan rasters, and
     the datasets are bitwise-identical to building both independently.
@@ -241,7 +233,7 @@ def generate_multifidelity_pair(
         raise ValueError("low_resolution must be strictly smaller than high_resolution")
     chip = chip or get_chip(chip_name)
     low_geometry = high_geometry = None
-    if share_geometry and high_resolution % low_resolution == 0:
+    if high_resolution % low_resolution == 0:
         high_geometry = build_geometry(
             chip, nx=high_resolution, cells_per_layer=cells_per_layer
         )
@@ -253,7 +245,6 @@ def generate_multifidelity_pair(
             num_samples=num_low,
             seed=seed,
             cells_per_layer=cells_per_layer,
-            factorization=factorization,
         ),
         chip=chip,
         batch_size=batch_size,
@@ -267,7 +258,6 @@ def generate_multifidelity_pair(
             num_samples=num_high,
             seed=seed + 1,
             cells_per_layer=cells_per_layer,
-            factorization=factorization,
         ),
         chip=chip,
         batch_size=batch_size,

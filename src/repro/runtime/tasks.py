@@ -9,10 +9,10 @@ Two families of warm state exist:
 
 * **Generation state** (:func:`build_fvm_solver`) — a prepared
   :class:`~repro.solvers.fvm.FVMSolver` (cached geometry + assembled matrix
-  + sparse LU).  :func:`generate_batch` runs one stacked-RHS batch of power
-  cases against it and returns the training targets; dataset generation
-  shards its batches round-robin across workers, each of which warms its own
-  factorisation once.
+  + SPD factorisation).  :func:`generate_batch` runs one stacked-RHS batch
+  of power cases against it and returns the training targets; dataset
+  generation shards its batches round-robin across workers, each of which
+  warms its own factorisation once.
 * **Backend state** (:func:`build_backend_adapter`) — a prepared
   :class:`repro.api` backend adapter for one ``(chip, resolution, backend)``.
   :func:`solve_cases` answers a micro-batch of power assignments with it and
@@ -64,28 +64,17 @@ class SolverSpec:
     chip: ChipStack
     resolution: int
     cells_per_layer: int = 2
-    method: str = "direct"
-    factorization: str = "auto"
     geometry: Optional[GridGeometry] = None
 
 
 def solver_state_key(spec: SolverSpec) -> Tuple:
-    """Warm-state cache key of a generation solver (geometry-independent).
-
-    The key embeds the *requested* ``factorization`` string: the resolution
-    to a concrete kernel is pure in ``CHOLMOD_AVAILABLE`` (see
-    :func:`repro.solvers.factor.resolve_factorization`), so every worker on
-    one host resolves a request identically, and distinct requests never
-    share a warm factorisation even when they currently resolve alike.
-    """
+    """Warm-state cache key of a generation solver (geometry-independent)."""
     return (
         "fvm-solver",
         spec.chip.name,
         chip_digest(spec.chip),
         int(spec.resolution),
         int(spec.cells_per_layer),
-        spec.method,
-        spec.factorization,
     )
 
 
@@ -95,8 +84,6 @@ def build_fvm_solver(spec: SolverSpec) -> FVMSolver:
         spec.chip,
         nx=spec.resolution,
         cells_per_layer=spec.cells_per_layer,
-        method=spec.method,
-        factorization=spec.factorization,
         geometry=spec.geometry,
     )
     solver.prepare()
@@ -130,16 +117,10 @@ class BackendSpec:
     resolution: int
     backend: str
     cells_per_layer: int = 2
-    factorization: str = "auto"
 
 
 def backend_state_key(spec: BackendSpec) -> Tuple:
-    """Warm-state cache key of a backend adapter.
-
-    Like :func:`solver_state_key`, the key embeds the requested
-    ``factorization`` so workers never answer a ``"lu"`` request with a
-    ``"cholesky"``-warmed adapter (or vice versa).
-    """
+    """Warm-state cache key of a backend adapter."""
     return (
         "backend",
         spec.backend,
@@ -147,7 +128,6 @@ def backend_state_key(spec: BackendSpec) -> Tuple:
         chip_digest(spec.chip),
         int(spec.resolution),
         int(spec.cells_per_layer),
-        spec.factorization,
     )
 
 
@@ -168,19 +148,13 @@ def build_backend_adapter(spec: BackendSpec) -> Any:
 
     if spec.backend == "fvm":
         return FVMBackendAdapter(
-            spec.chip,
-            spec.resolution,
-            cells_per_layer=spec.cells_per_layer,
-            factorization=spec.factorization,
+            spec.chip, spec.resolution, cells_per_layer=spec.cells_per_layer
         ).prepare()
     if spec.backend == "hotspot":
         return HotSpotBackendAdapter(spec.chip, spec.resolution)
     if spec.backend == "transient":
         return TransientBackendAdapter(
-            spec.chip,
-            spec.resolution,
-            cells_per_layer=spec.cells_per_layer,
-            factorization=spec.factorization,
+            spec.chip, spec.resolution, cells_per_layer=spec.cells_per_layer
         )
     raise ValueError(
         f"backend '{spec.backend}' cannot be rebuilt on a plane worker; "

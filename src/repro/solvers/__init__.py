@@ -12,21 +12,8 @@
 """
 
 from repro.solvers.voxelize import GridGeometry, VoxelGrid, build_geometry, voxelize
-from repro.solvers.factor import (
-    CHOLMOD_AVAILABLE,
-    FACTORIZATION_CHOICES,
-    SPDFactor,
-    factorize,
-    resolve_factorization,
-    validate_factorization,
-)
-from repro.solvers.fvm import (
-    FLOAT32_REFINED_BOUND_K,
-    FLOAT32_SINGLE_SWEEP_BOUND_K,
-    FVMSolver,
-    SOLVER_VERSION,
-    TemperatureField,
-)
+from repro.solvers.factor import KERNEL, SPDFactor, factorize
+from repro.solvers.fvm import FVMSolver, SOLVER_VERSION, TemperatureField
 from repro.solvers.hotspot import HotSpotModel, BlockTemperatures
 from repro.solvers.analytic import slab_1d_robin, poisson_2d_dirichlet_series
 from repro.solvers.transient import TransientFVMSolver, TransientResult
@@ -36,14 +23,9 @@ __all__ = [
     "VoxelGrid",
     "build_geometry",
     "voxelize",
-    "CHOLMOD_AVAILABLE",
-    "FACTORIZATION_CHOICES",
+    "KERNEL",
     "SPDFactor",
     "factorize",
-    "resolve_factorization",
-    "validate_factorization",
-    "FLOAT32_REFINED_BOUND_K",
-    "FLOAT32_SINGLE_SWEEP_BOUND_K",
     "FVMSolver",
     "SOLVER_VERSION",
     "TemperatureField",

@@ -1,4 +1,4 @@
-"""SPD factorization kernels for the conduction system.
+"""SPD factorization kernel for the conduction system.
 
 The steady conduction matrix (and the backward-Euler system ``C/dt + A``
 built on top of it) is symmetric positive definite: every off-diagonal is a
@@ -7,121 +7,46 @@ boundary rows keep the system strictly definite.  A general-purpose
 pivoting LU ignores all of that structure; a sparse Cholesky factorisation
 exploits it — roughly half the factor flops and memory, and no pivoting.
 
-This module is the single selection point for that choice:
-
-* ``factorization="lu"`` — :func:`scipy.sparse.linalg.splu`, the historical
-  kernel.  Always available.
-* ``factorization="cholesky"`` — CHOLMOD via ``sksparse.cholmod`` when the
-  package is importable (:data:`CHOLMOD_AVAILABLE`).  When it is not, the
-  request **falls back to the LU kernel automatically** and the returned
-  :class:`SPDFactor` records ``fallback=True``; the fallback is the exact
-  historical ``splu`` call, so its answers are bitwise-identical to
-  ``factorization="lu"``.
-* ``factorization="auto"`` — Cholesky when available, LU otherwise.  The
-  default everywhere.
-
-Because the resolved kernel can change the last floating-point bits of a
-solution, everything that caches or shards on solver state (dataset cache
-keys, plane warm-state keys, session adapter pools) must key on the
-factorization choice — see :func:`repro.runtime.tasks.solver_state_key` and
-:meth:`repro.data.generation.DatasetSpec.cache_key`.
+This module is the only place that knows which kernel runs.  The platform
+picks it once, at import: CHOLMOD Cholesky via ``sksparse.cholmod`` when
+that package is importable, :func:`scipy.sparse.linalg.splu` otherwise.
+:data:`KERNEL` names the choice.  The two kernels agree only to ~1e-9 K, so
+dataset cache keys and fvm provenance embed it.
 """
 
 from __future__ import annotations
 
-import time
-from typing import Optional
-
 from scipy import sparse
 from scipy.sparse import linalg as sparse_linalg
-
-#: The accepted values of every ``factorization=`` knob.
-FACTORIZATION_CHOICES = ("auto", "cholesky", "lu")
 
 try:  # pragma: no cover - exercised only where scikit-sparse is installed
     from sksparse.cholmod import cholesky as _cholmod_cholesky
 
-    CHOLMOD_AVAILABLE = True
-except ImportError:  # the container image has no CHOLMOD; LU fallback
+    KERNEL = "cholmod"
+except ImportError:
     _cholmod_cholesky = None
-    CHOLMOD_AVAILABLE = False
-
-
-def validate_factorization(factorization: str) -> str:
-    """Normalise and validate a ``factorization=`` knob value."""
-    name = str(factorization).lower()
-    if name not in FACTORIZATION_CHOICES:
-        raise ValueError(
-            f"unknown factorization '{factorization}'; "
-            f"choose one of {', '.join(FACTORIZATION_CHOICES)}"
-        )
-    return name
-
-
-def resolve_factorization(factorization: str) -> str:
-    """The kernel a request actually runs: ``"cholmod"`` or ``"lu"``.
-
-    Pure in ``(factorization, CHOLMOD_AVAILABLE)``: every process on one
-    host resolves a request identically, so plane workers and their parent
-    always agree on which kernel backs a warm-state key.
-    """
-    name = validate_factorization(factorization)
-    if name in ("auto", "cholesky") and CHOLMOD_AVAILABLE:
-        return "cholmod"
-    return "lu"
+    KERNEL = "lu"
 
 
 class SPDFactor:
-    """One factorised SPD system with a uniform ``solve`` surface.
+    """One factorised SPD system with a uniform ``solve`` surface."""
 
-    Attributes
-    ----------
-    requested:
-        The ``factorization=`` knob value that produced this factor.
-    kind:
-        The kernel that actually ran: ``"cholmod"`` or ``"lu"``.
-    fallback:
-        True when ``"cholesky"`` was requested but CHOLMOD is not
-        importable, so the LU kernel answered instead (bitwise-identical
-        to requesting ``"lu"``).
-    factor_seconds:
-        Wall-clock cost of the numeric factorisation.
-    """
-
-    def __init__(self, requested: str, kind: str, fallback: bool, solve_fn, factor_seconds: float):
-        self.requested = requested
-        self.kind = kind
-        self.fallback = fallback
+    def __init__(self, solve_fn):
         self._solve = solve_fn
-        self.factor_seconds = factor_seconds
 
     def solve(self, rhs):
         """Back-substitute one RHS vector or a stacked ``(n, B)`` matrix."""
         return self._solve(rhs)
 
 
-def factorize(
-    matrix: sparse.spmatrix, factorization: str = "auto"
-) -> SPDFactor:
-    """Factorise one SPD system with the requested kernel.
+def factorize(matrix: sparse.spmatrix) -> SPDFactor:
+    """Factorise one SPD system with the platform's kernel (:data:`KERNEL`).
 
     ``matrix`` should already be CSC (the assembly path produces CSC
-    directly); other formats are converted — paying the copy this module
-    exists to avoid — so hot paths must hand CSC in.
+    directly); other formats are converted — paying the copy the CSC
+    assembly exists to avoid — so hot paths must hand CSC in.
     """
-    requested = validate_factorization(factorization)
-    kind = resolve_factorization(requested)
     csc = matrix if sparse.issparse(matrix) and matrix.format == "csc" else matrix.tocsc()
-    start = time.perf_counter()
-    if kind == "cholmod":
-        factor = _cholmod_cholesky(csc)
-        solve_fn = factor
-    else:
-        solve_fn = sparse_linalg.splu(csc).solve
-    return SPDFactor(
-        requested=requested,
-        kind=kind,
-        fallback=(requested == "cholesky" and kind == "lu"),
-        solve_fn=solve_fn,
-        factor_seconds=time.perf_counter() - start,
-    )
+    if KERNEL == "cholmod":
+        return SPDFactor(_cholmod_cholesky(csc))
+    return SPDFactor(sparse_linalg.splu(csc).solve)

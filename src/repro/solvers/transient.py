@@ -32,7 +32,7 @@ import numpy as np
 from scipy import sparse
 
 from repro.chip.stack import ChipStack
-from repro.solvers.factor import factorize, validate_factorization
+from repro.solvers.factor import factorize
 from repro.solvers.fvm import FVMSolver, TemperatureField
 from repro.solvers.voxelize import VoxelGrid, build_geometry
 
@@ -104,11 +104,11 @@ class TransientFVMSolver:
 
     Parameters
     ----------
-    chip, nx, ny, cells_per_layer, factorization:
+    chip, nx, ny, cells_per_layer:
         Same meaning as for :class:`~repro.solvers.fvm.FVMSolver`.  The
-        ``factorization`` kernel choice applies both to the inner steady
-        solver and to the backward-Euler system ``C/dt + A`` (itself SPD:
-        adding the positive diagonal ``C/dt`` only strengthens definiteness).
+        backward-Euler system ``C/dt + A`` is factorised with the same SPD
+        kernel as the steady system (adding the positive diagonal ``C/dt``
+        only strengthens definiteness).
     """
 
     def __init__(
@@ -117,20 +117,12 @@ class TransientFVMSolver:
         nx: int = 32,
         ny: Optional[int] = None,
         cells_per_layer: int = 2,
-        factorization: str = "auto",
     ):
         self.chip = chip
         self.nx = nx
         self.ny = ny or nx
         self.cells_per_layer = cells_per_layer
-        self.factorization = validate_factorization(factorization)
-        self._steady = FVMSolver(
-            chip,
-            nx=nx,
-            ny=self.ny,
-            cells_per_layer=cells_per_layer,
-            factorization=self.factorization,
-        )
+        self._steady = FVMSolver(chip, nx=nx, ny=self.ny, cells_per_layer=cells_per_layer)
         self._capacity: Optional[np.ndarray] = None
         self._factor_cache = None  # (dt_s, SPDFactor) of the last Euler system
 
@@ -207,7 +199,7 @@ class TransientFVMSolver:
         # happens before the factorisation.
         if self._factor_cache is None or self._factor_cache[0] != dt_s:
             system = sparse.diags(capacity / dt_s) + matrix
-            self._factor_cache = (dt_s, factorize(system, self.factorization))
+            self._factor_cache = (dt_s, factorize(system))
         factor = self._factor_cache[1].solve
 
         time_varying = callable(power_trace)

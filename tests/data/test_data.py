@@ -191,12 +191,17 @@ class TestGeneration:
         assert len({a.cache_key(), b.cache_key(), c.cache_key()}) == 3
 
     def test_cache_key_embeds_solver_version(self):
+        from repro.solvers import KERNEL
         from repro.solvers.fvm import SOLVER_VERSION
 
         spec = DatasetSpec("chip1", 16, 4, seed=0)
         assert f"_v{SOLVER_VERSION}" in spec.cache_key()
         fine = DatasetSpec("chip1", 16, 4, seed=0, cells_per_layer=3)
         assert fine.cache_key() != spec.cache_key()
+        # Pinned: datasets cached under this key format must keep hitting.
+        assert DatasetSpec("chip1", 32, 8).cache_key() == (
+            f"chip1_r32_n8_s0_c2_b3_i0.15_pdefault_k{KERNEL}_v3"
+        )
 
     def test_generate_dataset_batch_size_invariant(self):
         spec = DatasetSpec(chip_name="chip1", resolution=10, num_samples=5, seed=3)
@@ -216,6 +221,26 @@ class TestGeneration:
         second = cache.get(spec)
         np.testing.assert_allclose(first.inputs, second.inputs)
         assert cache.clear() == 1
+
+    def test_interrupted_save_leaves_no_cache_entry(self, tmp_path, monkeypatch):
+        cache = DatasetCache(str(tmp_path))
+        spec = DatasetSpec(chip_name="chip1", resolution=8, num_samples=2, seed=6)
+
+        def torn_save(self, path):
+            with open(path, "wb") as handle:
+                handle.write(b"PK\x03\x04 truncated archive")
+            raise OSError("disk full")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(ThermalDataset, "save", torn_save)
+            with pytest.raises(OSError, match="disk full"):
+                cache.get(spec)
+        assert not cache.contains(spec)
+        assert list(tmp_path.iterdir()) == []
+        # The next get() regenerates and stores a loadable archive.
+        cache.get(spec)
+        assert cache.contains(spec)
+        assert len(ThermalDataset.load(str(cache.path_for(spec)))) == 2
 
 
 class TestMultifidelityGeometrySharing:
@@ -245,11 +270,11 @@ class TestMultifidelityGeometrySharing:
     def test_shared_pair_equivalent_to_independent(self):
         shared = generate_multifidelity_pair(
             "chip1", low_resolution=8, high_resolution=16, num_low=3, num_high=2,
-            seed=2, share_geometry=True,
+            seed=2,
         )
-        independent = generate_multifidelity_pair(
-            "chip1", low_resolution=8, high_resolution=16, num_low=3, num_high=2,
-            seed=2, share_geometry=False,
+        independent = (
+            generate_dataset(DatasetSpec("chip1", 8, 3, seed=2)),
+            generate_dataset(DatasetSpec("chip1", 16, 2, seed=3)),
         )
         for left, right in zip(shared, independent):
             np.testing.assert_array_equal(left.inputs, right.inputs)
@@ -258,6 +283,6 @@ class TestMultifidelityGeometrySharing:
     def test_non_divisible_resolutions_fall_back(self):
         low, high = generate_multifidelity_pair(
             "chip1", low_resolution=10, high_resolution=16, num_low=2, num_high=2,
-            seed=1, share_geometry=True,
+            seed=1,
         )
         assert low.resolution == 10 and high.resolution == 16

@@ -219,50 +219,3 @@ def _alive(pid):
             return handle.read().split(")")[-1].split()[0] != "Z"
     except OSError:
         return False
-
-
-class TestFactorizationKeying:
-    """Warm-state keys must separate factorization requests.
-
-    Plane workers cache warm solvers/adapters by state key; if two
-    factorization requests shared one key, a worker warmed under "lu"
-    would silently answer "cholesky" traffic (and vice versa).  The keys
-    embed the *requested* string, so they differ even on hosts where both
-    requests currently resolve to the same kernel.
-    """
-
-    def test_solver_state_keys_differ_across_factorizations(self, chip):
-        keys = {
-            solver_state_key(SolverSpec(chip=chip, resolution=RES, factorization=f))
-            for f in ("auto", "cholesky", "lu")
-        }
-        assert len(keys) == 3
-
-    def test_backend_state_keys_differ_across_factorizations(self, chip):
-        from repro.runtime.tasks import BackendSpec, backend_state_key
-
-        keys = {
-            backend_state_key(
-                BackendSpec(chip=chip, resolution=RES, backend="fvm", factorization=f)
-            )
-            for f in ("auto", "cholesky", "lu")
-        }
-        assert len(keys) == 3
-
-    def test_plane_warms_distinct_states_per_factorization(self, chip, assignments):
-        lu_spec = SolverSpec(chip=chip, resolution=RES, factorization="lu")
-        auto_spec = SolverSpec(chip=chip, resolution=RES, factorization="auto")
-        with ThreadPlane(workers=1) as plane:
-            for spec in (lu_spec, auto_spec):
-                task = PlaneTask(
-                    fn=generate_batch,
-                    payload=assignments[:2],
-                    state_key=solver_state_key(spec),
-                    state_factory=build_fvm_solver,
-                    state_spec=spec,
-                )
-                targets, _ = plane.submit(task).result(timeout=120)
-                assert targets.shape[0] == 2
-            stats = plane.stats()
-        # Two distinct warm states were built, one per factorization key.
-        assert stats["per_worker"][0]["warm_keys"] == 2

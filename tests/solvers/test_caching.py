@@ -58,12 +58,13 @@ class TestGeometryCache:
 
 class TestSolveBatch:
     def test_matches_per_case_solve(self, tiny_chip, cases):
+        """The broadcast boundary-RHS add reproduces per-case solves bitwise."""
         solver = FVMSolver(tiny_chip, nx=12)
         singles = [solver.solve(case.assignment) for case in cases]
         batch = solver.solve_batch([case.assignment for case in cases])
         assert len(batch) == len(cases)
         for single, batched in zip(singles, batch):
-            np.testing.assert_allclose(batched.values, single.values, atol=1e-9, rtol=0)
+            assert np.array_equal(batched.values, single.values)
 
     def test_matches_cold_solver(self, tiny_chip, cases):
         """A long-lived batched solver agrees with a fresh solver per case."""
@@ -72,13 +73,6 @@ class TestSolveBatch:
         for case, batched in zip(cases, batch):
             cold = FVMSolver(tiny_chip, nx=10).solve(case.assignment)
             np.testing.assert_allclose(batched.values, cold.values, atol=1e-9, rtol=0)
-
-    def test_cg_batch_matches_direct(self, tiny_chip, cases):
-        assignments = [case.assignment for case in cases]
-        direct = FVMSolver(tiny_chip, nx=10, method="direct").solve_batch(assignments)
-        cg = FVMSolver(tiny_chip, nx=10, method="cg").solve_batch(assignments)
-        for a, b in zip(direct, cg):
-            np.testing.assert_allclose(a.values, b.values, rtol=1e-6)
 
     def test_empty_batch(self, tiny_chip):
         assert FVMSolver(tiny_chip, nx=8).solve_batch([]) == []

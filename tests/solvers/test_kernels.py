@@ -1,34 +1,23 @@
-"""Equivalence and tolerance suite for the SPD kernel tier.
+"""The steady solver's one kernel path.
 
-Every fast variant the kernel tier exposes — direct CSC assembly, the
-Cholesky/LU factorization selection, the float32 single-sweep mode and the
-coarse-grid CG warm start — must stay within its documented tolerance of
-the float64-LU reference answer.  These tests pin each bound:
-
-* direct CSC assembly is **bitwise** equal to the historical COO pipeline;
-* ``factorization="cholesky"`` matches ``"lu"`` bitwise when CHOLMOD is
-  absent (the fallback is the identical splu call) and to 1e-9 K when it
-  is present;
-* float32 refined within :data:`FLOAT32_REFINED_BOUND_K`, single-sweep
-  within :data:`FLOAT32_SINGLE_SWEEP_BOUND_K`;
-* the coarse warm start converges to the direct answer within the CG
-  tolerance while starting closer than a cold start.
+* direct CSC assembly is **bitwise** equal to the COO reference assembly;
+* :func:`~repro.solvers.factorize` runs the platform's kernel
+  (:data:`~repro.solvers.KERNEL`), and an LU factor keeps the bound
+  ``SuperLU.solve`` whose stored entries size each back-substitution;
+* the backward-Euler system is factorised by the same kernel and stays CSC;
+* a float64 ``solve_batch`` reproduces per-case ``solve`` answers bitwise.
 """
 
 import numpy as np
-import pytest
+from scipy.sparse import linalg as sparse_linalg
 
 from repro.solvers import (
-    CHOLMOD_AVAILABLE,
-    FLOAT32_REFINED_BOUND_K,
-    FLOAT32_SINGLE_SWEEP_BOUND_K,
+    KERNEL,
     FVMSolver,
     SOLVER_VERSION,
     SPDFactor,
     TransientFVMSolver,
     factorize,
-    resolve_factorization,
-    validate_factorization,
 )
 
 
@@ -38,37 +27,23 @@ def _uniform_assignment(chip, total):
 
 
 class TestFactorizationSelection:
-    def test_validate_normalises_and_rejects(self):
-        assert validate_factorization("AUTO") == "auto"
-        assert validate_factorization("lu") == "lu"
-        with pytest.raises(ValueError, match="unknown factorization"):
-            validate_factorization("qr")
-
     def test_resolution_is_deterministic(self):
-        expected = "cholmod" if CHOLMOD_AVAILABLE else "lu"
-        assert resolve_factorization("auto") == expected
-        assert resolve_factorization("cholesky") == expected
-        assert resolve_factorization("lu") == "lu"
+        try:
+            import sksparse.cholmod  # noqa: F401
+        except ImportError:
+            assert KERNEL == "lu"
+        else:  # pragma: no cover - only where scikit-sparse is installed
+            assert KERNEL == "cholmod"
 
-    def test_factorize_records_kind_and_fallback(self, tiny_chip):
+    def test_factorize_runs_the_platform_kernel(self, tiny_chip):
         solver = FVMSolver(tiny_chip, nx=8)
         matrix, _, _ = solver._assemble_system(solver.geometry)
-        factor = factorize(matrix, "cholesky")
+        factor = factorize(matrix)
         assert isinstance(factor, SPDFactor)
-        assert factor.requested == "cholesky"
-        assert factor.kind == resolve_factorization("cholesky")
-        assert factor.fallback == (not CHOLMOD_AVAILABLE)
-        assert factor.factor_seconds >= 0.0
-        lu = factorize(matrix, "lu")
-        assert lu.fallback is False
+        if KERNEL == "lu":
+            assert isinstance(factor._solve.__self__, sparse_linalg.SuperLU)
         rhs = np.linspace(1.0, 2.0, matrix.shape[0])
-        assert np.abs(factor.solve(rhs) - lu.solve(rhs)).max() < 1e-9
-
-    def test_invalid_knob_rejected_at_construction(self, tiny_chip):
-        with pytest.raises(ValueError, match="unknown factorization"):
-            FVMSolver(tiny_chip, nx=8, factorization="qr")
-        with pytest.raises(ValueError, match="unknown factorization"):
-            TransientFVMSolver(tiny_chip, nx=8, factorization="qr")
+        assert np.abs(matrix @ factor.solve(rhs) - rhs).max() < 1e-9
 
     def test_solver_version_bumped_for_kernel_tier(self):
         assert SOLVER_VERSION == "3"
@@ -104,37 +79,13 @@ class TestCSCAssembly:
 
 
 class TestKernelEquivalence:
-    def test_cholesky_matches_lu(self, tiny_chip):
-        assignment = _uniform_assignment(tiny_chip, 30.0)
-        lu = FVMSolver(tiny_chip, nx=12, factorization="lu").solve(assignment)
-        cholesky = FVMSolver(tiny_chip, nx=12, factorization="cholesky").solve(assignment)
-        if CHOLMOD_AVAILABLE:
-            # Different elimination arithmetic: agree to the solve tolerance.
-            assert np.abs(cholesky.values - lu.values).max() < 1e-9
-        else:
-            # The fallback is the exact historical splu call: bitwise.
-            assert np.array_equal(cholesky.values, lu.values)
-
-    def test_auto_matches_an_explicit_kernel(self, tiny_chip):
-        assignment = _uniform_assignment(tiny_chip, 25.0)
-        auto = FVMSolver(tiny_chip, nx=12, factorization="auto").solve(assignment)
-        explicit_name = "cholesky" if CHOLMOD_AVAILABLE else "lu"
-        explicit = FVMSolver(tiny_chip, nx=12, factorization=explicit_name).solve(assignment)
-        assert np.array_equal(auto.values, explicit.values)
-
     def test_transient_euler_factor_uses_selected_kernel(self, tiny_chip):
-        assignment = _uniform_assignment(tiny_chip, 20.0)
-        lu = TransientFVMSolver(tiny_chip, nx=8, factorization="lu")
-        requested = TransientFVMSolver(tiny_chip, nx=8, factorization="cholesky")
-        result_lu = lu.solve(assignment, duration_s=0.01, dt_s=0.002)
-        result_req = requested.solve(assignment, duration_s=0.01, dt_s=0.002)
-        assert lu._factor_cache[1].kind == "lu"
-        assert requested._factor_cache[1].kind == resolve_factorization("cholesky")
-        if CHOLMOD_AVAILABLE:
-            assert np.abs(result_req.snapshots - result_lu.snapshots).max() < 1e-9
-        else:
-            assert requested._factor_cache[1].fallback
-            assert np.array_equal(result_req.snapshots, result_lu.snapshots)
+        solver = TransientFVMSolver(tiny_chip, nx=8)
+        solver.solve(_uniform_assignment(tiny_chip, 20.0), duration_s=0.01, dt_s=0.002)
+        euler = solver._factor_cache[1]
+        steady = solver._steady.prepare().factor
+        assert isinstance(euler, SPDFactor)
+        assert type(euler._solve) is type(steady._solve)
 
     def test_transient_euler_matrix_stays_csc(self, tiny_chip):
         solver = TransientFVMSolver(tiny_chip, nx=8)
@@ -143,40 +94,7 @@ class TestKernelEquivalence:
 
 
 class TestFloat32Modes:
-    def test_refined_within_documented_bound(self, tiny_chip):
-        assignments = [
-            _uniform_assignment(tiny_chip, total) for total in (15.0, 25.0, 35.0)
-        ]
-        reference = FVMSolver(tiny_chip, nx=16).solve_batch(assignments)
-        refined = FVMSolver(tiny_chip, nx=16).solve_batch(assignments, dtype="float32")
-        worst = max(
-            np.abs(r.values - f.values.astype(np.float64)).max()
-            for r, f in zip(reference, refined)
-        )
-        assert worst <= FLOAT32_REFINED_BOUND_K
-
-    def test_single_sweep_within_documented_bound(self, tiny_chip):
-        assignments = [
-            _uniform_assignment(tiny_chip, total) for total in (15.0, 25.0, 35.0)
-        ]
-        reference = FVMSolver(tiny_chip, nx=16).solve_batch(assignments)
-        single = FVMSolver(tiny_chip, nx=16).solve_batch(
-            assignments, dtype="float32", refine=False
-        )
-        worst = max(
-            np.abs(r.values - f.values.astype(np.float64)).max()
-            for r, f in zip(reference, single)
-        )
-        assert worst <= FLOAT32_SINGLE_SWEEP_BOUND_K
-        # The single sweep is honest about being coarser than the refined
-        # path, but its answers still resolve the field: they must be far
-        # closer to the truth than the operator surrogates they feed.
-        assert worst < 0.1
-
-    def test_refine_false_requires_float32(self, tiny_chip):
-        solver = FVMSolver(tiny_chip, nx=8)
-        with pytest.raises(ValueError, match="single-sweep"):
-            solver.solve_batch([_uniform_assignment(tiny_chip, 10.0)], refine=False)
+    """Batch solves run in float64 only; they must not drift from single solves."""
 
     def test_float64_batch_matches_sequential_solves(self, tiny_chip):
         """The broadcast boundary-RHS add reproduces per-case solves bitwise."""
@@ -188,35 +106,3 @@ class TestFloat32Modes:
         for assignment, batch_field in zip(assignments, batched):
             single = solver.solve(assignment)
             assert np.array_equal(single.values, batch_field.values)
-
-
-class TestCoarseWarmStart:
-    def test_converges_to_direct_answer(self, tiny_chip):
-        assignment = _uniform_assignment(tiny_chip, 30.0)
-        direct = FVMSolver(tiny_chip, nx=16).solve(assignment)
-        warm = FVMSolver(
-            tiny_chip, nx=16, method="cg", coarse_warm_start=2
-        ).solve(assignment)
-        assert np.abs(warm.values - direct.values).max() < 1e-5
-
-    def test_reduces_cg_iterations(self, tiny_chip):
-        assignment = _uniform_assignment(tiny_chip, 30.0)
-        cold = FVMSolver(tiny_chip, nx=16, method="cg")
-        cold.solve(assignment)
-        warm = FVMSolver(tiny_chip, nx=16, method="cg", coarse_warm_start=2)
-        warm.solve(assignment)
-        assert cold.last_cg_iterations is not None
-        assert warm.last_cg_iterations is not None
-        assert warm.last_cg_iterations < cold.last_cg_iterations
-
-    def test_factor_must_divide_resolution(self, tiny_chip):
-        with pytest.raises(ValueError, match="does not divide"):
-            FVMSolver(tiny_chip, nx=15, method="cg", coarse_warm_start=2)
-        with pytest.raises(ValueError, match=">= 2"):
-            FVMSolver(tiny_chip, nx=16, method="cg", coarse_warm_start=1)
-
-    def test_direct_method_ignores_warm_start(self, tiny_chip):
-        assignment = _uniform_assignment(tiny_chip, 20.0)
-        plain = FVMSolver(tiny_chip, nx=16).solve(assignment)
-        with_knob = FVMSolver(tiny_chip, nx=16, coarse_warm_start=2).solve(assignment)
-        assert np.array_equal(plain.values, with_knob.values)
