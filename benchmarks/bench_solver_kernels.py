@@ -179,6 +179,7 @@ def test_operator_forward(benchmark, name, factory):
     x = np.random.default_rng(0).standard_normal((1, 2, 40, 40)).astype(np.float32)
     out = benchmark(lambda: model.predict(x))
     assert out.shape == (1, 2, 40, 40)
+    assert out.dtype == np.float32  # no silent float64 promotion
 
 
 def test_sau_fno_training_step(benchmark):
@@ -191,10 +192,12 @@ def test_sau_fno_training_step(benchmark):
 
     def step():
         optimizer.zero_grad()
-        loss = F.mse_loss(model(x), y)
+        prediction = model(x)
+        loss = F.mse_loss(prediction, y)
         loss.backward()
         optimizer.step()
-        return loss.item()
+        return prediction.dtype, loss.item()
 
-    loss = benchmark(step)
+    dtype, loss = benchmark(step)
     assert np.isfinite(loss)
+    assert dtype == np.float32  # no silent float64 promotion

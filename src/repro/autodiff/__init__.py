@@ -8,6 +8,8 @@ reproduction.  It provides:
 * Convolution, pooling and resampling primitives (:mod:`repro.autodiff.conv`).
 * Spectral (FFT-based) primitives with analytically derived adjoints
   (:mod:`repro.autodiff.spectral`), used by the Fourier Neural Operator.
+* Fused softmax attention with an analytic adjoint
+  (:mod:`repro.autodiff.attention`), used by the SAU-FNO attention block.
 * Composite neural-network functions such as GELU, softmax and loss
   functions (:mod:`repro.autodiff.functional`).
 
@@ -23,6 +25,7 @@ from repro.autodiff.conv import (
     bilinear_resize,
 )
 from repro.autodiff.spectral import spectral_conv2d
+from repro.autodiff.attention import softmax_attention
 
 __all__ = [
     "Tensor",
@@ -34,4 +37,5 @@ __all__ = [
     "avg_pool2d",
     "bilinear_resize",
     "spectral_conv2d",
+    "softmax_attention",
 ]

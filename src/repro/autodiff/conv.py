@@ -89,7 +89,8 @@ def conv2d(
 
     cols, (out_h, out_w) = _im2col(x.data, (kh, kw), stride_pair, padding_pair)
     w_mat = weight.data.reshape(out_channels, in_channels * kh * kw)
-    out = np.einsum("ok,bkn->bon", w_mat, cols)
+    # (O, K) @ (B, K, N) -> (B, O, N): one BLAS product per batch item.
+    out = np.matmul(w_mat, cols)
     out = out.reshape(x.shape[0], out_channels, out_h, out_w)
     if bias is not None:
         out = out + bias.data.reshape(1, out_channels, 1, 1)
@@ -99,12 +100,12 @@ def conv2d(
     def backward(grad: np.ndarray) -> None:
         grad_mat = grad.reshape(x.shape[0], out_channels, out_h * out_w)
         if weight.requires_grad:
-            grad_w = np.einsum("bon,bkn->ok", grad_mat, cols)
+            grad_w = np.tensordot(grad_mat, cols, axes=([0, 2], [0, 2]))
             weight._accumulate(grad_w.reshape(weight.shape))
         if bias is not None and bias.requires_grad:
             bias._accumulate(grad.sum(axis=(0, 2, 3)).reshape(bias.shape))
         if x.requires_grad:
-            grad_cols = np.einsum("ok,bon->bkn", w_mat, grad_mat)
+            grad_cols = np.matmul(w_mat.T, grad_mat)
             grad_x = _col2im(
                 grad_cols, x.shape, (kh, kw), stride_pair, padding_pair, (out_h, out_w)
             )

@@ -9,11 +9,20 @@ invokes the closures in reverse order.
 Only float arrays are supported; gradients always share the dtype of the
 forward data.  Broadcasting follows NumPy semantics and is undone in the
 backward pass by summing over the broadcast axes.
+
+Scalar rule: in the binary ops (``+ - * /``, their reflected forms and
+:meth:`Tensor.maximum`) a real scalar operand -- a Python number, a NumPy
+scalar or a 0-d array -- takes the tensor's dtype.  ``float32_tensor * 0.5``
+and ``float32_tensor / np.sqrt(2)`` stay float32; float64 stays float64.
+This is what NumPy does for a Python scalar; NumPy 2 (NEP 50) treats NumPy
+scalars and 0-d arrays as strongly typed and would otherwise promote the
+result, and every node after it, to float64.
 """
 
 from __future__ import annotations
 
 import contextlib
+import math
 from typing import Callable, Iterable, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -24,6 +33,8 @@ ArrayLike = Union[Number, Sequence, np.ndarray, "Tensor"]
 
 _DEFAULT_DTYPE = np.float32
 _GRAD_ENABLED = True
+# A Python float: an np.float64 constant would promote float32 gradients.
+_TWO_OVER_SQRT_PI = 2.0 / math.sqrt(math.pi)
 
 
 def set_default_dtype(dtype) -> None:
@@ -109,6 +120,14 @@ class Tensor:
     def ensure(value: ArrayLike) -> "Tensor":
         """Wrap ``value`` in a Tensor if it is not one already."""
         return value if isinstance(value, Tensor) else Tensor(value)
+
+    def _operand(self, other: ArrayLike) -> "Tensor":
+        """Wrap the other operand of a binary op, applying the scalar rule."""
+        if isinstance(other, Tensor):
+            return other
+        if np.ndim(other) == 0:
+            return Tensor(np.asarray(other, dtype=self.data.dtype))
+        return Tensor(other)
 
     @staticmethod
     def zeros(shape, dtype=None, requires_grad: bool = False) -> "Tensor":
@@ -232,7 +251,7 @@ class Tensor:
     # Elementwise arithmetic
     # ------------------------------------------------------------------
     def __add__(self, other: ArrayLike) -> "Tensor":
-        other = Tensor.ensure(other)
+        other = self._operand(other)
         out_data = self.data + other.data
 
         def backward(grad: np.ndarray) -> None:
@@ -249,13 +268,13 @@ class Tensor:
         return self._unary(np.negative, lambda g, x: -g)
 
     def __sub__(self, other: ArrayLike) -> "Tensor":
-        return self + (-Tensor.ensure(other))
+        return self + (-self._operand(other))
 
     def __rsub__(self, other: ArrayLike) -> "Tensor":
-        return Tensor.ensure(other) + (-self)
+        return self._operand(other) + (-self)
 
     def __mul__(self, other: ArrayLike) -> "Tensor":
-        other = Tensor.ensure(other)
+        other = self._operand(other)
         out_data = self.data * other.data
 
         def backward(grad: np.ndarray) -> None:
@@ -269,7 +288,7 @@ class Tensor:
     __rmul__ = __mul__
 
     def __truediv__(self, other: ArrayLike) -> "Tensor":
-        other = Tensor.ensure(other)
+        other = self._operand(other)
         out_data = self.data / other.data
 
         def backward(grad: np.ndarray) -> None:
@@ -283,7 +302,7 @@ class Tensor:
         return Tensor._make(out_data, (self, other), backward)
 
     def __rtruediv__(self, other: ArrayLike) -> "Tensor":
-        return Tensor.ensure(other) / self
+        return self._operand(other) / self
 
     def __pow__(self, exponent: Number) -> "Tensor":
         if not np.isscalar(exponent):
@@ -350,7 +369,7 @@ class Tensor:
     def erf(self) -> "Tensor":
         return self._unary(
             _special.erf,
-            lambda g, x: g * (2.0 / np.sqrt(np.pi)) * np.exp(-(x ** 2)),
+            lambda g, x: g * _TWO_OVER_SQRT_PI * np.exp(-(x ** 2)),
         )
 
     def abs(self) -> "Tensor":
@@ -362,7 +381,7 @@ class Tensor:
         )
 
     def maximum(self, other: ArrayLike) -> "Tensor":
-        other = Tensor.ensure(other)
+        other = self._operand(other)
         out_data = np.maximum(self.data, other.data)
 
         def backward(grad: np.ndarray) -> None:

@@ -50,15 +50,9 @@ def run_table2(
         dataset = cache.get(spec, verbose=verbose)
         split = dataset.split(scale.train_fraction, rng=np.random.default_rng(scale.seed))
         for method in methods:
-            overrides = {}
-            if method in ("sau_fno",) and resolution >= 64:
-                # The dense softmax attention map is quadratic in grid points;
-                # use the linear-attention variant at the finest resolution,
-                # as suggested by the linear-attention FNO reference [35].
-                overrides["attention_type"] = scale.model.attention_type
             if verbose:
                 print(f"[table2] training {method} at {resolution}x{resolution}")
-            result = train_operator(method, split, scale, model_overrides=overrides)
+            result = train_operator(method, split, scale)
             results.append(result)
             row = result.row()
             row["Method"] = _METHOD_LABELS.get(method, method)

@@ -75,7 +75,6 @@ def run_table3(
 
     rows: List[Dict[str, object]] = []
     for method in methods:
-        overrides = {"attention_type": scale.model.attention_type}
         # From scratch on high-fidelity data only.
         if verbose:
             print(f"[table3] {method}: training from scratch on high-fidelity data")
@@ -83,7 +82,7 @@ def run_table3(
             method,
             high_split.train.num_input_channels,
             high_split.train.num_output_channels,
-            {**scale.model.as_dict(), **overrides},
+            scale.model.as_dict(),
             np.random.default_rng(scale.seed),
         )
         scratch_trainer = Trainer(scratch_model, _training_config(scale))
@@ -101,7 +100,7 @@ def run_table3(
             method,
             low_fidelity.num_input_channels,
             low_fidelity.num_output_channels,
-            {**scale.model.as_dict(), **overrides},
+            scale.model.as_dict(),
             np.random.default_rng(scale.seed),
         )
         transfer = TransferLearningTrainer(

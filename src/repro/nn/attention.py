@@ -22,11 +22,13 @@ Fourier neural operator") is provided for large grids, where the full
 
 from __future__ import annotations
 
+import math
 from typing import Optional
 
 import numpy as np
 
 from repro.autodiff import functional as F
+from repro.autodiff.attention import softmax_attention
 from repro.autodiff.tensor import Tensor
 from repro.nn.conv import PointwiseConv2d
 from repro.nn.module import Module
@@ -78,9 +80,9 @@ class SpatialChannelAttention(Module):
         key = self.key(x).reshape(batch, self.embed_dim, positions)
         value = self.value(x).reshape(batch, channels, positions).transpose(0, 2, 1)
 
-        scores = (query @ key) / np.sqrt(self.embed_dim)
-        attention = F.softmax(scores, axis=-1)  # A_s: (B, N, N)
-        spatial = (attention @ value).transpose(0, 2, 1).reshape(batch, channels, height, width)
+        # A_s = softmax(Q^T K / sqrt(d)) over grid positions, applied to the values.
+        spatial = softmax_attention(query, key, value, 1.0 / math.sqrt(self.embed_dim))
+        spatial = spatial.transpose(0, 2, 1).reshape(batch, channels, height, width)
 
         # Channel attention map A_c: squeeze spatial dims, excite channels.
         descriptor = x.mean(axis=(2, 3), keepdims=True)

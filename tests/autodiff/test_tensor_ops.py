@@ -127,6 +127,58 @@ class TestReductions:
         assert b.grad.shape == (2, 4, 5)
 
 
+_SCALAR_EXPRESSIONS = {
+    "t + 1.0": lambda t: t + 1.0,
+    "t * np.float64(2)": lambda t: t * np.float64(2),
+    "t / np.sqrt(16)": lambda t: t / np.sqrt(16),
+    "1.0 - t": lambda t: 1.0 - t,
+    "2.0 / t": lambda t: 2.0 / t,
+    "t.maximum(0.0)": lambda t: t.maximum(0.0),
+    "t - np.array(3.0)": lambda t: t - np.array(3.0),
+}
+
+
+@pytest.fixture
+def accumulated_dtypes(monkeypatch):
+    """Dtypes of the raw gradients backward closures hand to ``_accumulate``."""
+    seen = []
+    accumulate = Tensor._accumulate
+
+    def spy(self, grad):
+        seen.append(np.asarray(grad).dtype)
+        accumulate(self, grad)
+
+    monkeypatch.setattr(Tensor, "_accumulate", spy)
+    return seen
+
+
+class TestScalarRule:
+    """A scalar operand takes the tensor's dtype, in value and in gradient."""
+
+    @pytest.mark.parametrize("expression", sorted(_SCALAR_EXPRESSIONS))
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_scalar_operand_keeps_dtype(self, expression, dtype, accumulated_dtypes):
+        tensor = Tensor(np.array([0.5, -1.0, 2.0], dtype=dtype), requires_grad=True)
+        out = _SCALAR_EXPRESSIONS[expression](tensor)
+        assert out.dtype == dtype
+        out.sum().backward()
+        assert accumulated_dtypes and set(accumulated_dtypes) == {np.dtype(dtype)}
+
+    def test_float64_arithmetic_is_unchanged(self, rng):
+        data = rng.uniform(0.5, 2.0, (4,))
+        out = (2.0 / Tensor(data)) * np.float32(3) - np.array(0.25, dtype=np.float32)
+        np.testing.assert_array_equal(out.data, (2.0 / data) * 3.0 - 0.25)
+
+    def test_array_operand_still_promotes(self):
+        tensor = Tensor(np.ones(3, dtype=np.float32))
+        assert (tensor * np.ones(3, dtype=np.float64)).dtype == np.float64
+
+    def test_erf_gradient_is_computed_in_float32(self, accumulated_dtypes):
+        tensor = Tensor(np.array([0.1, -0.4], dtype=np.float32), requires_grad=True)
+        tensor.erf().sum().backward()
+        assert accumulated_dtypes and set(accumulated_dtypes) == {np.dtype(np.float32)}
+
+
 class TestGraphMechanics:
     def test_backward_requires_scalar_without_gradient(self):
         tensor = Tensor(np.ones((2, 2)), requires_grad=True)
