@@ -16,9 +16,8 @@ for the two workloads it unified:
   groups' batched solves overlap on separate cores.
 
 Both benches run (with tiny shapes) under ``--benchmark-disable`` so the
-process path is exercised on every smoke run, and land in the
-``.benchmarks/kernels.json`` trajectory on full runs so successive PRs can
-diff the scaling curve.
+process path is exercised on every smoke run; full runs save their numbers
+to a local, untracked JSON file.  ``perfbench/`` is the benchmark of record.
 """
 
 import os
@@ -48,7 +47,8 @@ SERVING_PER_CLIENT = 6
 
 
 def _seed_pipeline(spec, batch_size):
-    """The pre-plane generation loop: one solver, stacked-RHS batches.
+    """The pre-plane generation loop: one solver, batches answered from its
+    block basis.
 
     Re-implemented here verbatim so the bench can assert the plane-refactored
     ``generate_dataset`` still reproduces the seed pipeline bitwise.
@@ -63,10 +63,10 @@ def _seed_pipeline(spec, batch_size):
     inputs, targets = [], []
     for start in range(0, spec.num_samples, batch_size):
         batch = cases[start:start + batch_size]
-        fields = solver.solve_batch([case.assignment for case in batch])
-        for case, field in zip(batch, fields):
+        maps = solver.solve_layer_maps([case.assignment for case in batch])
+        for case, case_maps in zip(batch, maps):
             inputs.append(sampler.rasterize(case, solver.nx, solver.ny))
-            targets.append(field.power_layer_maps())
+            targets.append(case_maps)
     return np.stack(inputs), np.stack(targets)
 
 
@@ -94,12 +94,12 @@ def test_dataset_generation_process_scaling(benchmark):
 
     def run_curve():
         serial = SerialPlane()
-        generate_dataset(warm_spec, batch_size=batch_size, plane=serial)  # warm LU
+        generate_dataset(warm_spec, batch_size=batch_size, plane=serial)  # warm basis
         results["serial"], results["serial_s"] = _timed_generation(
             spec, serial, batch_size
         )
         with ProcessPlane(workers=workers) as plane:
-            # Warm every worker's factorisation and the import machinery so
+            # Warm every worker's block basis and the import machinery so
             # the measurement sees steady-state throughput, not spawn cost.
             generate_dataset(warm_spec, batch_size=batch_size, plane=plane)
             results["process"], results["process_s"] = _timed_generation(

@@ -2,7 +2,8 @@
 
 Not a paper table by itself, but the cost model behind them: FVM assembly and
 solve at the two Table II resolutions — cold (per-case factorisation, the
-seed pipeline's cost model) and warm (cached factorisation, batched RHS) —
+seed pipeline's cost model), warm (cached factorisation) and batched (one
+product per case against the block basis) —
 the HotSpot network solve, one forward pass of each operator family, and
 one training step of SAU-FNO.  Useful for tracking performance regressions of
 the substrates; the cached-vs-cold pair reports the amortised speedup the
@@ -47,20 +48,20 @@ def test_fvm_solve_warm(benchmark, chip_and_case, resolution):
     """Per-case cost against a prepared solver (cached factorisation)."""
     chip, case = chip_and_case
     solver = FVMSolver(chip, nx=resolution, cells_per_layer=2)
-    solver.prepare()
+    solver.solve(case.assignment)  # builds the factor solve() keeps
     field = benchmark(lambda: solver.solve(case.assignment))
     assert field.max_K > 300.0
 
 
 def test_fvm_solve_batch_amortized(benchmark, chip_and_case):
-    """Batched solve of 16 cases at resolution 48; the reported time divided
-    by 16 is the amortised per-case cost of the data-generation loop."""
+    """Batched solve of 16 cases at resolution 48 from a built block basis;
+    the reported time divided by 16 is the amortised per-case cost."""
     chip, _ = chip_and_case
     sampler = PowerSampler(chip)
     cases = sampler.sample_many(16, np.random.default_rng(1))
     assignments = [case.assignment for case in cases]
     solver = FVMSolver(chip, nx=48, cells_per_layer=2)
-    solver.prepare()
+    solver.block_basis()
     fields = benchmark(lambda: solver.solve_batch(assignments))
     assert len(fields) == 16
     benchmark.extra_info["cases_per_round"] = 16

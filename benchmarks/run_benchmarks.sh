@@ -9,10 +9,10 @@
 # --smoke is the fast CI/verify mode: it byte-compiles the whole source
 # tree, sanity-checks the CLI surface, and runs the kernel + serving
 # benchmark bodies once each (--benchmark-disable) so every measured code
-# path is exercised without the timing repetitions.  Full runs land in
-# .benchmarks/kernels.json by default, so successive PRs can diff the perf
-# trajectory (pytest-benchmark's own --benchmark-compare works on the same
-# files).  GC is disabled during timing for stable numbers.
+# path is exercised without the timing repetitions.  Full runs write
+# .benchmarks/kernels.json by default: an untracked local file for
+# pytest-benchmark's own --benchmark-compare.  perfbench/ is the benchmark
+# of record.  GC is disabled during timing for stable numbers.
 # bench_serving.py records the serving acceptance numbers: micro-batched fvm
 # requests/sec vs the unbatched per-request baseline (>= 5x at batch >= 8),
 # closed-loop p50/p95/p99 latency for the fvm and operator backends, the

@@ -32,7 +32,6 @@ from repro.api.solution import ThermalSolution
 from repro.chip.stack import ChipStack
 from repro.data.power import PowerCase, rasterize_assignment
 from repro.operators.factory import LoadedOperator
-from repro.solvers.factor import KERNEL
 from repro.solvers.fvm import FVMSolver, TemperatureField
 from repro.solvers.hotspot import BlockTemperatures, HotSpotModel
 from repro.solvers.transient import PowerTrace, TransientFVMSolver, TransientResult
@@ -97,9 +96,11 @@ class FVMBackendAdapter:
     """Exact steady-state answers from the finite-volume field solver.
 
     Wraps one prepared :class:`~repro.solvers.fvm.FVMSolver` (cached
-    geometry + assembled matrix + SPD factorisation) for one
-    ``(chip, resolution)``; batches are answered with one stacked-RHS
-    back-substitution.
+    geometry + assembled matrix + exact block basis) for one
+    ``(chip, resolution)``.  Every answer, single or batched, comes from
+    :meth:`~repro.solvers.fvm.FVMSolver.solve_batch`: one product per case
+    against the basis, so a case's answer never depends on its batch and
+    no request ever factorises.
     """
 
     name = "fvm"
@@ -111,13 +112,14 @@ class FVMBackendAdapter:
         # Serialise solves: the adapter is pooled per (chip, resolution) and
         # engine sharding normally gives it one worker, but the exact-refine
         # path legitimately drives the fvm backend from another backend's
-        # shard, and the factor's back-substitution is not safe under
-        # concurrent use.  Uncontended cost is ~us against ms-scale solves.
+        # shard, and the lazy basis build must run once even under
+        # concurrent first requests.
         self._solver_lock = threading.Lock()
 
     def prepare(self) -> "FVMBackendAdapter":
-        """Assemble and factorise eagerly (pools prepare on first build)."""
-        self.solver.prepare()
+        """Build the block basis eagerly (pools prepare on first build)."""
+        with self._solver_lock:
+            self.solver.block_basis()
         return self
 
     def _solution(
@@ -143,17 +145,16 @@ class FVMBackendAdapter:
                 else None
             ),
             values=field.values if include_values else None,
-            provenance={"source": "fvm", "kernel": KERNEL},
+            provenance={"source": "fvm"},
         )
 
     def solve(
         self, case: Case, *, include_maps: bool = False, include_values: bool = False
     ) -> ThermalSolution:
-        """Answer one power case with the prepared exact solver."""
-        assignment = as_assignment(case)
-        with self._solver_lock:
-            field = self.solver.solve(assignment)
-        return self._solution(field, assignment, include_maps, include_values)
+        """Answer one power case as a batch of one."""
+        return self.solve_batch(
+            [case], include_maps=include_maps, include_values=include_values
+        )[0]
 
     def solve_batch(
         self,
@@ -162,7 +163,7 @@ class FVMBackendAdapter:
         include_maps: bool = False,
         include_values: bool = False,
     ) -> List[ThermalSolution]:
-        """Answer many cases with one stacked-RHS back-substitution."""
+        """Answer many cases from the block basis, one product per case."""
         assignments = [as_assignment(case) for case in cases]
         with self._solver_lock:
             fields = self.solver.solve_batch(assignments)
@@ -182,13 +183,12 @@ class FVMBackendAdapter:
         }
 
     def describe(self) -> Dict[str, Any]:
-        """JSON-friendly identity: chip, resolution, solver kernel."""
+        """JSON-friendly identity: chip, resolution, vertical cells."""
         return {
             "backend": self.name,
             "chip": self.chip.name,
             "resolution": self.resolution,
             "cells_per_layer": self.solver.cells_per_layer,
-            "kernel": KERNEL,
         }
 
 
@@ -575,7 +575,6 @@ class TransientBackendAdapter:
             "resolution": self.resolution,
             "horizon_time_constants": self.horizon_time_constants,
             "steps_per_time_constant": self.steps_per_time_constant,
-            "kernel": KERNEL,
         }
 
 

@@ -1,8 +1,8 @@
 """Shared caching primitives of the thermal API.
 
 :class:`LRUPool` keeps expensive per-key resources (prepared solver
-backends: geometry + assembled matrix + sparse LU, factorised compact
-networks) resident with LRU eviction.  :class:`ResultCache` memoises whole
+backends: geometry + assembled matrix + exact block basis, factorised
+compact networks) resident with LRU eviction.  :class:`ResultCache` memoises whole
 :class:`~repro.api.solution.ThermalSolution` answers keyed by the query that
 produced them, bounded three ways: entry count, total payload bytes and an
 optional per-entry time-to-live.  Both are thread-safe and expose
@@ -37,8 +37,8 @@ DEFAULT_RESULT_CACHE_BYTES = 128 * 1024 * 1024
 class LRUPool:
     """A small thread-safe LRU cache of expensive per-key resources.
 
-    Used for prepared solver backends (geometry + assembled matrix + sparse
-    LU) and HotSpot networks.  ``get`` builds missing entries with the
+    Used for prepared solver backends (geometry + assembled matrix + block
+    basis) and HotSpot networks.  ``get`` builds missing entries with the
     supplied factory and evicts the least-recently-used entry beyond
     ``capacity``.  Hit/miss/eviction counters feed the service ``/stats``
     endpoint.

@@ -9,7 +9,7 @@ above again.  A session owns that state once:
 * a **chip registry** — the built-in benchmark designs plus any custom
   :class:`~repro.chip.ChipStack` registered at runtime,
 * **backend pools** — prepared :mod:`repro.api.backends` adapters (cached
-  geometry, sparse LU factorisations, compact networks) with LRU eviction,
+  geometry, block bases, compact networks) with LRU eviction,
 * a **model registry** of trained operator surrogates,
 * a **result cache** keyed by ``(chip, resolution, backend, power-map
   hash)`` so repeated queries cost a dictionary lookup,
@@ -90,7 +90,6 @@ from repro.runtime.tasks import (
     solve_cases,
     warm_state,
 )
-from repro.solvers.factor import KERNEL
 from repro.solvers.hotspot import HotSpotModel
 from repro.solvers.transient import PowerTrace
 from repro.training.trainer import Trainer, TrainingConfig, TrainingHistory
@@ -1384,7 +1383,6 @@ class ThermalSession:
             "backends": list(BACKEND_NAMES),
             "models": self.models.describe(),
             "cells_per_layer": self.cells_per_layer,
-            "kernel": KERNEL,
         }
 
     def stats(self) -> Dict[str, Any]:

@@ -63,7 +63,6 @@ from repro.data.dataset import ThermalDataset
 from repro.data.generation import DEFAULT_BATCH_SIZE
 from repro.data.power import error_message, parse_power_spec
 from repro.runtime.plane import PLANE_KINDS
-from repro.solvers.factor import KERNEL
 from repro.evaluation.reporting import ascii_heatmap, format_table
 from repro.operators.factory import OPERATOR_REGISTRY
 from repro.training.trainer import TrainingConfig
@@ -522,7 +521,6 @@ def _cmd_serve(args) -> int:
     print(f"  workers: {args.workers}"
           + (f" · max queue: {args.max_queue}" if args.max_queue else "")
           + (f" · exec: {plane.kind} ({plane.workers} workers)" if plane is not None else ""))
-    print(f"  solver kernel: {KERNEL}")
     if args.fallback or faults is not None:
         print("  reliability: "
               + ("fallback on" if args.fallback else "fallback off")

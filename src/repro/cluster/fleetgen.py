@@ -1,6 +1,6 @@
 """Distributed dataset generation: shard a ``DatasetSpec`` across a fleet.
 
-``generate_dataset`` already splits a dataset into stacked-RHS batches and
+``generate_dataset`` already splits a dataset into batches and
 draws every random case up front from ``spec.seed`` — which makes the work
 embarrassingly shardable *without* touching the RNG stream: every replica
 re-draws the identical case list locally (sampling is cheap; solving is
@@ -9,9 +9,10 @@ shard (``index % shard_count == shard_index``).  The client then re-draws
 the same cases once more to rasterise the inputs (rasterisation is also
 cheap) and stitches the returned target arrays back together in global
 batch order.  The assembled dataset is bitwise-identical to a single-host
-``generate_dataset`` run — same cases, same batch boundaries, same
-stacked-RHS solves — except for the wall-clock ``solve_seconds`` metadata,
-which is nondeterministic even between two single-host runs.
+``generate_dataset`` run — same cases, each answered by the same
+per-case product against the block basis — except for the wall-clock
+``solve_seconds`` metadata, which is nondeterministic even between two
+single-host runs.
 
 Three layers use this module:
 

@@ -18,7 +18,6 @@ from repro.data.power import (
 from repro.data.dataset import ThermalDataset, Normalizer, DataSplit
 from repro.data.generation import (
     generate_dataset,
-    generate_case,
     generate_multifidelity_pair,
     DatasetSpec,
 )
@@ -35,7 +34,6 @@ __all__ = [
     "Normalizer",
     "DataSplit",
     "generate_dataset",
-    "generate_case",
     "generate_multifidelity_pair",
     "DatasetSpec",
     "DatasetCache",

@@ -6,20 +6,20 @@ distributions and solve each with the finite-volume solver, storing the
 per-power-layer power-density maps as inputs and the corresponding per-layer
 temperature maps as targets.
 
-The loop is built on the solver's prepare-once / solve-many split
-(:mod:`repro.solvers.fvm`) **and** on the runtime's execution planes
-(:mod:`repro.runtime`): cases are drawn up front (preserving the exact seed
-RNG sequence), grouped into stacked-RHS batches, and the batches are
-submitted to an :class:`~repro.runtime.plane.ExecutionPlane` as tasks
-carrying a warm-solver state key.  On the default
+The loop is built on the solver's exact block basis
+(:meth:`~repro.solvers.fvm.FVMSolver.block_basis`: one 1 W response per
+floorplan block, so every case's targets are one small product) **and** on
+the runtime's execution planes (:mod:`repro.runtime`): cases are drawn up
+front (preserving the exact seed RNG sequence), grouped into batches, and
+the batches are submitted to an :class:`~repro.runtime.plane.ExecutionPlane`
+as tasks carrying a warm-solver state key.  On the default
 :class:`~repro.runtime.plane.SerialPlane` this runs inline against one
-cached factorisation — bitwise-identical to the historical loop; on a
-:class:`~repro.runtime.plane.ProcessPlane` the batches shard round-robin
-across worker processes, each of which builds and keeps its own warm
-factorisation, so generation scales with cores.  This is where the paper's
-cost asymmetry lives (thousands of PDE solves per dataset), so amortising
-— and now parallelising — the per-case cost directly sets the end-to-end
-generation throughput.
+cached basis; on a :class:`~repro.runtime.plane.ProcessPlane` the batches
+shard round-robin across worker processes, each of which builds and keeps
+its own basis.  Every case is answered by its own product, so the targets
+are bitwise-identical whatever the batch size or plane.  This is where the
+paper's cost asymmetry lives (thousands of PDE solves per dataset): one
+factorisation per geometry, then no back-substitution at all.
 """
 
 from __future__ import annotations
@@ -32,16 +32,14 @@ import numpy as np
 from repro.chip.designs import get_chip
 from repro.chip.stack import ChipStack
 from repro.data.dataset import ThermalDataset
-from repro.data.power import PowerCase, PowerSampler
+from repro.data.power import PowerSampler
 from repro.runtime.plane import ExecutionPlane, PlaneTask, SerialPlane
 from repro.runtime.tasks import SolverSpec, build_fvm_solver, generate_batch, solver_state_key
-from repro.solvers.factor import KERNEL
-from repro.solvers.fvm import FVMSolver, SOLVER_VERSION, TemperatureField
+from repro.solvers.fvm import SOLVER_VERSION
 from repro.solvers.voxelize import GridGeometry, build_geometry
 
-#: Number of power cases solved per batched factorisation pass.  Bounds the
-#: peak memory of the stacked ``(n, B)`` right-hand-side matrix, and is the
-#: unit of work sharded across execution-plane workers.
+#: Number of power cases per generation task: the unit of work sharded
+#: across execution-plane workers.
 DEFAULT_BATCH_SIZE = 32
 
 
@@ -62,11 +60,7 @@ class DatasetSpec:
         """A filesystem-safe identifier for caching.
 
         Embeds the solver pipeline version so cached datasets regenerate
-        whenever the solver changes, and the platform's factorization
-        kernel (:data:`~repro.solvers.factor.KERNEL`, ``cholmod``/``lu``) so
-        a dataset generated under one kernel is never served to a host
-        running the other — the kernels agree only to ~1e-9 K, and cached
-        bits must name what produced them.
+        whenever the solver changes.
         """
         power = (
             "default"
@@ -76,25 +70,8 @@ class DatasetSpec:
         return (
             f"{self.chip_name}_r{self.resolution}_n{self.num_samples}_s{self.seed}"
             f"_c{self.cells_per_layer}_b{self.core_bias:g}_i{self.idle_probability:g}_p{power}"
-            f"_k{KERNEL}_v{SOLVER_VERSION}"
+            f"_v{SOLVER_VERSION}"
         )
-
-
-def generate_case(
-    chip: ChipStack,
-    case: PowerCase,
-    sampler: PowerSampler,
-    solver: FVMSolver,
-) -> Tuple[np.ndarray, np.ndarray, TemperatureField]:
-    """Rasterise one power case and solve it.
-
-    Returns ``(input_maps, target_maps, field)`` where the maps have shape
-    ``(C, ny, nx)``.
-    """
-    inputs = sampler.rasterize(case, solver.nx, solver.ny)
-    field = solver.solve(case.assignment)
-    targets = field.power_layer_maps()
-    return inputs, targets, field
 
 
 def generate_dataset(
@@ -110,15 +87,14 @@ def generate_dataset(
     The random number generator is seeded from ``spec.seed`` so the same spec
     always produces the same dataset, which the caching layer and the
     experiment harness rely on.  Cases are solved in batches of
-    ``batch_size`` right-hand sides against cached factorisations.
+    ``batch_size`` against a cached block basis.
 
     ``plane`` selects *who* solves the batches: ``None`` (a private
-    :class:`~repro.runtime.plane.SerialPlane`) reproduces the historical
-    single-core pipeline bitwise; a shared
+    :class:`~repro.runtime.plane.SerialPlane`) runs them inline; a shared
     :class:`~repro.runtime.plane.ProcessPlane` shards the batches
-    round-robin across its worker processes, each warming its own
-    factorisation.  The solved answers are identical either way — the LU
-    back-substitution is independent per RHS column.
+    round-robin across its worker processes, each building its own basis.
+    The solved answers are identical either way — each case is its own
+    product against the basis.
 
     ``geometry`` optionally injects a pre-built voxelisation (the
     multifidelity pair shares one across its two fidelities).
@@ -153,7 +129,7 @@ def generate_dataset(
     # Explicit round-robin affinity: every batch shares one state key, so
     # key-hash routing would pin the whole dataset to one worker.  Sharding
     # by batch index instead spreads the work across all workers, each of
-    # which warms its own copy of the factorisation.
+    # which builds its own copy of the basis.
     tasks = [
         PlaneTask(
             fn=generate_batch,
@@ -219,7 +195,7 @@ def generate_multifidelity_pair(
     and fine-tunes on a small amount of high-resolution data (1,000 cases, a
     4:1 ratio).  The two datasets here use different seeds so the fine-tuning
     data is not a subset of the pre-training data.  Each dataset runs through
-    the batched solver path with its own cached factorisation, optionally
+    the batched solver path with its own cached block basis, optionally
     sharded across an execution ``plane``.
 
     When the high resolution is an integer multiple of the low, the chip is

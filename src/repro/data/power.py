@@ -197,12 +197,14 @@ class PowerSampler:
         self.idle_probability = idle_probability
         self.concentration = concentration
         self.block_names = chip.flat_block_names()
-
-    def _block_areas_mm2(self) -> np.ndarray:
-        areas = []
-        for layer in self.chip.power_layers:
-            areas.extend(block.area_mm2 for block in layer.floorplan.blocks)
-        return np.asarray(areas)
+        # Per-block constants of :meth:`sample`, fixed at construction.
+        self._areas_mm2 = np.asarray(
+            [block.area_mm2 for layer in chip.power_layers
+             for block in layer.floorplan.blocks]
+        )
+        self._bias = np.array(
+            [core_bias if _is_core_block(name) else 1.0 for name in self.block_names]
+        )
 
     def sample(self, rng: np.random.Generator) -> PowerCase:
         """Draw one random power case.
@@ -215,8 +217,8 @@ class PowerSampler:
         power densities physically plausible.
         """
         names = self.block_names
-        areas = self._block_areas_mm2()
-        bias = np.array([self.core_bias if _is_core_block(n) else 1.0 for n in names])
+        areas = self._areas_mm2
+        bias = self._bias
         # Gamma-distributed activity gives smooth variation with occasional
         # strongly loaded blocks (shape = concentration).
         activity = rng.gamma(self.concentration, 1.0, size=len(names))

@@ -3,7 +3,7 @@
 Every compute layer of the reproduction — dataset generation, the session's
 ``solve_batch``, the serving engine's micro-batch dispatch — ultimately asks
 the same question: *run this batched solver call against warm per-key state
-(prepared geometry + sparse LU factorisation) somewhere*.  Historically the
+(prepared geometry + block basis or factorisation) somewhere*.  Historically the
 answer was always "inline, on the calling thread", which caps every layer at
 one core.  An :class:`ExecutionPlane` abstracts that answer behind one
 submission interface so the three layers scale together:
@@ -48,8 +48,9 @@ from repro.obs.bus import publish_all
 from repro.obs.events import WorkerDead, WorkerRetry
 from repro.runtime.faults import FaultPlan, WorkerFault
 
-#: Warm solver states kept per worker before LRU eviction.  Each state can
-#: hold a full sparse LU factorisation, so the bound is deliberately small.
+#: Warm solver states kept per worker before LRU eviction.  A state can
+#: hold a sparse LU factorisation (a transient adapter's backward-Euler
+#: factor), so the bound is deliberately small.
 DEFAULT_STATE_CAPACITY = 4
 
 #: The plane kinds :func:`create_plane` understands.

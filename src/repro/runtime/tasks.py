@@ -9,10 +9,10 @@ Two families of warm state exist:
 
 * **Generation state** (:func:`build_fvm_solver`) — a prepared
   :class:`~repro.solvers.fvm.FVMSolver` (cached geometry + assembled matrix
-  + SPD factorisation).  :func:`generate_batch` runs one stacked-RHS batch
-  of power cases against it and returns the training targets; dataset
-  generation shards its batches round-robin across workers, each of which
-  warms its own factorisation once.
+  + exact block basis; the factorisation that built the basis is dropped).
+  :func:`generate_batch` answers one batch of power cases from the basis
+  and returns the training targets; dataset generation shards its batches
+  round-robin across workers, each of which builds its own basis once.
 * **Backend state** (:func:`build_backend_adapter`) — a prepared
   :class:`repro.api` backend adapter for one ``(chip, resolution, backend)``.
   :func:`solve_cases` answers a micro-batch of power assignments with it and
@@ -23,7 +23,7 @@ Two families of warm state exist:
 State *specs* carry the pickled :class:`~repro.chip.ChipStack` itself (not
 just its name) so custom runtime-registered designs work in worker
 processes; state *keys* embed a digest of the chip fingerprint so two
-different designs sharing a name never share a warm factorisation.
+different designs sharing a name never share warm solver state.
 
 Heavyweight ``repro.api`` imports happen inside the factory functions: this
 module is imported by :mod:`repro.data.generation`, which the API session
@@ -34,6 +34,7 @@ circular.
 from __future__ import annotations
 
 import hashlib
+import time
 from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -79,14 +80,14 @@ def solver_state_key(spec: SolverSpec) -> Tuple:
 
 
 def build_fvm_solver(spec: SolverSpec) -> FVMSolver:
-    """State factory: a prepared (assembled + factorised) FVM solver."""
+    """State factory: an FVM solver with its block basis built."""
     solver = FVMSolver(
         spec.chip,
         nx=spec.resolution,
         cells_per_layer=spec.cells_per_layer,
         geometry=spec.geometry,
     )
-    solver.prepare()
+    solver.block_basis()
     return solver
 
 
@@ -97,13 +98,13 @@ def generate_batch(
 
     Returns ``(targets, solve_seconds)`` where ``targets`` has shape
     ``(B, C, ny, nx)`` (per-power-layer temperature maps, the dataset's
-    regression targets) and ``solve_seconds`` the amortised per-case
-    wall-clock costs.
+    regression targets, straight from the block basis — no 3-D field is
+    built) and ``solve_seconds`` the amortised per-case wall-clock costs.
     """
-    fields = solver.solve_batch(assignments)
-    targets = np.stack([field.power_layer_maps() for field in fields])
-    seconds = np.asarray([field.solve_seconds for field in fields], dtype=np.float64)
-    return targets, seconds
+    start = time.perf_counter()
+    targets = solver.solve_layer_maps(assignments)
+    per_case = (time.perf_counter() - start) / len(assignments)
+    return targets, np.full(len(assignments), per_case)
 
 
 # ----------------------------------------------------------------------
@@ -184,7 +185,7 @@ def warm_state(state: Any, _payload: Any) -> bool:
 
     The task function itself does nothing: routing a task carrying a
     ``state_key`` + factory to a worker is what forces the expensive
-    construction (geometry + factorisation) through the worker's LRU.
+    construction (geometry + block basis) through the worker's LRU.
     Returns whether a state was actually resident afterwards, which
     :meth:`~repro.runtime.plane.ExecutionPlane.warm_up` counts.
     """
@@ -203,8 +204,6 @@ def slow_ping(_state: Any, payload: Any) -> Any:
     returns ``value``.  Module-level (hence picklable) so process-plane
     tests can exercise stragglers, lost answers and queue backlogs.
     """
-    import time
-
     seconds, value = payload
     time.sleep(float(seconds))
     return value

@@ -91,7 +91,7 @@ class SessionBackend(Backend):
 
 
 class FVMBackend(SessionBackend):
-    """Exact finite-volume answers through pooled cached factorisations."""
+    """Exact finite-volume answers through pooled per-geometry block bases."""
 
     name = "fvm"
 

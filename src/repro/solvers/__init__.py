@@ -12,7 +12,7 @@
 """
 
 from repro.solvers.voxelize import GridGeometry, VoxelGrid, build_geometry, voxelize
-from repro.solvers.factor import KERNEL, SPDFactor, factorize
+from repro.solvers.factor import SPDFactor, factorize
 from repro.solvers.fvm import FVMSolver, SOLVER_VERSION, TemperatureField
 from repro.solvers.hotspot import HotSpotModel, BlockTemperatures
 from repro.solvers.analytic import slab_1d_robin, poisson_2d_dirichlet_series
@@ -23,7 +23,6 @@ __all__ = [
     "VoxelGrid",
     "build_geometry",
     "voxelize",
-    "KERNEL",
     "SPDFactor",
     "factorize",
     "FVMSolver",

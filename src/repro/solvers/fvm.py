@@ -18,25 +18,30 @@ key cost structure behind the paper's data-generation step (thousands of
 solves on one chip/grid):
 
 * *Prepare* (once per solver): voxelize the chip geometry
-  (:func:`~repro.solvers.voxelize.build_geometry`), assemble the sparse
+  (:func:`~repro.solvers.voxelize.build_geometry`) and assemble the sparse
   conduction system **directly in CSC** (the 7-point stencil's column
   structure is known in closed form, so no COO intermediate and no
-  ``tocsc()`` copy are ever built) and factorise it with the kernel
-  :mod:`repro.solvers.factor` picks for the platform.  The matrix depends
-  only on geometry; power enters the discretisation solely through the
-  right-hand side.
-* *Solve* (per power case): rasterise the power assignment to a heat
-  source, add it to the cached boundary RHS, and back-substitute against
-  the cached factorisation.  :meth:`FVMSolver.solve_batch` stacks many RHS
-  vectors into an ``(n, B)`` matrix and solves them in one shot, amortising
-  the factorisation across the whole batch.
+  ``tocsc()`` copy are ever built).  The matrix depends only on geometry;
+  power enters the discretisation solely through the right-hand side.
+* *Block basis* (once per solver, :meth:`FVMSolver.block_basis`): power
+  enters only as per-block uniform densities, so every steady answer is
+  exactly ``T = T_amb + sum_b P_b g_b`` where ``g_b`` is block ``b``'s 1 W
+  response.  One sparse LU factorisation back-substitutes all the ``g_b``
+  in one stacked pass and is then dropped.  The zero-power field needs no
+  solve: every row of the matrix sums to its boundary conductance, so
+  ``T_amb`` satisfies the power-free system.
+* *Solve* (per power case): :meth:`FVMSolver.solve_batch` and
+  :meth:`FVMSolver.solve_layer_maps` answer each case with one small
+  product against the basis.  :meth:`FVMSolver.solve` stays on direct
+  back-substitution against its own lazily built factorisation — the
+  independent reference the basis is checked against.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy import sparse
@@ -48,8 +53,9 @@ from repro.solvers.voxelize import GridGeometry, VoxelGrid, build_geometry
 #: Bumped whenever the solver pipeline changes in a way that can alter (even
 #: in the last floating-point bits) the fields it produces.  Dataset cache
 #: keys embed this token so stale datasets regenerate automatically.
-#: "3": direct CSC assembly + platform-selected SPD factorization kernel.
-SOLVER_VERSION = "3"
+#: "4": batch answers and dataset targets come from the exact block basis,
+#: within 1e-9 K of direct back-substitution (:meth:`FVMSolver.solve`).
+SOLVER_VERSION = "4"
 
 
 @dataclass
@@ -121,13 +127,42 @@ class _PreparedSystem:
     ``matrix`` (CSC, assembled directly in that format) and
     ``rhs_boundary`` capture everything that is independent of the power
     assignment; ``cell_volumes`` converts a volumetric heat source into the
-    RHS source term; ``factor`` is the SPD factorisation of ``matrix``.
+    RHS source term.  ``factor`` is the SPD factorisation of ``matrix``,
+    built only by :meth:`FVMSolver.solve` (the block basis factorises
+    transiently and keeps nothing).
     """
 
     matrix: sparse.csc_matrix
     rhs_boundary: np.ndarray
     cell_volumes: np.ndarray
-    factor: SPDFactor
+    factor: Optional[SPDFactor] = None
+
+
+@dataclass(frozen=True)
+class _BlockBasis:
+    """Exact superposition basis of one geometry: one 1 W response per block.
+
+    Attributes
+    ----------
+    names:
+        ``chip.flat_block_names()``, in order; row ``b`` of both arrays
+        belongs to ``names[b]``.
+    fields:
+        Shape ``(n_blocks, n_cells)``, C-contiguous: row ``b`` is the
+        temperature rise ``A^-1 s_b`` above ambient under 1 W on block
+        ``b``.  A block with no cell at this resolution has a zero row.
+    layer_maps:
+        Shape ``(n_blocks, C * ny * nx)``: each row of ``fields`` averaged
+        over every power layer's vertical cells, as
+        :meth:`TemperatureField.power_layer_maps` averages a field.
+    ambient_K:
+        The zero-power field, uniform: ``chip.cooling.ambient_K``.
+    """
+
+    names: Tuple[str, ...]
+    fields: np.ndarray
+    layer_maps: np.ndarray
+    ambient_K: float
 
 
 class FVMSolver:
@@ -180,6 +215,8 @@ class FVMSolver:
                 )
         self._geometry: Optional[GridGeometry] = geometry
         self._prepared: Optional[_PreparedSystem] = None
+        self._basis: Optional[_BlockBasis] = None
+        self._basis_rows: Dict[str, int] = {}  # resolved block name -> basis row
 
     # ------------------------------------------------------------------
     @property
@@ -192,26 +229,101 @@ class FVMSolver:
         return self._geometry
 
     def prepare(self) -> _PreparedSystem:
-        """Assemble and factorise the system once.
-
-        Subsequent :meth:`solve` / :meth:`solve_batch` calls only pay for
-        the power rasterisation and the triangular back-substitution.
-        """
+        """Assemble the conduction system once (no factorisation)."""
         if self._prepared is None:
             matrix, rhs_boundary, cell_volumes = self._assemble_system(self.geometry)
             self._prepared = _PreparedSystem(
-                matrix=matrix,
-                rhs_boundary=rhs_boundary,
-                cell_volumes=cell_volumes,
-                factor=factorize(matrix),
+                matrix=matrix, rhs_boundary=rhs_boundary, cell_volumes=cell_volumes
             )
         return self._prepared
 
+    def block_basis(self) -> _BlockBasis:
+        """The exact per-block superposition basis, built once and cached.
+
+        Every block's 1 W source ``s_b`` becomes one column of a stacked
+        right-hand side, and one back-substitution answers them all.  The
+        factorisation is then dropped: only the basis stays resident.
+        """
+        if self._basis is None:
+            prepared = self.prepare()
+            geometry = self.geometry
+            names = tuple(self.chip.flat_block_names())
+            rows = {
+                name: row for row, name in enumerate(names) if self._is_resolved(name)
+            }
+            fields = np.zeros((len(names), geometry.cell_count))
+            if rows:
+                volumes = prepared.cell_volumes
+                sources = np.stack(
+                    [
+                        (geometry.rasterize_power({name: 1.0}) * volumes).ravel()
+                        for name in rows
+                    ],
+                    axis=1,
+                )
+                factor = prepared.factor or factorize(prepared.matrix)
+                fields[list(rows.values())] = factor.solve(sources).T
+            cubes = fields.reshape(len(names), geometry.nz, geometry.ny, geometry.nx)
+            layer_maps = np.stack(
+                [
+                    cubes[:, geometry.power_layer_slices[layer]].mean(axis=1)
+                    for layer in self.chip.power_layer_names
+                ],
+                axis=1,
+            )
+            self._basis = _BlockBasis(
+                names=names,
+                fields=fields,
+                layer_maps=layer_maps.reshape(len(names), -1),
+                ambient_K=float(self.chip.cooling.ambient_K),
+            )
+            self._basis_rows = rows
+        return self._basis
+
+    def _is_resolved(self, name: str) -> bool:
+        """Whether block ``name`` covers at least one cell of this grid."""
+        layer_name, block_name = name.split("/", 1)
+        floorplan = self.chip.get_layer(layer_name).floorplan
+        return bool(floorplan.block_mask(block_name, self.nx, self.ny).any())
+
+    def _block_powers(
+        self, basis: _BlockBasis, power_assignments: Sequence[Mapping[str, float]]
+    ) -> np.ndarray:
+        """Per-case block powers, shape ``(B, n_blocks)``.
+
+        Accepts exactly what :meth:`GridGeometry.rasterize_power` accepts:
+        a key or value the basis cannot take (unknown or unresolved block,
+        negative power, not a number) hands the case to ``rasterize_power``,
+        which raises its own error.  What it lets through there, an
+        unresolved block at zero power, adds nothing.
+        """
+        rows = self._basis_rows
+        powers = np.zeros((len(power_assignments), len(basis.names)))
+        for case, assignment in zip(powers, power_assignments):
+            for name, value in assignment.items():
+                row = rows.get(name)
+                try:
+                    power = float(value)
+                except (TypeError, ValueError):
+                    row = None
+                if row is None or power < 0:
+                    self.geometry.rasterize_power(assignment)
+                    continue
+                case[row] = power
+        return powers
+
     # ------------------------------------------------------------------
     def solve(self, power_assignment: Mapping[str, float]) -> TemperatureField:
-        """Solve for the steady temperature field under ``power_assignment``."""
+        """Solve for the steady temperature field under ``power_assignment``.
+
+        Direct back-substitution against a factorisation this method builds
+        on first use and keeps: the single-RHS reference path, independent
+        of the block basis.
+        """
         start = time.perf_counter()
         prepared = self.prepare()
+        if prepared.factor is None:
+            prepared.factor = factorize(prepared.matrix)
         geometry = self.geometry
         heat_source = geometry.rasterize_power(power_assignment)
         rhs = prepared.rhs_boundary + (heat_source * prepared.cell_volumes).ravel()
@@ -224,39 +336,48 @@ class FVMSolver:
     def solve_batch(
         self, power_assignments: Sequence[Mapping[str, float]]
     ) -> List[TemperatureField]:
-        """Solve many power cases against the single cached factorisation.
+        """Solve many power cases from the block basis.
 
-        The RHS vectors are stacked into an ``(n, B)`` matrix and solved in
-        one pass, so the factorisation and all symbolic work are paid once
-        for the whole batch.  Each returned :class:`TemperatureField`
-        carries the amortised per-case wall-clock time in ``solve_seconds``.
+        Case ``j``'s field is ``ambient_K + p_j @ basis.fields``: one
+        product per case, never one batched GEMM, so a case's answer is
+        bitwise the same whatever batch it arrives in.  Each returned
+        :class:`TemperatureField` carries the amortised per-case wall-clock
+        time in ``solve_seconds``.
         """
         if not power_assignments:
             return []
         start = time.perf_counter()
-        prepared = self.prepare()
+        basis = self.block_basis()
+        powers = self._block_powers(basis, power_assignments)
+        values = [basis.ambient_K + case @ basis.fields for case in powers]
+        per_case = (time.perf_counter() - start) / len(values)
         geometry = self.geometry
-        sources = [geometry.rasterize_power(a) for a in power_assignments]
-        power_columns = np.stack(
-            [(s * prepared.cell_volumes).ravel() for s in sources], axis=1
-        )
-        # Broadcast the power-free boundary RHS over the power-column matrix
-        # in one vectorised add (elementwise identical to per-column
-        # re-stacking, without rebuilding the boundary vector B times).
-        rhs_columns = prepared.rhs_boundary[:, None] + power_columns
-        solutions = prepared.factor.solve(rhs_columns)
-        per_case = (time.perf_counter() - start) / len(power_assignments)
-
-        fields = []
-        for case_index, heat_source in enumerate(sources):
-            grid = geometry.grid_with_source(heat_source)
-            values = solutions[:, case_index].reshape(geometry.nz, geometry.ny, geometry.nx)
-            fields.append(
-                TemperatureField(
-                    chip=self.chip, grid=grid, values=values, solve_seconds=per_case
-                )
+        shape = (geometry.nz, geometry.ny, geometry.nx)
+        return [
+            TemperatureField(
+                chip=self.chip,
+                grid=geometry.grid_for(assignment),
+                values=case_values.reshape(shape),
+                solve_seconds=per_case,
             )
-        return fields
+            for case_values, assignment in zip(values, power_assignments)
+        ]
+
+    def solve_layer_maps(
+        self, power_assignments: Sequence[Mapping[str, float]]
+    ) -> np.ndarray:
+        """Per-power-layer temperature maps of many cases, shape ``(B, C, ny, nx)``.
+
+        The dataset-generation path: case ``j``'s maps are ``ambient_K +
+        p_j @ basis.layer_maps`` (one product per case, as in
+        :meth:`solve_batch`), with no 3-D field and no rasterisation.
+        """
+        basis = self.block_basis()
+        powers = self._block_powers(basis, power_assignments)
+        maps = np.empty((len(powers), basis.layer_maps.shape[1]))
+        for row, case in zip(maps, powers):
+            row[:] = basis.ambient_K + case @ basis.layer_maps
+        return maps.reshape(len(powers), len(self.chip.power_layer_names), self.ny, self.nx)
 
     # ------------------------------------------------------------------
     def _assemble_system(self, grid):

@@ -191,7 +191,6 @@ class TestGeneration:
         assert len({a.cache_key(), b.cache_key(), c.cache_key()}) == 3
 
     def test_cache_key_embeds_solver_version(self):
-        from repro.solvers import KERNEL
         from repro.solvers.fvm import SOLVER_VERSION
 
         spec = DatasetSpec("chip1", 16, 4, seed=0)
@@ -200,7 +199,7 @@ class TestGeneration:
         assert fine.cache_key() != spec.cache_key()
         # Pinned: datasets cached under this key format must keep hitting.
         assert DatasetSpec("chip1", 32, 8).cache_key() == (
-            f"chip1_r32_n8_s0_c2_b3_i0.15_pdefault_k{KERNEL}_v3"
+            "chip1_r32_n8_s0_c2_b3_i0.15_pdefault_v4"
         )
 
     def test_generate_dataset_batch_size_invariant(self):

@@ -103,3 +103,43 @@ class TestRasterizeAssignment:
         cell_area_m2 = (chip.die_width_mm * 1e-3 / 24) * (chip.die_height_mm * 1e-3 / 24)
         total = maps.sum() * cell_area_m2
         assert abs(total - 50.0) / 50.0 < 0.05  # up to block-edge rasterisation
+
+
+def _sample_with_per_call_constants(sampler, rng):
+    """``PowerSampler.sample`` as it was before its per-block constants were
+    hoisted into ``__init__``: areas and core bias rebuilt on every call."""
+    names = sampler.block_names
+    areas = []
+    for layer in sampler.chip.power_layers:
+        areas.extend(block.area_mm2 for block in layer.floorplan.blocks)
+    areas = np.asarray(areas)
+    bias = np.array([
+        sampler.core_bias
+        if ("core" in n.lower() or n.lower().split("/")[-1].startswith("c"))
+        else 1.0
+        for n in names
+    ])
+    activity = rng.gamma(sampler.concentration, 1.0, size=len(names))
+    active = rng.random(len(names)) >= sampler.idle_probability
+    if not active.any():
+        active[rng.integers(len(names))] = True
+    weights = areas * bias * activity * active
+    idle_floor = 0.02 * areas * (~active)
+    weights = weights + idle_floor
+    weights = weights / weights.sum()
+    total = rng.uniform(*sampler.total_power_range_W)
+    powers = weights * total
+    return {name: float(p) for name, p in zip(names, powers)}, float(total)
+
+
+class TestSamplerConstants:
+    @pytest.mark.parametrize("seed", (0, 7))
+    @pytest.mark.parametrize("chip_name", ("chip1", "chip2", "chip3"))
+    def test_hoisted_constants_keep_samples_bitwise(self, chip_name, seed):
+        sampler = PowerSampler(get_chip(chip_name))
+        cases = sampler.sample_many(64, np.random.default_rng(seed))
+        reference_rng = np.random.default_rng(seed)
+        for case in cases:
+            assignment, total = _sample_with_per_call_constants(sampler, reference_rng)
+            assert case.assignment == assignment
+            assert case.total_W == total

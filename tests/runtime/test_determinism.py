@@ -80,7 +80,7 @@ class TestBitwiseDeterminism:
 class TestSeedEquivalence:
     def test_serial_plane_matches_historical_pipeline(self):
         """The plane refactor's serial default reproduces the pre-plane loop
-        (sample up front, stacked-RHS batches against one factorisation)."""
+        (sample up front, batches answered from one solver's block basis)."""
         from repro.data.power import PowerSampler
         from repro.chip.designs import get_chip
         from repro.solvers.fvm import FVMSolver
@@ -97,10 +97,10 @@ class TestSeedEquivalence:
         inputs, targets = [], []
         for start in range(0, SPEC.num_samples, 4):
             batch = cases[start:start + 4]
-            fields = solver.solve_batch([case.assignment for case in batch])
-            for case, field in zip(batch, fields):
+            maps = solver.solve_layer_maps([case.assignment for case in batch])
+            for case, case_maps in zip(batch, maps):
                 inputs.append(sampler.rasterize(case, solver.nx, solver.ny))
-                targets.append(field.power_layer_maps())
+                targets.append(case_maps)
 
         dataset = generate_dataset(SPEC, batch_size=4)
         assert np.array_equal(dataset.inputs, np.stack(inputs))

