@@ -11,6 +11,7 @@ prepare-once / solve-many refactor buys dataset generation.
 """
 
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,7 +20,8 @@ from repro.autodiff import functional as F
 from repro.autodiff.tensor import Tensor
 from repro.chip.designs import get_chip
 from repro.data.power import PowerSampler
-from repro.operators import FNO2d, SAUFNO2d, UFNO2d
+from repro.evaluation.config import get_scale
+from repro.operators import FNO2d, SAUFNO2d, UFNO2d, build_operator
 from repro.optim import Adam
 from repro.solvers.fvm import FVMSolver
 from repro.solvers.hotspot import HotSpotModel
@@ -202,3 +204,39 @@ def test_sau_fno_training_step(benchmark):
     dtype, loss = benchmark(step)
     assert np.isfinite(loss)
     assert dtype == np.float32  # no silent float64 promotion
+
+
+def test_sau_fno_small_scale_step_memory():
+    """One SAU-FNO training step at the ``small`` scale (width 24, batch 8,
+    64 x 64 grid, N = 4096 positions) stays under a fixed memory bar."""
+    batch, resolution = 8, 64
+    model = build_operator("sau_fno", 2, 2, get_scale("small").model.as_dict(),
+                           np.random.default_rng(0))
+    optimizer = Adam(model.parameters(), lr=1e-3)
+    rng = np.random.default_rng(1)
+    x = Tensor(rng.standard_normal((batch, 2, resolution, resolution)).astype(np.float32))
+    y = Tensor(rng.standard_normal((batch, 2, resolution, resolution)).astype(np.float32))
+
+    def step():
+        optimizer.zero_grad()
+        loss = F.mse_loss(model(x), y)
+        loss.backward()
+        optimizer.step()
+        return loss.item()
+
+    step()  # warm-up: Adam's moment arrays exist from here on
+    tracemalloc.start()
+    try:
+        loss = step()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.isfinite(loss)
+    # The bar is two float32 (B, N, N) arrays, 1,074 MB: what an attention op
+    # that keeps its weights for the backward holds on its own (the weights
+    # plus the backward's score gradient), so a step that holds an N x N array
+    # again crosses it.  With query blocks and interior gradients freed during
+    # backward, the whole step traces at ~0.8 GB.
+    positions = resolution * resolution
+    bar = 2 * batch * positions ** 2 * 4
+    assert peak < bar, f"traced peak {peak / 1e6:.0f} MB >= bar {bar / 1e6:.0f} MB"

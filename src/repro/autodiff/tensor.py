@@ -204,7 +204,15 @@ class Tensor:
         self.grad = None
 
     def backward(self, grad: Optional[ArrayLike] = None) -> None:
-        """Backpropagate from this tensor through the recorded graph."""
+        """Backpropagate from this tensor through the recorded graph.
+
+        Only leaves (tensors without a backward closure: parameters and
+        inputs) keep their ``.grad``, accumulated onto what they held before.
+        An interior node's gradient is freed once its closure has pushed it
+        to the node's parents, so it costs no memory for the rest of the pass
+        and a later ``backward`` through the same node does not propagate it
+        again.
+        """
         if grad is None:
             if self.data.size != 1:
                 raise ValueError(
@@ -235,6 +243,7 @@ class Tensor:
         for node in reversed(order):
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
+                node.grad = None
 
     @staticmethod
     def _make(

@@ -15,9 +15,11 @@ every position) and add a learned output projection with a residual
 connection, which stabilises training; both choices are documented in
 DESIGN.md.
 
-A linear-attention variant (as in Peng et al., "Linear attention coupled
-Fourier neural operator") is provided for large grids, where the full
-``N x N`` attention matrix would be too expensive.
+The softmax map is computed by :func:`repro.autodiff.attention.softmax_attention`
+over blocks of query rows, so its memory grows as ``O(N)`` and its compute as
+``O(N^2 d)``.  A linear-attention variant (as in Peng et al., "Linear
+attention coupled Fourier neural operator"), whose compute grows as
+``O(N d^2)``, is the alternative the ablation compares.
 """
 
 from __future__ import annotations
@@ -103,8 +105,10 @@ class LinearAttention(Module):
     Replaces the softmax attention matrix by the factorisation
     ``φ(Q) (φ(K)^T V) / (φ(Q) φ(K)^T 1)`` with ``φ(u) = elu(u) + 1``-style
     positive feature map (here ``softplus``), following the linear-attention
-    FNO of Peng et al.  Used for grids where the dense ``N x N`` map of
-    :class:`SpatialChannelAttention` would not fit in memory.
+    FNO of Peng et al.  It computes no pairwise scores, so its compute grows
+    linearly with the number of grid positions where that of
+    :class:`SpatialChannelAttention` grows quadratically; the ablation study
+    compares the two.
     """
 
     def __init__(

@@ -8,6 +8,7 @@ normalised temperature fields, and enough epochs to converge.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -115,12 +116,28 @@ class Trainer:
         for param in self.model.parameters():
             if param.grad is not None:
                 total += float(np.sum(param.grad ** 2))
-        norm = np.sqrt(total)
+        norm = math.sqrt(total)
         if norm > limit and norm > 0:
+            # A Python float keeps float32 gradients float32 (an np.float64
+            # scale would promote them, and Adam then every parameter).  Not
+            # in place: two leaves can share one gradient array.
             scale = limit / norm
             for param in self.model.parameters():
                 if param.grad is not None:
                     param.grad = param.grad * scale
+
+    def _train_step(self, x: Tensor, y: Tensor, loss_fn: Callable[[Tensor, Tensor], Tensor]) -> float:
+        """One optimiser step; returns the batch loss.
+
+        The prediction, the loss and the tape behind them are locals, so they
+        are freed on return and the next step's forward never overlaps them.
+        """
+        self.optimizer.zero_grad()
+        loss = loss_fn(self.model(x), y)
+        loss.backward()
+        self._clip_gradients()
+        self.optimizer.step()
+        return loss.item()
 
     # ------------------------------------------------------------------
     def fit(
@@ -143,13 +160,7 @@ class Trainer:
             for x, y in train_data.batches(
                 config.batch_size, shuffle=True, rng=rng, normalizers=normalizers
             ):
-                self.optimizer.zero_grad()
-                prediction = self.model(x)
-                loss = loss_fn(prediction, y)
-                loss.backward()
-                self._clip_gradients()
-                self.optimizer.step()
-                epoch_losses.append(loss.item())
+                epoch_losses.append(self._train_step(x, y, loss_fn))
 
             train_loss = float(np.mean(epoch_losses))
             val_loss = None

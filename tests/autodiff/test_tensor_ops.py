@@ -211,6 +211,30 @@ class TestGraphMechanics:
         tensor.zero_grad()
         assert tensor.grad is None
 
+    def test_backward_keeps_only_leaf_gradients(self, rng):
+        x = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
+        w = Tensor(rng.standard_normal((4, 2)), requires_grad=True)
+        hidden = (x @ w).tanh()
+        loss = (hidden * hidden + hidden).mean()
+        loss.backward()
+
+        interior, stack = {}, [loss]
+        while stack:  # the tape survives backward: its parents are still linked
+            node = stack.pop()
+            if id(node) not in interior and node._backward is not None:
+                interior[id(node)] = node
+                stack.extend(node._parents)
+        assert len(interior) >= 5
+        assert all(node.grad is None for node in interior.values())
+        assert x.grad.shape == (3, 4) and w.grad.shape == (4, 2)
+
+    def test_second_backward_through_a_shared_node_does_not_double_count(self):
+        x = Tensor(np.array([1.0]), requires_grad=True)
+        a = x * 2
+        a.sum().backward()
+        (a * 3).sum().backward()
+        np.testing.assert_array_equal(x.grad, [8.0])  # 2 + 2 * 3, not 2 + 2 * (1 + 3)
+
     def test_unbroadcast_sums_leading_and_singleton_axes(self):
         grad = np.ones((5, 3, 4))
         reduced = unbroadcast(grad, (3, 1))

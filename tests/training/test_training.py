@@ -1,10 +1,16 @@
 """Tests for the trainer, transfer learning, callbacks and grid search."""
 
+import gc
+import math
+import weakref
+
 import numpy as np
 import pytest
 
+from repro.autodiff.tensor import Tensor, no_grad
 from repro.data.dataset import ThermalDataset
 from repro.operators import FNO2d, SAUFNO2d
+from repro.optim import Adam
 from repro.training import (
     EarlyStopping,
     GridSearch,
@@ -16,6 +22,8 @@ from repro.training import (
 )
 
 _TINY_MODEL = dict(width=8, modes1=3, modes2=3)
+_TINY_SAU_FNO = dict(_TINY_MODEL, num_fourier_layers=1, num_ufourier_layers=1,
+                     unet_base_channels=4, unet_levels=1, attention_dim=4)
 
 
 def _synthetic_dataset(n=16, resolution=12, seed=0):
@@ -88,12 +96,55 @@ class TestTrainer:
         history = trainer.fit(dataset)
         assert history.learning_rate[-1] < history.learning_rate[0]
 
-    def test_gradient_clipping_runs(self):
+    def test_gradient_clipping_runs(self, monkeypatch):
         dataset = _synthetic_dataset(8)
-        model = FNO2d(1, 1, num_layers=1, **_TINY_MODEL)
-        trainer = Trainer(model, TrainingConfig(epochs=2, batch_size=4, grad_clip=0.5))
+        model = SAUFNO2d(1, 1, **_TINY_SAU_FNO)
+        limit = 1e-3  # small enough that every step clips
+        norms = []
+        step = Adam.step
+
+        def spy(optimizer):
+            grads = [p.grad.astype(np.float64) for p in optimizer.parameters if p.grad is not None]
+            norms.append(math.sqrt(sum(np.sum(g ** 2) for g in grads)))
+            step(optimizer)
+
+        monkeypatch.setattr(Adam, "step", spy)
+        trainer = Trainer(model, TrainingConfig(epochs=2, batch_size=4, grad_clip=limit))
         history = trainer.fit(dataset)
         assert history.epochs_run == 2
+        assert len(norms) == 4
+        # Clipped to the limit, up to float32 rounding of the scaled gradients.
+        assert max(norms) <= limit * (1 + 1e-6)
+        assert min(norms) >= limit * (1 - 1e-6)
+        # Clipping must not promote the gradients, and through Adam the model.
+        assert all(p.dtype == np.float32 for p in model.parameters())
+        with no_grad():
+            assert model(Tensor(dataset.inputs[:2].astype(np.float32))).dtype == np.float32
+
+    def test_one_tape_is_live_at_a_time(self, monkeypatch):
+        """Step t's prediction, and the tape behind it, is freed before step
+        t+1's forward starts.  ``Tensor`` takes no weak references; its data
+        array does."""
+        dataset = _synthetic_dataset(12)
+        model = SAUFNO2d(1, 1, **_TINY_SAU_FNO)
+        forward = model.forward
+        predictions, alive_at_forward = [], []
+
+        def watched_forward(x):
+            alive_at_forward.append(sum(ref() is not None for ref in predictions))
+            out = forward(x)
+            predictions.append(weakref.ref(out.data))
+            return out
+
+        monkeypatch.setattr(model, "forward", watched_forward)
+        gc_enabled = gc.isenabled()
+        gc.disable()  # reference counting alone must free the tape
+        try:
+            Trainer(model, TrainingConfig(epochs=2, batch_size=4)).fit(dataset)
+        finally:
+            if gc_enabled:
+                gc.enable()
+        assert alive_at_forward == [0] * 6
 
     def test_early_stopping_halts_training(self):
         dataset = _synthetic_dataset(8)
