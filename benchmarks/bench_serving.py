@@ -30,7 +30,6 @@ concurrent load, for the exact (fvm) and learned (operator) backends:
   processes``; see docs/CLUSTER.md).
 """
 
-import json
 import os
 import re
 import select
@@ -38,7 +37,6 @@ import subprocess
 import sys
 import threading
 import time
-import urllib.request
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -623,112 +621,6 @@ def test_serving_router_scaling(benchmark):
         )
         assert scaling >= 1.5, (
             f"2 replicas deliver only {scaling:.2f}x one routed replica"
-        )
-
-
-#: Speculative time-to-first-answer workload
-#: (see test_serving_speculative_first_answer): a grid where the warm fvm
-#: back-substitution is tens of milliseconds, so the surrogate-first-frame
-#: win is measured against real exact-solve cost rather than HTTP jitter.
-SPECULATIVE_RESOLUTION = 80
-SPECULATIVE_SAMPLES = 8
-
-
-def _first_frame_seconds(url, body):
-    """POST expecting SSE; seconds until the first complete data frame."""
-    import http.client
-    import urllib.parse
-
-    parsed = urllib.parse.urlsplit(url)
-    connection = http.client.HTTPConnection(
-        parsed.hostname, parsed.port, timeout=300
-    )
-    target = parsed.path + (f"?{parsed.query}" if parsed.query else "")
-    started = time.perf_counter()
-    try:
-        connection.request(
-            "POST", target, json.dumps(body).encode("utf-8"),
-            {"Content-Type": "application/json"},
-        )
-        response = connection.getresponse()
-        assert response.status == 200, response.status
-        buffer = b""
-        first_frame_s = None
-        while True:
-            chunk = response.read1(8192)
-            if not chunk:
-                break
-            buffer += chunk
-            if first_frame_s is None and b"data:" in buffer:
-                if b"\n\n" in buffer[buffer.index(b"data:"):]:
-                    first_frame_s = time.perf_counter() - started
-    finally:
-        connection.close()
-    assert first_frame_s is not None, "stream ended without a data frame"
-    assert b"event: exact" in buffer, buffer[:400]
-    return first_frame_s
-
-
-def test_serving_speculative_first_answer(benchmark):
-    """Acceptance: ``POST /solve?mode=speculative`` delivers its surrogate
-    first frame >= 5x faster than the p50 of blocking exact solves of the
-    same shape — the time-to-first-answer win the mode exists for.  The
-    exact frame still arrives on every stream (asserted per request)."""
-    from repro.serving.server import ThermalServer
-
-    session = ThermalSession()
-    engine = MicroBatchEngine(
-        build_backends(session=session), max_batch_size=8, max_wait_ms=1.0
-    )
-    timings = {}
-
-    def run():
-        with ThermalServer(engine, port=0, session=session) as server:
-            def blocking_solve(power):
-                body = json.dumps({
-                    "chip": "chip1", "resolution": SPECULATIVE_RESOLUTION,
-                    "total_power": power,
-                }).encode("utf-8")
-                request = urllib.request.Request(
-                    server.url + "/solve", data=body, method="POST",
-                    headers={"Content-Type": "application/json"},
-                )
-                started = time.perf_counter()
-                with urllib.request.urlopen(request, timeout=300) as response:
-                    answer = json.loads(response.read())
-                assert answer["backend"] == "fvm", answer
-                return time.perf_counter() - started
-
-            # Warm the pooled factorisation; unique powers throughout so
-            # the result cache never answers for the solver.
-            blocking_solve(39.0)
-            timings["blocking"] = [
-                blocking_solve(40.0 + 0.1 * i)
-                for i in range(SPECULATIVE_SAMPLES)
-            ]
-            timings["first_frame"] = [
-                _first_frame_seconds(
-                    server.url + "/solve?mode=speculative",
-                    {"chip": "chip1", "resolution": SPECULATIVE_RESOLUTION,
-                     "total_power": 60.0 + 0.1 * i},
-                )
-                for i in range(SPECULATIVE_SAMPLES)
-            ]
-        return timings
-
-    benchmark.pedantic(run, rounds=1, iterations=1, warmup_rounds=0)
-    blocking_p50 = float(np.percentile(timings["blocking"], 50)) * 1e3
-    first_p50 = float(np.percentile(timings["first_frame"], 50)) * 1e3
-    speedup = blocking_p50 / first_p50
-    benchmark.extra_info["blocking_p50_ms"] = blocking_p50
-    benchmark.extra_info["first_frame_p50_ms"] = first_p50
-    benchmark.extra_info["time_to_first_answer_speedup"] = speedup
-    # Timing assertions are meaningless in --benchmark-disable smoke runs on
-    # loaded machines, so they only gate real benchmark runs.
-    if not benchmark.disabled:
-        assert speedup >= 5.0, (
-            f"speculative first answer is only {speedup:.1f}x faster than "
-            f"the blocking p50 ({first_p50:.1f}ms vs {blocking_p50:.1f}ms)"
         )
 
 

@@ -15,11 +15,9 @@
 # of record.  GC is disabled during timing for stable numbers.
 # bench_serving.py records the serving acceptance numbers: micro-batched fvm
 # requests/sec vs the unbatched per-request baseline (>= 5x at batch >= 8),
-# closed-loop p50/p95/p99 latency for the fvm and operator backends, the
+# closed-loop p50/p95/p99 latency for the fvm and operator backends, and the
 # multi-worker scaling curve (>= 1.5x throughput at --workers 4 vs 1 for
-# mixed-chip fvm load at resolution 32), and the speculative
-# time-to-first-answer datapoint (surrogate first frame >= 5x faster than
-# the blocking exact p50).  bench_exec.py records the
+# mixed-chip fvm load at resolution 32).  bench_exec.py records the
 # execution-plane scaling numbers: fvm dataset generation through a 4-worker
 # ProcessPlane vs SerialPlane (>= 1.7x on hosts with >= 4 cores, bitwise
 # identical outputs) and serving throughput inline vs on a process plane.
@@ -50,7 +48,7 @@ if [[ "${1:-}" == "--smoke" ]]; then
         --chaos kill-worker:0@5 --sample-interval 0.2
     echo "== smoke: fleet (2 replicas + router, SIGKILL one, zero failed requests, degraded->ok, fleet generate) =="
     python benchmarks/smoke_fleet.py
-    echo "== smoke: streaming (speculative /solve + streamed /solve_transient, replica and router, first frame beats blocking) =="
+    echo "== smoke: streaming (streamed /solve_transient, replica and router, first segment beats blocking, resume) =="
     python benchmarks/smoke_streaming.py
     echo "== smoke: benchmark bodies (no timing repetitions) =="
     python -m pytest \

@@ -1,22 +1,16 @@
-"""Streaming smoke check: speculative + streamed answers through the real
-CLI server and the real CLI fleet router.
+"""Streaming smoke check: streamed transient answers through the real CLI
+server and the real CLI fleet router.
 
 Launched by ``benchmarks/run_benchmarks.sh --smoke``.  Boots one
 ``repro-thermal serve`` replica, then a second replica and a
-``repro-thermal route`` router in front of both, and drives the streaming
-surfaces end to end over actual sockets:
-
-* ``POST /solve?mode=speculative`` — the two-frame SSE protocol: the
-  surrogate frame must arrive **before** a blocking ``/solve`` of the same
-  shape completes (that latency gap is the entire point of the mode), and
-  the final ``exact`` frame must carry the requested backend;
-* streaming ``POST /solve_transient`` — per-step ``segment`` frames with
-  the step index as the resume cursor, the ``result`` frame matching the
-  blocking transient answer, and time-to-first-segment beating the
-  blocking call's total latency;
-* both of the above **through the router**, which must proxy the frames
-  (``X-Repro-Replica`` stamped, first frame still faster than a blocking
-  solve through the same router).
+``repro-thermal route`` router in front of both, and drives streaming
+``POST /solve_transient`` end to end over actual sockets: per-step
+``segment`` frames with the step index as the resume cursor, the
+``result`` frame matching the blocking transient answer, time-to-first-
+segment beating the blocking call's total latency, and a ``Last-Event-ID``
+resume returning exactly the complement.  The same drill runs **through
+the router**, which must proxy the frames (``X-Repro-Replica`` stamped,
+first segment still faster than a blocking trace through the same router).
 
 Everything shuts down with SIGINT and must exit 0.
 """
@@ -35,10 +29,6 @@ import urllib.request
 STARTUP_TIMEOUT_S = 60
 REQUEST_TIMEOUT_S = 120
 
-# The solve leg runs at a grid where a warm fvm back-substitution is
-# unambiguously slower than the surrogate path (at tiny grids the two are
-# within HTTP jitter of each other and the comparison measures nothing).
-RESOLUTION = 48
 # 40 backward-Euler steps: long enough that the blocking call's total
 # latency clearly dominates the streamed time-to-first-segment (the first
 # segment lands after step 0, regardless of trace length).
@@ -133,55 +123,8 @@ def _stream_timed(url, body, headers=None):
     return _parse_sse(buffer.decode("utf-8")), first_frame_s, total_s, response_headers
 
 
-def _drive(url, label, power_base, expect_replica_header=False):
+def _drive(url, label, expect_replica_header=False):
     """The full streaming drill against one base URL (replica or router)."""
-    # Unique powers throughout — distinct per leg, because the router may
-    # route onto an already-driven replica: the session result cache must
-    # not answer for the solver, or the latency comparison measures nothing.
-    power = [power_base]
-
-    def next_power():
-        power[0] += 1.0
-        return power[0]
-
-    # Warm the fvm pool once so the blocking measurement is the steady
-    # state, not a one-off factorisation.
-    _post_timed(url + "/solve", {"chip": "chip1", "resolution": RESOLUTION,
-                                 "total_power": next_power()})
-
-    # Best-of-3 on both sides: one GC pause or scheduler hiccup must not
-    # decide a smoke latency comparison.
-    blocking_s = float("inf")
-    for _ in range(3):
-        blocking, seconds = _post_timed(
-            url + "/solve",
-            {"chip": "chip1", "resolution": RESOLUTION,
-             "total_power": next_power()},
-        )
-        assert blocking["backend"] == "fvm", blocking
-        blocking_s = min(blocking_s, seconds)
-
-    first_s = float("inf")
-    for _ in range(3):
-        frames, seconds, _, headers = _stream_timed(
-            url + "/solve?mode=speculative",
-            {"chip": "chip1", "resolution": RESOLUTION,
-             "total_power": next_power()},
-        )
-        first_s = min(first_s, seconds)
-    kinds = [kind for _, kind, _ in frames]
-    assert kinds == ["speculative", "exact"], kinds
-    assert frames[0][2]["provenance"]["speculative"] is True, frames[0][2]
-    assert frames[0][2]["provenance"]["requested_backend"] == "fvm"
-    assert frames[1][2]["backend"] == "fvm", frames[1][2]
-    assert "error_vs_speculative" in frames[1][2]["provenance"]
-    if expect_replica_header:
-        assert headers.get("X-Repro-Replica"), headers
-    assert first_s < blocking_s, (
-        f"{label}: speculative first frame took {first_s * 1e3:.1f} ms, "
-        f"slower than the {blocking_s * 1e3:.1f} ms blocking solve"
-    )
-
     transient_blocking, transient_blocking_s = _post_timed(
         url + "/solve_transient", TRANSIENT
     )
@@ -215,10 +158,8 @@ def _drive(url, label, power_base, expect_replica_header=False):
     assert resumed == [steps - 1, steps], resumed
     assert frames[-1][1] == "result"
 
-    print(f"  {label}: speculative first frame {first_s * 1e3:.1f} ms "
-          f"vs blocking {blocking_s * 1e3:.1f} ms; first transient segment "
-          f"{first_segment_s * 1e3:.1f} ms vs blocking "
-          f"{transient_blocking_s * 1e3:.1f} ms")
+    print(f"  {label}: first transient segment {first_segment_s * 1e3:.1f} ms "
+          f"vs blocking {transient_blocking_s * 1e3:.1f} ms")
 
 
 def _shutdown(process, what):
@@ -234,7 +175,7 @@ def main() -> int:
     router = None
     try:
         url_one = _boot_url(replica_one)
-        _drive(url_one, "replica", power_base=50.0)
+        _drive(url_one, "replica")
 
         replica_two = _spawn(serve_args)
         url_two = _boot_url(replica_two)
@@ -243,16 +184,15 @@ def main() -> int:
             "--replica", url_one, "--replica", url_two,
         ])
         router_url = _boot_url(router)
-        _drive(router_url, "router", power_base=150.0,
-               expect_replica_header=True)
+        _drive(router_url, "router", expect_replica_header=True)
 
         _shutdown(router, "router")
         router = None
         _shutdown(replica_two, "replica two")
         replica_two = None
         _shutdown(replica_one, "replica one")
-        print("streaming smoke ok: speculative + streamed transient beat the "
-              "blocking latency on the replica and through the router")
+        print("streaming smoke ok: streamed transient first segment beat the "
+              "blocking trace on the replica and through the router")
         return 0
     finally:
         for process in (router, replica_two, replica_one):

@@ -110,10 +110,9 @@ class FVMBackendAdapter:
         self.resolution = int(resolution)
         self.solver = FVMSolver(chip, nx=self.resolution, cells_per_layer=cells_per_layer)
         # Serialise solves: the adapter is pooled per (chip, resolution) and
-        # engine sharding normally gives it one worker, but the exact-refine
-        # path legitimately drives the fvm backend from another backend's
-        # shard, and the lazy basis build must run once even under
-        # concurrent first requests.
+        # engine sharding gives it one worker, but session callers (solve,
+        # solve_many, warm_up) may drive it from other threads, and the lazy
+        # basis build must run once even under concurrent first requests.
         self._solver_lock = threading.Lock()
 
     def prepare(self) -> "FVMBackendAdapter":

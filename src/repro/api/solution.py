@@ -12,7 +12,7 @@ had to know which one it was holding.
 temperature maps and the full 3-D field are optional views populated on
 request, ``provenance`` records how the answer was produced (backend
 internals, cache hits, transient horizons), and the serving metadata
-(``request_id`` / ``latency_seconds`` / ``batch_size`` / ``refined``) lives
+(``request_id`` / ``latency_seconds`` / ``batch_size``) lives
 on the same object so the micro-batching engine needs no wrapper type.
 ``repro.serving.request.ThermalResult`` is now a deprecation alias for this
 class.
@@ -39,9 +39,7 @@ class ThermalSolution:
         In-plane grid resolution of the answer (block granularity for the
         compact backend, but maps are rasterised at this resolution).
     backend:
-        Name of the backend that produced the final numbers — when the
-        serving engine's exact-refine guard re-solved a surrogate answer this
-        is the refine backend's name and ``refined`` is true.
+        Name of the backend that produced the numbers.
     max_K, min_K, mean_K:
         Summary statistics of the temperature field in kelvin.
     total_power_W:
@@ -61,11 +59,11 @@ class ThermalSolution:
         name), ``cached: True`` for session result-cache hits, transient
         integration parameters, and — through the serving engine — a
         ``trace`` dict (``trace_id`` plus ``spans_ms`` with queue-wait /
-        dispatch / solve / refine timings) echoed back in ``to_json``.
+        dispatch / solve timings) echoed back in ``to_json``.
     history:
         Optional transient time histories (``times_s`` / ``peak_K`` /
         ``mean_K`` arrays) for answers produced by time integration.
-    request_id, latency_seconds, batch_size, refined:
+    request_id, latency_seconds, batch_size:
         Serving metadata stamped by the micro-batching engine; idle defaults
         outside the serving path.
     """
@@ -86,7 +84,6 @@ class ThermalSolution:
     request_id: str = ""
     latency_seconds: float = 0.0
     batch_size: int = 1
-    refined: bool = False
 
     # ------------------------------------------------------------------
     # Views
@@ -193,7 +190,6 @@ class ThermalSolution:
             "solve_seconds": self.solve_seconds,
             "latency_seconds": self.latency_seconds,
             "batch_size": self.batch_size,
-            "refined": self.refined,
         }
         if self.cached:
             body["cached"] = True

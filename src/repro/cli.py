@@ -165,9 +165,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="requests dispatched per batched backend call")
     serve.add_argument("--batch-wait-ms", type=float, default=2.0,
                        help="micro-batching window in milliseconds")
-    serve.add_argument("--refine-threshold", type=float, default=None, metavar="K",
-                       help="surrogate answers predicting a peak temperature at or "
-                            "above this value are re-solved with the FVM backend")
     serve.add_argument("--solver-cache-size", type=int, default=8,
                        help="prepared factorisations kept per backend (LRU)")
     serve.add_argument("--result-cache-size", type=int, default=1024,
@@ -507,7 +504,6 @@ def _cmd_serve(args) -> int:
         backends,
         max_batch_size=args.max_batch_size,
         max_wait_ms=args.batch_wait_ms,
-        refine_threshold_K=args.refine_threshold,
         workers=args.workers,
         max_queue=args.max_queue,
     )
@@ -530,8 +526,8 @@ def _cmd_serve(args) -> int:
               flush=True)
     print("  endpoints: POST /solve /solve_transient · GET /chips /models /healthz "
           "/stats /events /metrics", flush=True)
-    print("  streaming: POST /solve?mode=speculative (surrogate frame + exact frame) "
-          "· POST /solve_transient with Accept: text/event-stream", flush=True)
+    print("  streaming: POST /solve_transient with Accept: text/event-stream",
+          flush=True)
     print("  example: curl -s -X POST "
           f"{server.url}/solve -d '{{\"chip\": \"chip1\", \"total_power\": 60}}'")
     try:
@@ -601,8 +597,8 @@ def _cmd_route(args) -> int:
           "warm-up before re-admission", flush=True)
     print("  endpoints: POST /solve /solve_transient /warm_up /generate · "
           "GET /chips /models /healthz /stats /events /metrics", flush=True)
-    print("  streaming: speculative solves and streamed transients are proxied "
-          "frame-by-frame to their owning replica", flush=True)
+    print("  streaming: streamed transients are proxied frame-by-frame to their "
+          "owning replica", flush=True)
     try:
         router.serve_forever()
     except KeyboardInterrupt:

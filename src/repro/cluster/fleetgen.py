@@ -40,6 +40,7 @@ from repro.data.generation import DEFAULT_BATCH_SIZE, DatasetSpec
 from repro.data.power import PowerSampler
 from repro.runtime.plane import ExecutionPlane, PlaneTask, SerialPlane
 from repro.runtime.tasks import SolverSpec, build_fvm_solver, generate_batch, solver_state_key
+from repro.serving.request import validate_resolution
 
 __all__ = [
     "spec_to_payload",
@@ -68,13 +69,22 @@ def spec_to_payload(spec: DatasetSpec) -> Dict[str, Any]:
     }
 
 
-def spec_from_payload(payload: Dict[str, Any]) -> DatasetSpec:
-    """Rebuild a :class:`DatasetSpec` from its wire form (validating types)."""
+def spec_from_payload(payload: Any) -> DatasetSpec:
+    """Rebuild a :class:`DatasetSpec` from its wire form (validating types).
+
+    Raises :class:`ValueError` unless ``payload`` is an object with
+    ``num_samples >= 1`` and a resolution ``/solve`` would accept.
+    """
+    if not isinstance(payload, dict):
+        raise ValueError(f"'spec' must be a JSON object, got {type(payload).__name__}")
+    num_samples = int(payload["num_samples"])
+    if num_samples < 1:
+        raise ValueError(f"'num_samples' must be >= 1, got {num_samples}")
     power_range = payload.get("total_power_range_W")
     return DatasetSpec(
         chip_name=str(payload["chip_name"]),
-        resolution=int(payload["resolution"]),
-        num_samples=int(payload["num_samples"]),
+        resolution=validate_resolution(payload["resolution"]),
+        num_samples=num_samples,
         seed=int(payload.get("seed", 0)),
         cells_per_layer=int(payload.get("cells_per_layer", 2)),
         core_bias=float(payload.get("core_bias", 3.0)),

@@ -8,11 +8,11 @@ that fronts N ``repro-thermal serve`` replicas:
   replica hop), rendezvous-hashes the ``(chip, resolution, backend)``
   group key onto a healthy replica (each replica's LRU solver pools see a
   stable slice of keys) and proxies the original bytes — query string
-  included, so ``?mode=speculative`` / ``?mode=stream`` pass through.  A
+  included, so ``?mode=stream`` passes through.  A
   connection-level failure drains the replica and retries **once** on the
   next-ranked healthy peer — solves are idempotent, so the retry is safe;
   the answering replica is named in the ``X-Repro-Replica`` header.
-  Streaming answers (speculative solves, streamed transients) are proxied
+  Streamed transients (``/solve_transient`` SSE) are proxied
   **frame by frame**: each SSE chunk is forwarded as it arrives, never
   buffered to the end of the stream; a replica dying mid-stream becomes a
   typed in-band ``event: error`` frame (retries only happen before the
@@ -263,11 +263,8 @@ class _RouterHandler(BaseHTTPRequestHandler):
             return
         query = self._query()
         accept = self.headers.get("Accept") or ""
-        wants_stream = (
-            path == "/solve" and query.get("mode") == "speculative"
-        ) or (
-            path == "/solve_transient"
-            and (query.get("mode") == "stream" or "text/event-stream" in accept)
+        wants_stream = path == "/solve_transient" and (
+            query.get("mode") == "stream" or "text/event-stream" in accept
         )
         # The replica sees the original path *with* its query string (mode
         # selection happens there) plus the streaming-relevant headers.
@@ -309,7 +306,7 @@ class _RouterHandler(BaseHTTPRequestHandler):
             return
         try:
             payload = json.loads(raw.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as error:
+        except ValueError as error:  # decode errors, over-long integer literals
             self._send_error_json(400, f"malformed JSON body: {error}")
             return
         keys = payload.get("keys") if isinstance(payload, dict) else None

@@ -58,6 +58,8 @@ def validate_power_assignment(
             )
         try:
             power = float(raw)  # type: ignore[arg-type]
+        except OverflowError:  # an integer beyond the float range
+            power = np.inf
         except (TypeError, ValueError):
             raise ValueError(f"power of block '{name}' must be a number, got {raw!r}")
         if not np.isfinite(power):
@@ -79,7 +81,10 @@ def uniform_power_assignment(
     if total_power_W is None:
         total = sum(chip.power_budget_W) / 2
     else:
-        total = float(total_power_W)
+        try:
+            total = float(total_power_W)
+        except OverflowError:  # an integer beyond the float range
+            total = np.inf
         if not np.isfinite(total) or total < 0:
             raise ValueError(f"total power must be non-negative and finite, got {total!r}")
     names = chip.flat_block_names()

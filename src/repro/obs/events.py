@@ -98,7 +98,6 @@ class RequestDone(TelemetryEvent):
     batch_size: int = 1
     cached: bool = False
     degraded: bool = False
-    refined: bool = False
 
     def __post_init__(self) -> None:
         _require_in("status", self.status, ("ok", "error", "shed"))

@@ -180,13 +180,6 @@ def _render_backends(out: _Lines, backends: Mapping[str, Any]) -> None:
             labels,
         )
         out.add(
-            "repro_backend_refined_total",
-            summary.get("refined"),
-            "Answers escalated through the exact-refine guard.",
-            "counter",
-            labels,
-        )
-        out.add(
             "repro_backend_latency_samples_dropped_total",
             summary.get("samples_dropped"),
             "Latency observations not retained by the fixed-size reservoir.",

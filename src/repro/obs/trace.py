@@ -9,12 +9,9 @@ id and the span breakdown of its own journey:
 ``queue_wait_ms``
     admission → picked up by a dispatcher shard,
 ``dispatch_ms``
-    shard pickup → the backend call starts (batch assembly, dedup, guard
-    checks),
+    shard pickup → the backend call starts (batch assembly, dedup),
 ``solve_ms``
-    the backend's batched solve (shared by the whole micro-batch),
-``refine_ms``
-    the exact-refine escalation, ``0.0`` unless the guard re-solved.
+    the backend's batched solve (shared by the whole micro-batch).
 
 Ids are process-unique and cheap: a per-process random prefix plus a
 counter, not a uuid4 per request — admission sits on the hot path.
@@ -41,7 +38,6 @@ def build_trace(
     queue_wait_s: float = 0.0,
     dispatch_s: float = 0.0,
     solve_s: float = 0.0,
-    refine_s: float = 0.0,
 ) -> Dict[str, Any]:
     """The trace dict stored in provenance and echoed in responses.
 
@@ -55,6 +51,5 @@ def build_trace(
             "queue_wait": round(max(queue_wait_s, 0.0) * 1e3, 6),
             "dispatch": round(max(dispatch_s, 0.0) * 1e3, 6),
             "solve": round(max(solve_s, 0.0) * 1e3, 6),
-            "refine": round(max(refine_s, 0.0) * 1e3, 6),
         },
     }

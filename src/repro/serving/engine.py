@@ -4,8 +4,8 @@ Concurrent clients submit :class:`~repro.serving.request.ThermalRequest`\\ s
 and block on futures; **worker threads** drain the queue, group pending
 requests by ``(chip, resolution, backend)`` and answer each group with one
 batched backend call.  For the FVM backend that turns N concurrent queries
-into one stacked-RHS back-substitution against a pooled factorisation — the
-serving-time twin of the dataset-generation pipeline's prepare-once /
+into one product per case against the pooled block basis ``T = T_amb + G·P``
+— the serving-time twin of the dataset-generation pipeline's prepare-once /
 solve-many split; for the operator backend it is one vectorised forward
 pass.
 
@@ -32,11 +32,6 @@ either.  ``max_queue`` bounds the number of queued-but-undispatched
 requests; beyond it :meth:`submit` fails fast with :class:`QueueFullError`
 (the HTTP layer answers 429) instead of letting latency grow without
 bound.
-
-An optional exact-refine guard re-solves surrogate answers whose predicted
-peak temperature crosses a threshold: near the thermal limits is exactly
-where surrogate error is least affordable, so those queries pay for the
-exact solver.
 
 Worker threads buy window overlap, not parallel compute: one group's
 batched back-substitution still holds a core while the GIL serialises the
@@ -142,7 +137,6 @@ class _BackendCounters:
     requests: int = 0
     batches: int = 0
     errors: int = 0
-    refined: int = 0
     shed: int = 0
     # A fixed-size uniform sample, not a window: long-running servers hold
     # constant memory and the percentiles describe the whole run, with
@@ -151,10 +145,9 @@ class _BackendCounters:
         default_factory=lambda: LatencyReservoir(LATENCY_WINDOW)
     )
 
-    def record(self, latencies: Sequence[float], count_batch: bool = True) -> None:
+    def record(self, latencies: Sequence[float]) -> None:
         self.requests += len(latencies)
-        if count_batch:
-            self.batches += 1
+        self.batches += 1
         self.latencies.extend(latencies)
 
     def snapshot(self) -> Dict[str, Any]:
@@ -162,7 +155,6 @@ class _BackendCounters:
             "requests": self.requests,
             "batches": self.batches,
             "errors": self.errors,
-            "refined": self.refined,
             "shed": self.shed,
             "samples_dropped": self.latencies.dropped,
             "mean_batch_size": (
@@ -196,10 +188,6 @@ class MicroBatchEngine:
         Batching window: after the first request arrives its worker waits up
         to this long (or until ``max_batch_size`` requests of the group are
         queued) for companions before dispatching.
-    refine_threshold_K:
-        When set, answers from ``guarded_backends`` whose predicted peak
-        temperature reaches this value are re-solved with
-        ``refine_backend`` and returned with ``refined=True``.
     workers:
         Dispatcher threads.  Requests are hashed onto workers by
         ``(chip, resolution, backend)`` — the solver pools' granularity —
@@ -232,9 +220,6 @@ class MicroBatchEngine:
         backends: Mapping[str, Backend],
         max_batch_size: int = 32,
         max_wait_ms: float = 2.0,
-        refine_threshold_K: Optional[float] = None,
-        refine_backend: str = "fvm",
-        guarded_backends: Sequence[str] = ("operator",),
         workers: int = 1,
         max_queue: Optional[int] = None,
         priorities: Optional[Mapping[str, int]] = None,
@@ -251,17 +236,9 @@ class MicroBatchEngine:
             raise ValueError("workers must be >= 1")
         if max_queue is not None and max_queue < 1:
             raise ValueError("max_queue must be >= 1 (or None for unbounded)")
-        if refine_threshold_K is not None and refine_backend not in backends:
-            raise ValueError(
-                f"refine backend '{refine_backend}' is not among the configured "
-                f"backends: {', '.join(sorted(backends))}"
-            )
         self.backends = dict(backends)
         self.max_batch_size = max_batch_size
         self.max_wait_s = max_wait_ms / 1e3
-        self.refine_threshold_K = refine_threshold_K
-        self.refine_backend = refine_backend
-        self.guarded_backends = tuple(guarded_backends)
         self.workers = workers
         self.max_queue = max_queue
         self.priorities = dict(DEFAULT_PRIORITIES if priorities is None else priorities)
@@ -524,7 +501,6 @@ class MicroBatchEngine:
             "max_batch_size": self.max_batch_size,
             "batch_window_ms": self.max_wait_s * 1e3,
             "starvation_age_s": self.starvation_age_s,
-            "refine_threshold_K": self.refine_threshold_K,
             "backends": backends,
             "groups": groups,
         }
@@ -708,76 +684,49 @@ class MicroBatchEngine:
                 )
             )
 
-        # Release the guard-passing answers immediately: only the requests
-        # whose surrogate answers tripped the exact-refine guard wait for the
-        # exact solver.
-        hot = self._guard_tripped_indices(requests, results)
-        hot_set = set(hot)
-        cold = [index for index in range(len(batch)) if index not in hot_set]
-        if cold:
-            self._finalize(
-                batch, results, cold, backend_name, count_batch=True,
-                solve_started=solve_started, solve_s=solve_s,
-            )
-        if hot:
-            refine_started = time.perf_counter()
-            refined = self._refine(requests, results, hot)
-            refine_s = time.perf_counter() - refine_started
-            with self._lock:
-                self._counter(backend_name).refined += refined
-            self._finalize(
-                batch, results, hot, backend_name, count_batch=not cold,
-                solve_started=solve_started, solve_s=solve_s, refine_s=refine_s,
-            )
+        self._finalize(batch, results, backend_name, solve_started, solve_s)
 
     def _finalize(
         self,
         batch: List[_Pending],
         results: List[ThermalResult],
-        indices: Sequence[int],
         backend_name: str,
-        count_batch: bool,
-        solve_started: float = 0.0,
-        solve_s: float = 0.0,
-        refine_s: float = 0.0,
+        solve_started: float,
+        solve_s: float,
     ) -> None:
         """Stamp latency/batch/trace metadata, record stats, resolve futures."""
         now = time.perf_counter()
         latencies = []
-        for index in indices:
-            pending = batch[index]
-            results[index].latency_seconds = now - pending.enqueued_at
-            results[index].batch_size = len(batch)
-            latencies.append(results[index].latency_seconds)
+        for pending, result in zip(batch, results):
+            result.latency_seconds = now - pending.enqueued_at
+            result.batch_size = len(batch)
+            latencies.append(result.latency_seconds)
             if pending.trace_id:
-                results[index].provenance["trace"] = build_trace(
+                result.provenance["trace"] = build_trace(
                     pending.trace_id,
                     queue_wait_s=pending.dispatched_at - pending.enqueued_at,
-                    dispatch_s=(solve_started - pending.dispatched_at)
-                    if solve_started
-                    else 0.0,
+                    dispatch_s=solve_started - pending.dispatched_at,
                     solve_s=solve_s,
-                    refine_s=refine_s,
                 )
         with self._lock:
-            self._counter(backend_name).record(latencies, count_batch=count_batch)
-            for index in indices:
-                self._group_counter(batch[index].request)["requests"] += 1
-        for index in indices:
-            if batch[index].future.set_running_or_notify_cancel():
-                batch[index].future.set_result(results[index])
+            self._counter(backend_name).record(latencies)
+            for pending in batch:
+                self._group_counter(pending.request)["requests"] += 1
+        for pending, result in zip(batch, results):
+            if pending.future.set_running_or_notify_cancel():
+                pending.future.set_result(result)
         publish_all(
             self.events,
             [
                 self._request_event(
-                    batch[index].request,
+                    pending.request,
                     "ok",
-                    trace_id=batch[index].trace_id,
-                    latency_s=results[index].latency_seconds,
+                    trace_id=pending.trace_id,
+                    latency_s=result.latency_seconds,
                     batch_size=len(batch),
-                    result=results[index],
+                    result=result,
                 )
-                for index in indices
+                for pending, result in zip(batch, results)
             ],
         )
 
@@ -803,45 +752,4 @@ class MicroBatchEngine:
             batch_size=batch_size,
             cached=bool(result.cached) if result is not None else False,
             degraded=bool(result.degraded) if result is not None else False,
-            refined=bool(result.refined) if result is not None else False,
         )
-
-    def _guard_tripped_indices(
-        self, requests: Sequence[ThermalRequest], results: Sequence[ThermalResult]
-    ) -> List[int]:
-        """Indices of surrogate answers the exact-refine guard rejects."""
-        if (
-            self.refine_threshold_K is None
-            or requests[0].backend not in self.guarded_backends
-            or requests[0].backend == self.refine_backend
-        ):
-            return []
-        # `not (max_K < threshold)` rather than `>=`: a NaN prediction (a
-        # diverged surrogate) compares False both ways and must refine —
-        # untrustworthy answers are exactly what the guard is for.
-        return [
-            index
-            for index, result in enumerate(results)
-            if not (result.max_K < self.refine_threshold_K)
-        ]
-
-    def _refine(
-        self,
-        requests: Sequence[ThermalRequest],
-        results: List[ThermalResult],
-        hot: Sequence[int],
-    ) -> int:
-        """Re-solve the guard-tripping answers with the exact backend."""
-        exact_backend = self.backends[self.refine_backend]
-        try:
-            exact_results = exact_backend.solve_batch([requests[index] for index in hot])
-        except Exception:  # noqa: BLE001
-            # Refinement is best-effort: a failing exact solve must not
-            # poison the batch, so the surrogate answers stand unrefined.
-            with self._lock:
-                self._counter(self.refine_backend).errors += len(hot)
-            return 0
-        for index, exact in zip(hot, exact_results):
-            exact.refined = True
-            results[index] = exact
-        return len(hot)

@@ -64,7 +64,19 @@ def _resolve_chip(chip: Any, chips: Optional[Any]) -> ChipStack:
     return resolve_chip(by_lower[chip_name])
 
 
-def _validate_resolution(resolution: Any) -> int:
+def _json_float(value: Any, field: str) -> float:
+    """One numeric JSON field as a float, or a ``ValueError`` naming it.
+
+    ``float()`` raises ``OverflowError``, not ``ValueError``, for a JSON
+    integer beyond the float range (~1.8e308); that must be a 400 too.
+    """
+    try:
+        return float(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(f"{field} must be a number within float range, got {value!r}") from None
+
+
+def validate_resolution(resolution: Any) -> int:
     """Coerce and bound-check a grid resolution."""
     try:
         as_float = float(resolution)
@@ -91,10 +103,7 @@ def _validate_deadline_ms(deadline_ms: Any) -> Optional[float]:
     """
     if deadline_ms is None:
         return None
-    try:
-        budget_ms = float(deadline_ms)
-    except (TypeError, ValueError):
-        raise ValueError(f"'deadline_ms' must be a number, got {deadline_ms!r}")
+    budget_ms = _json_float(deadline_ms, "'deadline_ms'")
     if not math.isfinite(budget_ms) or budget_ms <= 0:
         raise ValueError(f"'deadline_ms' must be a positive finite number, got {deadline_ms!r}")
     return time.monotonic() + budget_ms / 1000.0
@@ -190,7 +199,7 @@ class ThermalRequest:
         to an API client.
         """
         chip_stack = _resolve_chip(chip, chips)
-        resolution = _validate_resolution(resolution)
+        resolution = validate_resolution(resolution)
 
         allowed = tuple(allowed_backends) if allowed_backends is not None else KNOWN_BACKENDS
         backend_name = str(backend).lower()
@@ -235,10 +244,7 @@ class ThermalRequest:
             raise ValueError("request is missing the required 'chip' field")
         total_power = payload.get("total_power")
         if total_power is not None:
-            try:
-                total_power = float(total_power)
-            except (TypeError, ValueError):
-                raise ValueError(f"'total_power' must be a number, got {total_power!r}")
+            total_power = _json_float(total_power, "'total_power'")
         return cls.create(
             chip=payload["chip"],
             powers=payload.get("powers"),
@@ -352,13 +358,10 @@ class TransientRequest:
         return to an API client.
         """
         chip_stack = _resolve_chip(chip, chips)
-        resolution = _validate_resolution(resolution)
+        resolution = validate_resolution(resolution)
 
-        try:
-            duration_s = float(duration_s)
-            dt_s = float(dt_s)
-        except (TypeError, ValueError):
-            raise ValueError("'duration_s' and 'dt_s' must be numbers")
+        duration_s = _json_float(duration_s, "'duration_s'")
+        dt_s = _json_float(dt_s, "'dt_s'")
         if not (math.isfinite(duration_s) and math.isfinite(dt_s)):
             # JSON parses 1e400 as infinity; int(round(inf/dt)) would raise
             # OverflowError past the 400 handling.
@@ -367,7 +370,9 @@ class TransientRequest:
             raise ValueError("'duration_s' and 'dt_s' must be positive")
         if dt_s > duration_s:
             raise ValueError("'dt_s' must not exceed 'duration_s'")
-        num_steps = int(round(duration_s / dt_s))
+        # Finite operands can still divide to infinity (1e308 / 1e-10).
+        steps = duration_s / dt_s
+        num_steps = int(round(steps)) if math.isfinite(steps) else math.inf
         if num_steps > MAX_TRANSIENT_STEPS:
             raise ValueError(
                 f"the request asks for {num_steps} time steps; the service accepts "
@@ -406,10 +411,9 @@ class TransientRequest:
                         f"schedule step {position} has unknown fields: "
                         f"{', '.join(sorted(unknown))}"
                     )
-                try:
-                    t_s = float(entry["t_s"])
-                except (KeyError, TypeError, ValueError):
+                if "t_s" not in entry:
                     raise ValueError(f"schedule step {position} needs a numeric 't_s'")
+                t_s = _json_float(entry["t_s"], f"schedule step {position} 't_s'")
                 if position == 0 and t_s != 0.0:
                     raise ValueError("the first schedule step must start at t_s=0")
                 if previous_t is not None and t_s <= previous_t:
@@ -422,13 +426,9 @@ class TransientRequest:
                 previous_t = t_s
                 step_total = entry.get("total_power")
                 if step_total is not None:
-                    try:
-                        step_total = float(step_total)
-                    except (TypeError, ValueError):
-                        raise ValueError(
-                            f"schedule step {position} 'total_power' must be a "
-                            f"number, got {step_total!r}"
-                        )
+                    step_total = _json_float(
+                        step_total, f"schedule step {position} 'total_power'"
+                    )
                 step_assignment = _validate_assignment(
                     chip_stack, entry.get("powers"), step_total
                 )
@@ -475,10 +475,7 @@ class TransientRequest:
                 raise ValueError(f"request is missing the required '{required}' field")
         total_power = payload.get("total_power")
         if total_power is not None:
-            try:
-                total_power = float(total_power)
-            except (TypeError, ValueError):
-                raise ValueError(f"'total_power' must be a number, got {total_power!r}")
+            total_power = _json_float(total_power, "'total_power'")
         return cls.create(
             chip=payload["chip"],
             duration_s=payload["duration_s"],

@@ -8,13 +8,8 @@ Endpoints
        "powers": {"core_layer/Core": 20.0}, "include_maps": false}
 
   ``powers`` may be omitted in favour of ``"total_power": <watts>`` spread
-  uniformly over all blocks.  With ``?mode=speculative`` the endpoint
-  answers as an SSE stream instead: frame 1 (``event: speculative``) is the
-  fast surrogate answer (operator when a model is loaded, the compact
-  conductance model otherwise), frame 2 (``event: exact``) is the exact
-  answer from the requested backend, stamped with the surrogate-vs-exact
-  ``error_vs`` deltas.  ``?mode=exact`` (the default) keeps the blocking
-  JSON answer.
+  uniformly over all blocks.  ``?mode=exact`` is the only mode and the
+  default.
 * ``POST /solve_transient`` — integrate a constant or piecewise-constant
   power schedule and return the full quasi-steady trace.  Body::
 
@@ -70,13 +65,11 @@ shed/degraded flags — for log shippers; the default plain-text access log
 from __future__ import annotations
 
 import json
-import math
 import sys
 import threading
 import time
 import urllib.parse
 from concurrent.futures import TimeoutError as FutureTimeoutError
-from dataclasses import replace
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Dict, List, Optional
 
@@ -90,7 +83,7 @@ from repro.obs.telemetry import Telemetry
 from repro.runtime.plane import DeadlineExceeded
 from repro.serving.backends import OperatorBackend
 from repro.serving.engine import EngineStopped, MicroBatchEngine, QueueFullError
-from repro.serving.request import ThermalRequest, TransientRequest
+from repro.serving.request import ThermalRequest, TransientRequest, validate_resolution
 
 #: Largest accepted ``/solve`` body; far above any legitimate power map.
 MAX_BODY_BYTES = 1 << 20
@@ -143,14 +136,6 @@ def _error_frame_payload(error: BaseException) -> Dict[str, Any]:
     if isinstance(error, (KeyError, ValueError)):
         return {"error": error_message(error), "status": 400, "shed": False}
     return {"error": f"solve failed: {error}", "status": 500, "shed": False}
-
-
-def _finite_errors(errors: Dict[str, float]) -> Dict[str, Optional[float]]:
-    """JSON-safe view of an ``error_vs`` dict (non-finite deltas -> null)."""
-    return {
-        key: (round(float(value), 6) if math.isfinite(float(value)) else None)
-        for key, value in errors.items()
-    }
 
 
 class _HTTPServer(ThreadingHTTPServer):
@@ -209,8 +194,8 @@ class _Handler(BaseHTTPRequestHandler):
         self._send_json(status, {"error": message})
 
     # ------------------------------------------------------------------
-    # SSE plumbing shared by /events, speculative /solve and streaming
-    # /solve_transient — one frame grammar across every streaming surface.
+    # SSE plumbing shared by /events and streaming /solve_transient — one
+    # frame grammar across every streaming surface.
     # ------------------------------------------------------------------
     def _sse_begin(self) -> None:
         """Write the SSE response head.
@@ -385,7 +370,9 @@ class _Handler(BaseHTTPRequestHandler):
         raw = self.rfile.read(length)
         try:
             return json.loads(raw.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as error:
+        # ValueError covers both decode errors and an integer literal past
+        # Python's digit limit for int parsing (4300 digits).
+        except ValueError as error:
             self._send_error_json(400, f"malformed JSON body: {error}")
             return None
 
@@ -419,13 +406,8 @@ class _Handler(BaseHTTPRequestHandler):
             self._send_error_json(400, error_message(error))
             return
         mode = self._query().get("mode", "exact")
-        if mode == "speculative":
-            self._post_solve_speculative(request)
-            return
         if mode != "exact":
-            self._send_error_json(
-                400, f"unknown mode '{mode}'; use 'exact' or 'speculative'"
-            )
+            self._send_error_json(400, f"unknown mode '{mode}'; use 'exact'")
             return
         try:
             result = self.server.service.engine.solve(request, timeout=SOLVE_TIMEOUT_S)
@@ -463,113 +445,6 @@ class _Handler(BaseHTTPRequestHandler):
         }
         self._send_json(200, result.to_json())
 
-    def _post_solve_speculative(self, request: "ThermalRequest") -> None:
-        """``POST /solve?mode=speculative``: answer twice over one stream.
-
-        Frame 1 (``event: speculative``) is the fast surrogate's answer;
-        frame 2 (``event: exact``) is the requested backend's answer — the
-        exact frame is byte-for-byte the blocking ``mode=exact`` body (same
-        engine path, same cache), plus an ``error_vs_speculative``
-        provenance block quantifying the correction.  Both solves are
-        submitted to the engine *before* any stream bytes go out, so
-        admission rejections (queue full, stopped engine, expired deadline)
-        still surface as ordinary JSON statuses; failures after the headers
-        become typed ``event: error`` frames.
-        """
-        service = self.server.service
-        engine = service.engine
-        surrogate_name = service.surrogate_backend(request)
-        if surrogate_name is None:
-            self._send_error_json(
-                400,
-                "speculative mode needs a surrogate backend distinct from "
-                f"'{request.backend}' (operator with a loaded model, or hotspot)",
-            )
-            return
-        surrogate_request = replace(
-            request,
-            backend=surrogate_name,
-            request_id=f"{request.request_id}-speculative",
-        )
-        try:
-            exact_future = engine.submit(request)
-        except QueueFullError as error:
-            self._send_error_json(429, str(error))
-            return
-        except DeadlineExceeded as error:
-            self._access_extra["shed"] = True
-            self._send_error_json(504, str(error))
-            return
-        except EngineStopped as error:
-            self._send_error_json(503, str(error))
-            return
-        except Exception as error:  # noqa: BLE001
-            self._send_error_json(500, f"solve failed: {error}")
-            return
-        # The surrogate shares the exact solve's deadline budget; if its
-        # admission fails the stream degrades to the exact frame alone
-        # (the exact future is already in flight and must be consumed).
-        try:
-            surrogate_future = engine.submit(surrogate_request)
-        except Exception:  # noqa: BLE001
-            surrogate_future = None
-        service.count_speculative()
-        self._access_extra["speculative"] = True
-        self._sse_begin()
-        seq = 0
-        surrogate_result = None
-        try:
-            if surrogate_future is not None:
-                try:
-                    surrogate_result = surrogate_future.result(timeout=SOLVE_TIMEOUT_S)
-                except Exception as error:  # noqa: BLE001
-                    seq += 1
-                    self._sse_frame(seq, "error", _error_frame_payload(error))
-                else:
-                    data = surrogate_result.to_json()
-                    data["provenance"] = {
-                        "speculative": True,
-                        "requested_backend": request.backend,
-                    }
-                    seq += 1
-                    self._sse_frame(seq, "speculative", data)
-            try:
-                exact_result = exact_future.result(timeout=SOLVE_TIMEOUT_S)
-            except Exception as error:  # noqa: BLE001
-                payload = _error_frame_payload(error)
-                if payload["shed"]:
-                    self._access_extra["shed"] = True
-                seq += 1
-                self._sse_frame(seq, "error", payload)
-                self._log_access(200)
-                return
-            data = exact_result.to_json()
-            provenance: Dict[str, Any] = {
-                "speculative": False,
-                "surrogate_backend": surrogate_name,
-            }
-            if surrogate_result is not None:
-                provenance["error_vs_speculative"] = _finite_errors(
-                    exact_result.error_vs(surrogate_result)
-                )
-            data["provenance"] = provenance
-            seq += 1
-            self._sse_frame(seq, "exact", data)
-            trace = exact_result.provenance.get("trace") or {}
-            self._access_extra.update(
-                {
-                    "trace_id": trace.get("trace_id", ""),
-                    "backend": exact_result.backend,
-                    "cached": exact_result.cached,
-                    "degraded": exact_result.degraded,
-                }
-            )
-            self._log_access(200)
-        except (BrokenPipeError, ConnectionResetError, OSError):
-            # The client hung up mid-stream; both futures already ran (or
-            # will run and be dropped) — nothing to unwind.
-            self.close_connection = True
-
     def _post_warm_up(self) -> None:
         payload = self._read_json_body()
         if payload is None:
@@ -586,6 +461,8 @@ class _Handler(BaseHTTPRequestHandler):
             return
         try:
             self._send_json(200, service.warm_up(keys))
+        except ValueError as error:
+            self._send_error_json(400, str(error))
         except Exception as error:  # noqa: BLE001
             self._send_error_json(500, f"warm-up failed: {error}")
 
@@ -801,7 +678,6 @@ class ThermalServer:
         self._transient_seconds = 0.0
         self._transient_streams = 0
         self._transient_shed = 0
-        self._speculative_requests = 0
 
     # ------------------------------------------------------------------
     @property
@@ -942,41 +818,26 @@ class ThermalServer:
                     self._transient_errors += 1
 
     # ------------------------------------------------------------------
-    def surrogate_backend(self, request: "ThermalRequest") -> Optional[str]:
-        """The backend a speculative first answer should come from.
-
-        The trained operator when one is registered for the request's
-        ``(chip, resolution)``, the compact conductance model otherwise —
-        never the request's own backend (a speculative answer from the
-        exact backend would just be the exact answer twice).  ``None``
-        when no distinct surrogate exists in this deployment.
-        """
-        for name in ("operator", "hotspot"):
-            if name == request.backend or name not in self.engine.backends:
-                continue
-            if name == "operator":
-                registry = self.session.models if self.session is not None else None
-                if registry is None:
-                    continue
-                try:
-                    registry.lookup(request.chip, request.resolution)
-                except KeyError:
-                    continue
-            return name
-        return None
-
-    def count_speculative(self) -> None:
-        """Bump the ``/solve?mode=speculative`` stream counter."""
-        with self._transient_stats_lock:
-            self._speculative_requests += 1
-
-    # ------------------------------------------------------------------
     def warm_up(self, keys: List[Any]) -> Dict[str, Any]:
-        """``POST /warm_up``: pre-factorize group keys through the session.
+        """``POST /warm_up``: build solver state for group keys through the session.
 
-        Delegates to :meth:`ThermalSession.warm_up` with a bounded timeout
-        so one poisoned key cannot park a handler thread forever.
+        Each key must be an object whose resolution passes the bound
+        ``/solve`` enforces; the first bad key raises :class:`ValueError`
+        naming it (HTTP 400) before anything is built.  Delegates to
+        :meth:`ThermalSession.warm_up` with a bounded timeout so one
+        poisoned key cannot park a handler thread forever.
         """
+        for key in keys:
+            if not isinstance(key, dict):
+                raise ValueError(
+                    f"warm-up key {key!r} must be an object with 'chip', "
+                    "'resolution' and 'backend'"
+                )
+            if "resolution" in key:
+                try:
+                    validate_resolution(key["resolution"])
+                except ValueError as error:
+                    raise ValueError(f"warm-up key {key!r}: {error}") from None
         return self.session.warm_up(keys, timeout=SOLVE_TIMEOUT_S)
 
     def generate_shard(self, payload: Dict[str, Any]) -> bytes:
@@ -996,6 +857,8 @@ class ThermalServer:
             raise ValueError("request body must be a JSON object")
         spec = spec_from_payload(payload["spec"])
         shard = payload.get("shard") or {}
+        if not isinstance(shard, dict):
+            raise ValueError("'shard' must be an object with 'index' and 'count'")
         shard_index = int(shard.get("index", 0))
         shard_count = int(shard.get("count", 1))
         batch_size = int(payload.get("batch_size", 32))
@@ -1088,7 +951,6 @@ class ThermalServer:
                     else 0.0
                 ),
             }
-            body["speculative_endpoint"] = {"requests": self._speculative_requests}
         if self.session is not None:
             body["session"] = self.session.stats()
         body["events"] = self.telemetry.stats()

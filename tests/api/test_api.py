@@ -239,10 +239,10 @@ class TestResultCache:
     def test_mutating_a_returned_solution_does_not_poison_the_cache(self, session):
         first = session.solve("chip1", total_power_W=30.0, resolution=RES)
         first.latency_seconds = 99.0
-        first.refined = True
+        first.batch_size = 7
         second = session.solve("chip1", total_power_W=30.0, resolution=RES)
         assert second.latency_seconds == 0.0
-        assert not second.refined
+        assert second.batch_size == 1
 
 
 class TestBackendsAndPools:

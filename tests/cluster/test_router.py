@@ -46,7 +46,31 @@ class TestAdmission:
         status, body, _ = _post(router.url + "/solve", {"chip": "not-a-chip"})
         assert status == 400
         assert "chip" in body["error"]
-        assert all(stub.post_count("/solve") == 0 for stub in stub_replicas)
+        # JSON integers past the float range: float() raises OverflowError.
+        huge = 10**400
+        transient = {"chip": "chip1", "duration_s": 0.01, "dt_s": 0.002}
+        for path, bad in [
+            ("/solve", {"chip": "chip1", "total_power": huge}),
+            ("/solve", {"chip": "chip1", "total_power": 10, "deadline_ms": huge}),
+            ("/solve", {"chip": "chip1", "powers": {"core_layer/Core": huge}}),
+            ("/solve_transient", {**transient, "duration_s": huge}),
+            ("/solve_transient", {**transient, "dt_s": huge}),
+            ("/solve_transient", {**transient, "schedule": [{"t_s": huge}]}),
+        ]:
+            status, body, _ = _post(router.url + path, bad)
+            assert status == 400, (path, bad)
+            assert body["error"]
+        # An integer literal past Python's 4300-digit parsing limit.
+        request = urllib.request.Request(
+            router.url + "/solve", method="POST",
+            data=b'{"chip": "chip1", "total_power": ' + b"9" * 5000 + b"}",
+        )
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            urllib.request.urlopen(request, timeout=30)
+        assert excinfo.value.code == 400
+        for stub in stub_replicas:
+            assert stub.post_count("/solve") == 0
+            assert stub.post_count("/solve_transient") == 0
 
     def test_unknown_backend_bounces(self, router):
         status, body, _ = _post(
@@ -146,6 +170,14 @@ class TestWarmUp:
     def test_warm_up_body_must_carry_keys_list(self, router):
         status, body, _ = _post(router.url + "/warm_up", {"nope": 1})
         assert status == 400
+        # An integer literal past Python's 4300-digit parsing limit.
+        request = urllib.request.Request(
+            router.url + "/warm_up", method="POST",
+            data=b'{"keys": [], "n": ' + b"9" * 5000 + b"}",
+        )
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            urllib.request.urlopen(request, timeout=30)
+        assert excinfo.value.code == 400
 
     def test_rejoin_replays_the_seen_slice(self, router, stub_replicas):
         # Make the router see keys, then drain + recover each stub's owner.

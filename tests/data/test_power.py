@@ -39,6 +39,8 @@ class TestValidatePowerAssignment:
             validate_power_assignment(chip, {name: "lots"})
         with pytest.raises(ValueError, match="finite"):
             validate_power_assignment(chip, {name: float("nan")})
+        with pytest.raises(ValueError, match="finite"):  # float() overflows
+            validate_power_assignment(chip, {name: 10**400})
 
 
 class TestUniformAssignment:
@@ -57,6 +59,10 @@ class TestUniformAssignment:
     def test_negative_total_rejected(self, chip):
         with pytest.raises(ValueError):
             uniform_power_assignment(chip, -5.0)
+
+    def test_total_beyond_float_range_rejected(self, chip):
+        with pytest.raises(ValueError, match="finite"):
+            uniform_power_assignment(chip, 10**400)
 
 
 class TestParsePowerSpec:

@@ -23,7 +23,7 @@ FULL_STATS = {
     "uptime_seconds": 12.5,
     "backends": {
         "fvm": {
-            "requests": 40, "batches": 12, "errors": 1, "refined": 2,
+            "requests": 40, "batches": 12, "errors": 1,
             "samples_dropped": 5,
             "latency_ms": {"p50": 3.0, "p95": 9.0, "p99": 15.0},
         },
@@ -129,14 +129,10 @@ class TestTrace:
         assert int(counter_b) == int(counter_a) + 1
 
     def test_build_trace_converts_spans_to_ms(self):
-        trace = build_trace("t-1", queue_wait_s=0.002, dispatch_s=0.0005,
-                            solve_s=0.25, refine_s=0.0)
+        trace = build_trace("t-1", queue_wait_s=0.002, dispatch_s=0.0005, solve_s=0.25)
         assert trace["trace_id"] == "t-1"
-        assert trace["spans_ms"] == {
-            "queue_wait": 2.0, "dispatch": 0.5, "solve": 250.0, "refine": 0.0,
-        }
+        assert trace["spans_ms"] == {"queue_wait": 2.0, "dispatch": 0.5, "solve": 250.0}
 
     def test_build_trace_clamps_negative_clock_skew(self):
-        trace = build_trace("t-2", queue_wait_s=-0.001, dispatch_s=0.0,
-                            solve_s=0.0, refine_s=0.0)
+        trace = build_trace("t-2", queue_wait_s=-0.001, dispatch_s=0.0, solve_s=0.0)
         assert trace["spans_ms"]["queue_wait"] == 0.0

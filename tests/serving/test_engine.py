@@ -1,11 +1,9 @@
 """Tests for the micro-batching engine, backends and solver pool."""
 
-import numpy as np
 import pytest
 
 from repro.chip.designs import get_chip
 from repro.serving.backends import (
-    Backend,
     FVMBackend,
     HotSpotBackend,
     LRUPool,
@@ -206,75 +204,7 @@ class TestLRUPool:
         assert backend.pool.stats()["hits"] == 1
 
 
-class _InflatedSurrogate(Backend):
-    """Stands in for an operator model that predicts too-hot fields."""
-
-    name = "operator"
-
-    def __init__(self, predicted_max_K):
-        self.predicted_max_K = predicted_max_K
-        self.calls = 0
-
-    def solve_batch(self, requests):
-        self.calls += 1
-        return [
-            ThermalResult(
-                request_id=r.request_id,
-                chip=r.chip,
-                resolution=r.resolution,
-                backend=self.name,
-                max_K=self.predicted_max_K,
-                min_K=300.0,
-                mean_K=320.0,
-                total_power_W=r.total_power_W,
-            )
-            for r in requests
-        ]
-
-
-class TestRefineGuard:
-    def test_hot_surrogate_answers_are_resolved_exactly(self):
-        surrogate = _InflatedSurrogate(predicted_max_K=420.0)
-        backends = {"fvm": FVMBackend(), "operator": surrogate}
-        engine = MicroBatchEngine(backends, refine_threshold_K=400.0)
-        request = ThermalRequest.create(
-            "chip1", total_power_W=30, resolution=RES, backend="operator"
-        )
-        with engine:
-            result = engine.solve(request)
-        assert result.refined
-        assert result.backend == "fvm"
-        reference = FVMSolver(get_chip("chip1"), nx=RES).solve(request.assignment)
-        assert abs(result.max_K - reference.max_K) <= 1e-9
-        assert engine.stats()["backends"]["operator"]["refined"] == 1
-
-    def test_cool_surrogate_answers_pass_through(self):
-        surrogate = _InflatedSurrogate(predicted_max_K=350.0)
-        engine = MicroBatchEngine(
-            {"fvm": FVMBackend(), "operator": surrogate}, refine_threshold_K=400.0
-        )
-        request = ThermalRequest.create(
-            "chip1", total_power_W=30, resolution=RES, backend="operator"
-        )
-        with engine:
-            result = engine.solve(request)
-        assert not result.refined
-        assert result.backend == "operator"
-        assert result.max_K == 350.0
-
-    def test_nan_surrogate_prediction_trips_the_guard(self):
-        surrogate = _InflatedSurrogate(predicted_max_K=float("nan"))
-        engine = MicroBatchEngine(
-            {"fvm": FVMBackend(), "operator": surrogate}, refine_threshold_K=400.0
-        )
-        request = ThermalRequest.create(
-            "chip1", total_power_W=30, resolution=RES, backend="operator"
-        )
-        with engine:
-            result = engine.solve(request)
-        assert result.refined
-        assert np.isfinite(result.max_K)
-
+class TestThermalResult:
     def test_nan_result_serialises_to_valid_json(self):
         import json
 
@@ -287,83 +217,6 @@ class TestRefineGuard:
         assert decoded["max_K"] is None
         assert decoded["mean_K"] is None
         assert decoded["min_K"] == 300.0
-
-    def test_failing_refine_falls_back_to_surrogate_answer(self):
-        class _BrokenExact(Backend):
-            name = "fvm"
-
-            def solve_batch(self, requests):
-                raise RuntimeError("factorisation exploded")
-
-        surrogate = _InflatedSurrogate(predicted_max_K=420.0)
-        engine = MicroBatchEngine(
-            {"fvm": _BrokenExact(), "operator": surrogate}, refine_threshold_K=400.0
-        )
-        request = ThermalRequest.create(
-            "chip1", total_power_W=30, resolution=RES, backend="operator"
-        )
-        with engine:
-            result = engine.solve(request)  # must not raise
-        assert not result.refined
-        assert result.backend == "operator"
-        assert result.max_K == 420.0
-        assert engine.stats()["backends"]["fvm"]["errors"] == 1
-
-    def test_cold_answers_release_before_refine_completes(self):
-        import time as time_module
-
-        class _MixedSurrogate(Backend):
-            name = "operator"
-
-            def solve_batch(self, requests):
-                return [
-                    ThermalResult(
-                        request_id=r.request_id, chip=r.chip, resolution=r.resolution,
-                        backend=self.name, max_K=(420.0 if i == 0 else 350.0),
-                        min_K=300.0, mean_K=320.0, total_power_W=r.total_power_W,
-                    )
-                    for i, r in enumerate(requests)
-                ]
-
-        class _SlowExact(Backend):
-            name = "fvm"
-
-            def solve_batch(self, requests):
-                time_module.sleep(0.5)
-                return [
-                    ThermalResult(
-                        request_id=r.request_id, chip=r.chip, resolution=r.resolution,
-                        backend=self.name, max_K=400.0, min_K=300.0, mean_K=330.0,
-                        total_power_W=r.total_power_W,
-                    )
-                    for r in requests
-                ]
-
-        engine = MicroBatchEngine(
-            {"fvm": _SlowExact(), "operator": _MixedSurrogate()},
-            refine_threshold_K=400.0,
-        )
-        hot_req, cold_req = _requests("chip1", 2, backend="operator")
-        hot_future = engine.submit(hot_req)
-        cold_future = engine.submit(cold_req)
-        start = time_module.perf_counter()
-        engine.start()
-        cold = cold_future.result(timeout=60)
-        cold_elapsed = time_module.perf_counter() - start
-        hot = hot_future.result(timeout=60)
-        hot_elapsed = time_module.perf_counter() - start
-        engine.stop()
-        # The guard-passing answer must not wait for the exact re-solve.
-        assert not cold.refined and cold.backend == "operator"
-        assert cold_elapsed < 0.4
-        assert hot.refined and hot.backend == "fvm"
-        assert hot_elapsed >= 0.5
-
-    def test_refine_requires_configured_backend(self):
-        with pytest.raises(ValueError, match="refine backend"):
-            MicroBatchEngine(
-                {"operator": _InflatedSurrogate(400.0)}, refine_threshold_K=390.0
-            )
 
 
 class TestHotSpotBackend:

@@ -79,7 +79,7 @@ class TestTracing:
         trace = body["trace"]
         assert trace["trace_id"]
         spans = trace["spans_ms"]
-        assert set(spans) == {"queue_wait", "dispatch", "solve", "refine"}
+        assert set(spans) == {"queue_wait", "dispatch", "solve"}
         assert spans["solve"] > 0.0
         assert spans["queue_wait"] >= 0.0 and spans["dispatch"] >= 0.0
         assert all(value >= 0.0 for value in spans.values())

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from repro.chip.designs import get_chip
+from repro.cluster.fleetgen import spec_to_payload
 from repro.data.generation import DatasetSpec, generate_dataset
 from repro.operators.factory import build_operator, save_operator
 from repro.serving.backends import build_backends
@@ -18,6 +19,18 @@ from repro.solvers.fvm import FVMSolver
 from repro.training.trainer import Trainer, TrainingConfig
 
 RES = 10
+
+#: Serving metadata that legitimately differs between two solves of the
+#: same physical query (ids, wall-clock, batching, cache provenance).
+VOLATILE_KEYS = {
+    "request_id", "solve_seconds", "latency_seconds", "batch_size",
+    "trace", "cached", "provenance",
+}
+
+
+def _stable(body):
+    """The physically meaningful slice of one solve answer."""
+    return {key: value for key, value in body.items() if key not in VOLATILE_KEYS}
 
 
 def _get(url):
@@ -224,11 +237,48 @@ class TestSolveEndpoint:
             {"chip": "chip1", "powers": {"bogus/block": 1.0}},
             {"chip": "chip1", "powers": {"core_layer/Core": -5.0}},
             {"chip": "chip1", "resolution": 2, "total_power": 10},
+            # JSON integers past the float range: float() raises OverflowError.
+            {"chip": "chip1", "total_power": 10**400},
+            {"chip": "chip1", "total_power": 10, "deadline_ms": 10**400},
+            {"chip": "chip1", "powers": {"core_layer/Core": 10**400}},
         ]
         for body in cases:
             status, answer = _post(server.url + "/solve", body)
             assert status == 400, body
             assert answer["error"]
+        steady = {"chip": "chip1", "resolution": 8, "duration_s": 0.01, "dt_s": 0.002}
+        transient_cases = [
+            {**steady, "duration_s": 10**400},
+            {**steady, "dt_s": 10**400},
+            {**steady, "total_power": 10**400},
+            {**steady, "deadline_ms": 10**400},
+            # Finite operands whose step count overflows to infinity.
+            {**steady, "duration_s": 1e308, "dt_s": 1e-10},
+            {**steady, "schedule": [{"t_s": 10**400, "total_power": 10}]},
+            {**steady, "schedule": [{"t_s": 0, "total_power": 10**400}]},
+            {**steady, "schedule": [{"t_s": 0, "powers": {"core_layer/Core": 10**400}}]},
+        ]
+        for body in transient_cases:
+            status, answer = _post(server.url + "/solve_transient", body)
+            assert status == 400, body
+            assert answer["error"]
+
+    def test_exact_equals_default_mode_too(self, server):
+        body = {"chip": "chip1", "total_power": 33.0, "resolution": RES}
+        status, default_mode = _post(server.url + "/solve", body)
+        assert status == 200
+        status, exact_mode = _post(server.url + "/solve?mode=exact", body)
+        assert status == 200
+        assert _stable(exact_mode) == _stable(default_mode)
+
+    def test_unknown_mode_is_400(self, server):
+        for mode in ("psychic", "speculative"):
+            status, body = _post(
+                server.url + f"/solve?mode={mode}",
+                {"chip": "chip1", "total_power": 30.0, "resolution": RES},
+            )
+            assert status == 400
+            assert mode in body["error"]
 
     def test_post_unknown_path_with_body_closes_connection(self, server):
         import http.client
@@ -281,10 +331,63 @@ class TestSolveEndpoint:
             connection.close()
 
     def test_malformed_json_body_is_400(self, server):
-        request = urllib.request.Request(
-            server.url + "/solve", data=b"{not json", method="POST"
+        # The second body's integer literal is past Python's 4300-digit
+        # parsing limit, which json.loads reports as a plain ValueError.
+        for raw in (b"{not json", b'{"chip": "chip1", "total_power": ' + b"9" * 5000 + b"}"):
+            request = urllib.request.Request(server.url + "/solve", data=raw, method="POST")
+            with pytest.raises(urllib.error.HTTPError) as excinfo:
+                urllib.request.urlopen(request, timeout=60)
+            assert excinfo.value.code == 400
+            assert "malformed JSON" in json.loads(excinfo.value.read())["error"]
+
+
+class TestWarmUpAndGenerate:
+    def test_warm_up_rejects_resolutions_solve_rejects(self, server):
+        for key in (
+            {"chip": "chip1", "resolution": 2, "backend": "fvm"},
+            {"chip": "chip1", "resolution": 257, "backend": "hotspot"},
+        ):
+            valid = {"chip": "chip1", "resolution": RES, "backend": "hotspot"}
+            status, body = _post(server.url + "/warm_up", {"keys": [valid, key]})
+            assert status == 400, key
+            assert "resolution must be in" in body["error"]
+            assert repr(key) in body["error"]
+        status, body = _post(
+            server.url + "/warm_up",
+            {"keys": [{"chip": "chip1", "resolution": RES, "backend": "hotspot"}]},
         )
-        with pytest.raises(urllib.error.HTTPError) as excinfo:
-            urllib.request.urlopen(request, timeout=60)
-        assert excinfo.value.code == 400
-        assert "malformed JSON" in json.loads(excinfo.value.read())["error"]
+        assert status == 200
+        assert body["warmed"] == [f"chip1/{RES}/hotspot"]
+
+    def test_warm_up_key_must_be_an_object(self, server):
+        status, body = _post(server.url + "/warm_up", {"keys": [1]})
+        assert status == 400
+        assert "warm-up key 1" in body["error"]
+
+    def test_generate_spec_must_be_an_object(self, server):
+        status, body = _post(server.url + "/generate", {"spec": "x"})
+        assert status == 400
+        assert "'spec' must be a JSON object" in body["error"]
+
+    def test_generate_needs_at_least_one_sample(self, server):
+        spec = spec_to_payload(DatasetSpec(chip_name="chip1", resolution=8, num_samples=2))
+        status, body = _post(
+            server.url + "/generate", {"spec": {**spec, "num_samples": -3}}
+        )
+        assert status == 400
+        assert "num_samples" in body["error"]
+
+    def test_generate_bounds_the_resolution(self, server):
+        spec = spec_to_payload(DatasetSpec(chip_name="chip1", resolution=8, num_samples=2))
+        for resolution in (2, 257):
+            status, body = _post(
+                server.url + "/generate", {"spec": {**spec, "resolution": resolution}}
+            )
+            assert status == 400, resolution
+            assert "resolution must be in" in body["error"]
+
+    def test_generate_shard_must_be_an_object(self, server):
+        spec = spec_to_payload(DatasetSpec(chip_name="chip1", resolution=8, num_samples=2))
+        status, body = _post(server.url + "/generate", {"spec": spec, "shard": "x"})
+        assert status == 400
+        assert "'shard' must be an object" in body["error"]

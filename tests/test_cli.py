@@ -30,11 +30,9 @@ class TestParser:
 
     def test_serve_defaults_and_models(self):
         args = build_parser().parse_args(["serve"])
-        assert args.port == 8471 and args.models == [] and args.refine_threshold is None
-        args = build_parser().parse_args(
-            ["serve", "--model", "a.npz", "--model", "b.npz", "--refine-threshold", "390"]
-        )
-        assert args.models == ["a.npz", "b.npz"] and args.refine_threshold == 390.0
+        assert args.port == 8471 and args.models == []
+        args = build_parser().parse_args(["serve", "--model", "a.npz", "--model", "b.npz"])
+        assert args.models == ["a.npz", "b.npz"]
 
 
 class TestCommands:
