@@ -10,10 +10,10 @@ for the two workloads it unified:
   throughput on a multi-core host (skipped below 4 cores — a process plane
   cannot beat serial without cores to run on) and that the outputs are
   bitwise-identical both to each other and to the seed batched pipeline;
-* **serving** — a closed-loop mixed-chip fvm load through the micro-batch
-  engine with the session solving inline vs on a process plane.  On one
-  core this records the plane's dispatch overhead; on multi-core hosts the
-  groups' batched solves overlap on separate cores.
+* **serving** — a closed-loop mixed-chip fvm load through the serving
+  engine with the session solving inline vs on a process plane.  The
+  engine runs one solve at a time either way, so this records the plane's
+  dispatch overhead per request.
 
 Both benches run (with tiny shapes) under ``--benchmark-disable`` so the
 process path is exercised on every smoke run; full runs save their numbers
@@ -131,15 +131,10 @@ def test_dataset_generation_process_scaling(benchmark):
         )
 
 
-def _closed_loop_round(plane, resolution, max_batch):
+def _closed_loop_round(plane, resolution):
     """One closed-loop mixed-chip fvm round; returns (rps, answers)."""
     session = ThermalSession(plane=plane)
-    engine = MicroBatchEngine(
-        build_backends(session=session),
-        max_batch_size=max_batch,
-        max_wait_ms=2.0,
-        workers=2,
-    )
+    engine = MicroBatchEngine(build_backends(session=session))
     chips = ("chip1", "chip2")
     with engine:
         for chip in chips:  # warm the factorisations out of the measurement
@@ -173,26 +168,21 @@ def test_serving_process_plane_throughput(benchmark):
     bar) are recorded — capacity planning reads them from the trajectory."""
     smoke = benchmark.disabled
     resolution = 12 if smoke else 32
-    max_batch = 4 if smoke else 8
     workers = 2 if smoke else GENERATION_WORKERS
 
     results = {}
 
     def run_curve():
-        results["inline_rps"], results["inline"] = _closed_loop_round(
-            None, resolution, max_batch
-        )
+        results["inline_rps"], results["inline"] = _closed_loop_round(None, resolution)
         with ProcessPlane(workers=workers) as plane:
             session = ThermalSession(plane=plane)
-            with MicroBatchEngine(build_backends(session=session), workers=2) as engine:
+            with MicroBatchEngine(build_backends(session=session)) as engine:
                 engine.solve(  # spawn + import + first factorisation
                     ThermalRequest.create("chip1", total_power_W=39.0,
                                           resolution=resolution),
                     timeout=300,
                 )
-            results["plane_rps"], results["plane"] = _closed_loop_round(
-                plane, resolution, max_batch
-            )
+            results["plane_rps"], results["plane"] = _closed_loop_round(plane, resolution)
         return results
 
     benchmark.pedantic(run_curve, rounds=1, iterations=1, warmup_rounds=0)

@@ -3,20 +3,14 @@
 Measures what the thermal inference service actually delivers under
 concurrent load, for the exact (fvm) and learned (operator) backends:
 
-* requests/sec of the micro-batched fvm path versus the unbatched
-  per-request baseline (a fresh solver per request — the cost model a naive
-  one-shot CLI deployment would pay), with the acceptance bar that batching
-  buys >= 5x at batch sizes >= 8;
+* requests/sec of the served fvm path (pooled block basis, one request at
+  a time) versus the per-request baseline without the serving subsystem (a
+  fresh solver per request — the cost model a naive one-shot CLI
+  deployment would pay), with the acceptance bar of >= 5x;
 * closed-loop p50/p95/p99 latency alongside requests/sec with a fleet of
   synchronous clients, the numbers a load balancer in front of
   ``repro-thermal serve`` would see;
-* the multi-worker scaling curve: throughput of a fixed closed-loop
-  mixed-chip fvm load (one interactive trickle stream plus two full-batch
-  burst streams) at ``workers`` in {1, 2, 4}, with the acceptance bar that
-  4 workers buy >= 1.5x over the single-dispatcher engine.  The win is
-  head-of-line blocking: a single dispatcher sleeps inside one group's
-  batching window even while other groups' full batches sit ready, whereas
-  sharded workers overlap one group's window with other groups' solves;
+* deadline shedding under a synthetic backlog of concurrent callers;
 * the telemetry overhead datapoint: the same fvm workload with the full
   observability pipeline live (event bus + subscriber + metrics sampler)
   versus telemetry disabled, with the acceptance bar that the pipeline
@@ -35,7 +29,6 @@ import re
 import select
 import subprocess
 import sys
-import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 
@@ -56,22 +49,14 @@ from repro.training.trainer import Trainer, TrainingConfig
 #: Service-shaped workload: one chip, one resolution, many power maps.
 RESOLUTION = 32
 TOTAL_REQUESTS = 64
-BATCH_SIZE = 16  # forced micro-batch size; the acceptance bar needs >= 8
 CLIENTS = 16
 
-#: Multi-worker scaling workload (see test_serving_multiworker_scaling).
-SCALING_BURST = 8
-SCALING_WAVES = 10
-SCALING_WINDOW_MS = 50.0
-SCALING_WORKERS = (1, 2, 4)
-
 #: Deadline-shedding workload (see test_serving_deadline_shedding): a
-#: backlog far deeper than the latency budget can drain, in small forced
-#: batches so the queue empties slowly.  The budget itself is derived from
-#: the machine's own unshed drain time (floored here) so the overload
-#: crosses it on fast and slow hosts alike.
+#: backlog of concurrent callers far deeper than the latency budget can
+#: drain.  The budget itself is derived from the machine's own unshed drain
+#: time (floored here) so the overload crosses it on fast and slow hosts
+#: alike.
 SHED_BACKLOG = 48
-SHED_BATCH = 4
 SHED_MIN_DEADLINE_MS = 10.0
 
 
@@ -127,9 +112,9 @@ def test_serving_fvm_unbatched_baseline(benchmark):
 
 
 def test_serving_fvm_microbatch_throughput(benchmark):
-    """The acceptance measurement: 64 queries answered in forced micro-batches
-    of 16 through one pooled factorisation, against the unbatched per-request
-    baseline measured alongside.  Requires >= 5x at batch size >= 8."""
+    """The acceptance measurement: 64 sequential queries answered through
+    the engine and one pooled block basis, against the per-request baseline
+    without the serving subsystem measured alongside.  Requires >= 5x."""
     chip = get_chip("chip1")
     requests = _requests(TOTAL_REQUESTS)
 
@@ -142,36 +127,28 @@ def test_serving_fvm_microbatch_throughput(benchmark):
     elapsed = {}
 
     def run():
-        engine = MicroBatchEngine(
-            build_backends(), max_batch_size=BATCH_SIZE, max_wait_ms=1.0
-        )
-        futures = [engine.submit(r) for r in requests]  # queued before start =>
-        engine.start()  # deterministic batches of BATCH_SIZE
-        begin = time.perf_counter()
-        results = [f.result(timeout=300) for f in futures]
-        elapsed["seconds"] = time.perf_counter() - begin
-        engine.stop()
+        with MicroBatchEngine(build_backends()) as engine:
+            begin = time.perf_counter()
+            results = [engine.solve(r, timeout=300) for r in requests]
+            elapsed["seconds"] = time.perf_counter() - begin
         return results
 
     results = benchmark.pedantic(run, rounds=1, iterations=1, warmup_rounds=0)
     assert len(results) == TOTAL_REQUESTS
-    batch_sizes = [r.batch_size for r in results]
-    assert min(batch_sizes) >= 8, "acceptance requires batch sizes >= 8"
 
-    batched_per_request = elapsed["seconds"] / TOTAL_REQUESTS
-    speedup = cold_per_request / batched_per_request
+    served_per_request = elapsed["seconds"] / TOTAL_REQUESTS
+    speedup = cold_per_request / served_per_request
     benchmark.extra_info["cold_seconds_per_request"] = cold_per_request
-    benchmark.extra_info["batched_seconds_per_request"] = batched_per_request
-    benchmark.extra_info["requests_per_second"] = 1.0 / batched_per_request
-    benchmark.extra_info["mean_batch_size"] = float(np.mean(batch_sizes))
-    benchmark.extra_info["batched_vs_unbatched_speedup"] = speedup
-    # Acceptance bar: micro-batched serving >= 5x the per-request baseline.
+    benchmark.extra_info["served_seconds_per_request"] = served_per_request
+    benchmark.extra_info["requests_per_second"] = 1.0 / served_per_request
+    benchmark.extra_info["served_vs_cold_speedup"] = speedup
+    # Acceptance bar: served answers >= 5x the per-request baseline.
     # Timing assertions are meaningless in --benchmark-disable smoke runs on
     # loaded machines, so they only gate real benchmark runs.
     if not benchmark.disabled:
         assert speedup >= 5.0
 
-    # The batched answers are the exact solver's answers.
+    # The served answers are the exact solver's answers.
     reference = FVMSolver(chip, nx=RESOLUTION).solve(requests[0].assignment)
     assert abs(results[0].max_K - reference.max_K) <= 1e-9
 
@@ -190,88 +167,14 @@ def _closed_loop(engine, backend, clients=CLIENTS, per_client=4):
     return engine.stats()
 
 
-def _mixed_chip_round(workers):
-    """One fixed closed-loop mixed-chip fvm round; returns requests/sec.
-
-    Traffic shape: an interactive client streams single chip1 queries (each
-    new query submitted the moment the previous answers, so one young,
-    partial chip1 group is almost always pending), while two burst clients
-    each push ``SCALING_WAVES`` full batches of ``SCALING_BURST`` chip2 /
-    chip3 queries closed-loop.  A single dispatcher anchors its batching
-    window on the interactive group and head-of-line blocks the full bursts
-    behind it; sharded workers dispatch them immediately.
-    """
-    session = ThermalSession()
-    engine = MicroBatchEngine(
-        build_backends(session=session),
-        max_batch_size=SCALING_BURST,
-        max_wait_ms=SCALING_WINDOW_MS,
-        workers=workers,
-    )
-    interactive_answers = [0]
-    stop = threading.Event()
-    with engine:
-        # Warm the three pooled factorisations so the round measures
-        # steady-state serving, not prepare cost.
-        for chip in ("chip1", "chip2", "chip3"):
-            engine.solve(
-                ThermalRequest.create(chip, total_power_W=39.0, resolution=RESOLUTION),
-                timeout=300,
-            )
-
-        def interactive():
-            index = 0
-            while not stop.is_set():
-                request = ThermalRequest.create(
-                    "chip1", total_power_W=41.0 + 0.01 * index, resolution=RESOLUTION
-                )
-                try:
-                    engine.solve(request, timeout=300)
-                except RuntimeError:  # engine stopped while we were queued
-                    return
-                interactive_answers[0] += 1
-                index += 1
-
-        def burst_client(chip, offset):
-            for wave in range(SCALING_WAVES):
-                requests = [
-                    ThermalRequest.create(
-                        chip,
-                        total_power_W=50.0 + offset + 0.01 * (wave * SCALING_BURST + i),
-                        resolution=RESOLUTION,
-                    )
-                    for i in range(SCALING_BURST)
-                ]
-                engine.solve_many(requests, timeout=300)
-
-        trickle = threading.Thread(target=interactive, daemon=True)
-        bursts = [
-            threading.Thread(target=burst_client, args=(chip, 100.0 * position))
-            for position, chip in enumerate(("chip2", "chip3"))
-        ]
-        start = time.perf_counter()
-        trickle.start()
-        for thread in bursts:
-            thread.start()
-        for thread in bursts:
-            thread.join()
-        elapsed = time.perf_counter() - start
-        stop.set()
-    completed = 2 * SCALING_WAVES * SCALING_BURST + interactive_answers[0]
-    return completed / elapsed
-
-
 def _overload_round(deadline_ms, session, power_base):
     """Drain one synthetic-overload backlog; returns (latencies_s, shed).
 
-    The backlog is queued before the engine starts so its depth is exact;
-    with a ``deadline_ms`` budget, requests whose budget is spent while
-    queued are shed (their futures raise
+    ``SHED_BACKLOG`` threads call the engine together; with a
+    ``deadline_ms`` budget, requests whose budget is spent before they are
+    solved are shed (their calls raise
     :class:`~repro.runtime.plane.DeadlineExceeded`) instead of solved.
     """
-    engine = MicroBatchEngine(
-        build_backends(session=session), max_batch_size=SHED_BATCH, max_wait_ms=1.0
-    )
     requests = [
         ThermalRequest.create(
             "chip1",
@@ -281,15 +184,15 @@ def _overload_round(deadline_ms, session, power_base):
         )
         for index in range(SHED_BACKLOG)
     ]
-    futures = [engine.submit(request) for request in requests]
-    engine.start()
     latencies, shed = [], 0
-    for future in futures:
-        try:
-            latencies.append(future.result(timeout=300).latency_seconds)
-        except DeadlineExceeded:
-            shed += 1
-    engine.stop()
+    with MicroBatchEngine(build_backends(session=session)) as engine, \
+            ThreadPoolExecutor(max_workers=SHED_BACKLOG) as pool:
+        futures = [pool.submit(engine.solve, request, 300) for request in requests]
+        for future in futures:
+            try:
+                latencies.append(future.result(timeout=300).latency_seconds)
+            except DeadlineExceeded:
+                shed += 1
     return latencies, shed
 
 
@@ -297,7 +200,7 @@ def test_serving_deadline_shedding(benchmark):
     """Acceptance: under synthetic overload, deadline shedding keeps the p99
     of *answered* requests bounded near the latency budget, while the same
     backlog without deadlines drags its tail out to the full drain time.
-    Sheds requests whose budget was spent in the queue; never a solved one.
+    Sheds requests whose budget was spent waiting; never a solved one.
     """
     session = ThermalSession()
     # Warm the pooled factorisation so both rounds measure steady-state
@@ -325,7 +228,7 @@ def test_serving_deadline_shedding(benchmark):
     latencies_on, shed_on = outcome["on"]
     deadline_ms = outcome["deadline_ms"]
     assert shed_off == 0 and len(latencies_off) == SHED_BACKLOG
-    assert len(latencies_on) + shed_on == SHED_BACKLOG  # zero hung futures
+    assert len(latencies_on) + shed_on == SHED_BACKLOG  # zero hung callers
     p99_off = float(np.percentile(latencies_off, 99)) * 1e3
     p99_on = float(np.percentile(latencies_on, 99)) * 1e3 if latencies_on else 0.0
     benchmark.extra_info["backlog"] = SHED_BACKLOG
@@ -343,34 +246,9 @@ def test_serving_deadline_shedding(benchmark):
             f"shedding p99 {p99_on:.0f}ms did not beat unshed p99 {p99_off:.0f}ms"
         )
         # Bounded tail: answered requests stayed within budget plus one
-        # batch's solve time (the batch in flight when the budget expired).
-        assert p99_on <= deadline_ms + 1e3 * max(latencies_off[:SHED_BATCH])
-
-
-def test_serving_multiworker_scaling(benchmark):
-    """Acceptance: the same mixed-chip fvm load at resolution 32 through 1,
-    2 and 4 workers; 4 workers must deliver >= 1.5x the single-dispatcher
-    throughput, and the single-worker answers stay bitwise identical (that
-    invariant is asserted separately in tests/serving/test_multiworker.py).
-    """
-    throughput = {}
-
-    def run_curve():
-        for workers in SCALING_WORKERS:
-            throughput[workers] = _mixed_chip_round(workers)
-        return throughput
-
-    benchmark.pedantic(run_curve, rounds=1, iterations=1, warmup_rounds=0)
-    for workers in SCALING_WORKERS:
-        benchmark.extra_info[f"throughput_rps_workers_{workers}"] = throughput[workers]
-    speedup = throughput[4] / throughput[1]
-    benchmark.extra_info["speedup_4_vs_1"] = speedup
-    # Timing assertions are meaningless in --benchmark-disable smoke runs on
-    # loaded machines, so they only gate real benchmark runs.
-    if not benchmark.disabled:
-        assert speedup >= 1.5, (
-            f"4-worker throughput is only {speedup:.2f}x the single dispatcher"
-        )
+        # solve (the request in flight when the budget expired), read off
+        # the unshed round's fastest answer, which waited for nothing.
+        assert p99_on <= deadline_ms + 1e3 * min(latencies_off)
 
 
 #: Alternating measurement rounds per configuration for the telemetry
@@ -380,7 +258,7 @@ TELEMETRY_ROUNDS = 3
 
 
 def _telemetry_round(session, with_telemetry, offset):
-    """One batched fvm round; returns requests/sec (telemetry on or off).
+    """One sequential fvm round; returns requests/sec (telemetry on or off).
 
     The "on" configuration is the full pipeline a real deployment pays for:
     an :class:`~repro.obs.EventBus` attached to the engine, a live
@@ -390,24 +268,17 @@ def _telemetry_round(session, with_telemetry, offset):
     from repro.obs import EventBus, Telemetry
 
     bus = EventBus() if with_telemetry else None
-    engine = MicroBatchEngine(
-        build_backends(session=session),
-        max_batch_size=BATCH_SIZE,
-        max_wait_ms=1.0,
-        events=bus,
-    )
+    engine = MicroBatchEngine(build_backends(session=session), events=bus)
     telemetry = subscription = None
     if with_telemetry:
         subscription = bus.subscribe()
         telemetry = Telemetry(bus=bus, interval_s=0.05)
         telemetry.start(engine.stats)
     requests = _requests(TOTAL_REQUESTS, offset=offset)
-    futures = [engine.submit(request) for request in requests]
-    engine.start()
-    begin = time.perf_counter()
-    results = [future.result(timeout=300) for future in futures]
-    elapsed = time.perf_counter() - begin
-    engine.stop()
+    with engine:
+        begin = time.perf_counter()
+        results = [engine.solve(request, timeout=300) for request in requests]
+        elapsed = time.perf_counter() - begin
     assert len(results) == TOTAL_REQUESTS
     if with_telemetry:
         telemetry.stop()
@@ -425,7 +296,7 @@ def _telemetry_round(session, with_telemetry, offset):
 def test_serving_telemetry_overhead(benchmark):
     """Acceptance: the full telemetry pipeline (typed events to a live
     subscriber, 50 ms metrics sampling, per-request tracing) costs < 3% of
-    micro-batched fvm throughput versus the same engine with telemetry
+    served fvm throughput versus the same engine with telemetry
     disabled.  Rounds alternate off/on so drift hits both configurations."""
     session = ThermalSession()
     # Warm the pooled factorisation once: both configurations must measure
@@ -572,9 +443,9 @@ def test_serving_router_scaling(benchmark):
             router.wait(timeout=10)
 
     try:
-        process_a, url_a = _boot_cli(["serve", "--port", "0", "--workers", "2"])
+        process_a, url_a = _boot_cli(["serve", "--port", "0"])
         processes.append(process_a)
-        process_b, url_b = _boot_cli(["serve", "--port", "0", "--workers", "2"])
+        process_b, url_b = _boot_cli(["serve", "--port", "0"])
         processes.append(process_b)
         names = [url.split("//", 1)[1].rstrip("/") for url in (url_a, url_b)]
         keys = _router_keys(names)
@@ -627,11 +498,7 @@ def test_serving_router_scaling(benchmark):
 @pytest.mark.parametrize("backend", ["fvm", "operator"])
 def test_serving_closed_loop_latency(benchmark, backend, trained_model_path):
     """Closed-loop load (16 clients): requests/sec and p50/p95/p99 per backend."""
-    engine = MicroBatchEngine(
-        build_backends(model_paths=[trained_model_path]),
-        max_batch_size=BATCH_SIZE,
-        max_wait_ms=2.0,
-    )
+    engine = MicroBatchEngine(build_backends(model_paths=[trained_model_path]))
     with engine:
         # Warm the pooled factorisation / model once so the benchmark sees
         # steady-state serving, not the first-hit prepare cost.
@@ -641,7 +508,6 @@ def test_serving_closed_loop_latency(benchmark, backend, trained_model_path):
         )
     summary = stats["backends"][backend]
     benchmark.extra_info["requests"] = summary["requests"]
-    benchmark.extra_info["mean_batch_size"] = summary["mean_batch_size"]
     benchmark.extra_info["latency_ms_p50"] = summary["latency_ms"]["p50"]
     benchmark.extra_info["latency_ms_p95"] = summary["latency_ms"]["p95"]
     benchmark.extra_info["latency_ms_p99"] = summary["latency_ms"]["p99"]

@@ -13,11 +13,11 @@
 # .benchmarks/kernels.json by default: an untracked local file for
 # pytest-benchmark's own --benchmark-compare.  perfbench/ is the benchmark
 # of record.  GC is disabled during timing for stable numbers.
-# bench_serving.py records the serving acceptance numbers: micro-batched fvm
-# requests/sec vs the unbatched per-request baseline (>= 5x at batch >= 8),
-# closed-loop p50/p95/p99 latency for the fvm and operator backends, and the
-# multi-worker scaling curve (>= 1.5x throughput at --workers 4 vs 1 for
-# mixed-chip fvm load at resolution 32).  bench_exec.py records the
+# bench_serving.py records the serving acceptance numbers: served fvm
+# requests/sec vs the per-request cold-solver baseline (>= 5x), closed-loop
+# p50/p95/p99 latency for the fvm and operator backends, deadline shedding
+# under a backlog of concurrent callers, the telemetry overhead (< 3%) and
+# the fleet-router hop (< 15%).  bench_exec.py records the
 # execution-plane scaling numbers: fvm dataset generation through a 4-worker
 # ProcessPlane vs SerialPlane (>= 1.7x on hosts with >= 4 cores, bitwise
 # identical outputs) and serving throughput inline vs on a process plane.
@@ -39,7 +39,7 @@ if [[ "${1:-}" == "--smoke" ]]; then
     python -m repro.cli generate --chip chip1 --resolution 12 --samples 8 \
         --batch-size 4 --exec processes --exec-workers 2 \
         --output "$SMOKE_DATASET" > /dev/null
-    echo "== smoke: serve --workers 2 end-to-end (solve + transient + stats) =="
+    echo "== smoke: serve --max-queue 64 end-to-end (solve + transient + stats) =="
     python benchmarks/smoke_serving.py
     echo "== smoke: serve --exec processes end-to-end (plane-backed solves) =="
     python benchmarks/smoke_serving.py --exec processes --exec-workers 2

@@ -170,9 +170,9 @@ def _sigint_and_reap(process, what):
 def main() -> int:
     processes = []
     try:
-        replica_a = _spawn(["serve", "--port", "0", "--workers", "2"])
+        replica_a = _spawn(["serve", "--port", "0"])
         processes.append(replica_a)
-        replica_b = _spawn(["serve", "--port", "0", "--workers", "2"])
+        replica_b = _spawn(["serve", "--port", "0"])
         processes.append(replica_b)
         url_a, url_b = _boot_url(replica_a), _boot_url(replica_b)
 
@@ -208,7 +208,7 @@ def main() -> int:
         assert health["drains"] >= 1, health
 
         # Reboot the victim on its old port; the prober warms and re-admits.
-        reborn = _spawn(["serve", "--port", str(victim_port), "--workers", "2"])
+        reborn = _spawn(["serve", "--port", str(victim_port)])
         processes.append(reborn)
         _boot_url(reborn)
         health = _wait_for_recovery(router_url)

@@ -2,11 +2,11 @@
 down cleanly.
 
 Launched by ``benchmarks/run_benchmarks.sh --smoke``.  Starts
-``repro-thermal serve --workers 2`` as a subprocess on a free port, performs
+``repro-thermal serve --max-queue 64`` as a subprocess on a free port, performs
 one ``POST /solve``, one ``POST /solve_transient`` and one ``GET /stats``,
 then delivers SIGINT and asserts the process exits 0 (the CLI's clean
 KeyboardInterrupt path).  This is the end-to-end guard the unit tests can't
-give: the actual CLI wiring of workers/queue/cache flags, the actual HTTP
+give: the actual CLI wiring of the queue/cache flags, the actual HTTP
 loop, the actual signal-driven shutdown.
 
 Extra command-line arguments are forwarded to ``repro-thermal serve``, which
@@ -168,7 +168,6 @@ def main() -> int:
         [
             sys.executable, "-m", "repro.cli", "serve",
             "--port", "0",
-            "--workers", "2",
             "--max-queue", "64",
             "--cache-ttl", "600",
             "--cache-max-mb", "32",
@@ -218,7 +217,7 @@ def main() -> int:
 
         with urllib.request.urlopen(url + "/stats", timeout=REQUEST_TIMEOUT_S) as response:
             stats = json.loads(response.read())
-        assert stats["workers"] == 2, stats
+        assert "workers" not in stats, stats  # one solve lock, no dispatcher pool
         assert stats["max_queue"] == 64, stats
         assert stats["total_requests"] >= 1, stats
         assert stats["transient_endpoint"]["requests"] == 1, stats

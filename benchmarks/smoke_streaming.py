@@ -169,7 +169,7 @@ def _shutdown(process, what):
 
 
 def main() -> int:
-    serve_args = ["serve", "--port", "0", "--workers", "2", "--max-queue", "64"]
+    serve_args = ["serve", "--port", "0", "--max-queue", "64"]
     replica_one = _spawn(serve_args)
     replica_two = None
     router = None

@@ -110,9 +110,10 @@ class FVMBackendAdapter:
         self.resolution = int(resolution)
         self.solver = FVMSolver(chip, nx=self.resolution, cells_per_layer=cells_per_layer)
         # Serialise solves: the adapter is pooled per (chip, resolution) and
-        # engine sharding gives it one worker, but session callers (solve,
-        # solve_many, warm_up) may drive it from other threads, and the lazy
-        # basis build must run once even under concurrent first requests.
+        # the serving engine's solve lock gives it one caller at a time, but
+        # session callers (solve, warm_up) may drive it from other threads,
+        # and the lazy basis build must run once even under concurrent first
+        # requests.
         self._solver_lock = threading.Lock()
 
     def prepare(self) -> "FVMBackendAdapter":

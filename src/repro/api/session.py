@@ -32,7 +32,6 @@ import hashlib
 import struct
 import threading
 import time
-from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
@@ -104,16 +103,6 @@ DEFAULT_RESOLUTION = 32
 #: *can* be rebuilt on a worker, see :mod:`repro.runtime.tasks`).
 PLANE_BACKENDS = ("fvm", "transient")
 
-#: EWMA smoothing of the per-case plane latency estimate that drives the
-#: adaptive batch-split decision — recent batches dominate so the estimate
-#: tracks load shifts within a few batches.
-ADAPTIVE_SPLIT_ALPHA = 0.3
-
-#: Estimated whole-batch seconds below which splitting cannot pay: below
-#: this, per-chunk dispatch overhead (task pickling, queue hops, extra warm
-#: states) exceeds the parallel win and the batch travels whole.
-ADAPTIVE_SPLIT_MIN_SECONDS = 0.05
-
 #: The opt-in graceful-degradation order (``fallback=True``): when a
 #: requested backend fails or its circuit breaker is open, the session walks
 #: this chain and returns the first answer it can get, stamped
@@ -125,13 +114,6 @@ DEFAULT_FALLBACK_CHAIN: Dict[str, Tuple[str, ...]] = {
     "transient": ("fvm", "hotspot"),
     "operator": ("hotspot",),
 }
-
-#: Threads of the session's lazily created async executor (behind
-#: :meth:`ThermalSession.submit` / :meth:`ThermalSession.solve_many`).  The
-#: threads mostly *wait* — plane-eligible backends dispatch the actual solve
-#: onto the execution plane — so the count bounds concurrent fan-out groups,
-#: not CPU use.
-ASYNC_POOL_WORKERS = 8
 
 #: Consecutive failures that open a backend's circuit breaker.
 DEFAULT_BREAKER_THRESHOLD = 5
@@ -358,14 +340,10 @@ class ThermalSession:
         self._reliability_lock = threading.Lock()
         self._fallbacks = 0
         self._breaker_rejections = 0
-        # Plane-dispatch bookkeeping: a per-state-key EWMA of observed
-        # per-case solve seconds feeds the adaptive batch-split decision in
-        # _solve_batch_on_plane; the counters surface in stats()["dispatch"].
+        # Plane-dispatch counters, surfaced in stats()["dispatch"].
         self._dispatch_lock = threading.Lock()
-        self._latency_ewma: Dict[Tuple, float] = {}
         self._plane_batches = 0
         self._split_batches = 0
-        self._adaptive_splits = 0
         self._chips: Dict[str, ChipStack] = {}
         self._pools: Dict[str, LRUPool] = {
             name: LRUPool(pool_size) for name in ("fvm", "hotspot", "transient")
@@ -395,10 +373,6 @@ class ThermalSession:
         #: every emission site a no-op.
         self.events: Optional[EventBus] = None
         self.result_cache.eviction_listener = self._on_cache_eviction
-        # Async facade: the executor behind submit()/solve_many(), built on
-        # first use so synchronous-only sessions never spawn threads.
-        self._async_lock = threading.Lock()
-        self._async_pool: Optional[ThreadPoolExecutor] = None
 
     # ------------------------------------------------------------------
     # Telemetry
@@ -599,7 +573,10 @@ class ThermalSession:
         if isinstance(powers, bool):
             raise TypeError("'powers' cannot be a boolean")
         if isinstance(powers, (int, float)):
-            return uniform_power_assignment(chip_stack, float(powers))
+            # Unconverted: float() of an integer past the float range would
+            # raise OverflowError; the helper reads it as infinity and
+            # rejects it with a ValueError.
+            return uniform_power_assignment(chip_stack, powers)
         if isinstance(powers, Mapping):
             return validate_power_assignment(chip_stack, powers)
         raise TypeError(
@@ -725,148 +702,12 @@ class ThermalSession:
                 solutions[index] = solution
                 if use_cache and not degraded:
                     # Store a pristine clone: consumers (the serving engine)
-                    # stamp latency/batch metadata onto what we return.
+                    # stamp latency and trace metadata onto what we return.
                     # Degraded answers are never cached — the real backend
                     # must get to answer again once it recovers.
                     self.result_cache.put(
                         keys[index], solution.clone(), _solution_nbytes(solution)
                     )
-        return solutions  # type: ignore[return-value]
-
-    # ------------------------------------------------------------------
-    # Async facade
-    # ------------------------------------------------------------------
-    def _async_executor(self) -> ThreadPoolExecutor:
-        with self._async_lock:
-            if self._async_pool is None:
-                self._async_pool = ThreadPoolExecutor(
-                    max_workers=ASYNC_POOL_WORKERS,
-                    thread_name_prefix="session-async",
-                )
-            return self._async_pool
-
-    def submit(
-        self,
-        chip: ChipLike,
-        powers: Union[Case, float, None] = None,
-        *,
-        total_power_W: Optional[float] = None,
-        resolution: int = DEFAULT_RESOLUTION,
-        backend: str = "fvm",
-        include_maps: bool = False,
-        include_values: bool = False,
-        use_cache: bool = True,
-        deadline: Optional[float] = None,
-    ) -> Future:
-        """Asynchronous :meth:`solve`: returns a future, never blocks.
-
-        The query is validated eagerly (bad input raises here, not inside
-        the future) and solved on the session's async executor; the future
-        resolves to the same :class:`ThermalSolution` the blocking call
-        would return, including cache hits and fallback/breaker semantics.
-        ``deadline`` (absolute ``time.monotonic()`` seconds) propagates
-        exactly as in :meth:`solve_batch`.
-        """
-        chip_stack = self._resolve_chip(chip)
-        assignment = self._coerce_assignment(chip_stack, powers, total_power_W)
-        return self._async_executor().submit(
-            lambda: self.solve_batch(
-                chip_stack,
-                [assignment],
-                resolution=resolution,
-                backend=backend,
-                include_maps=include_maps,
-                include_values=include_values,
-                use_cache=use_cache,
-                deadline=deadline,
-            )[0]
-        )
-
-    def solve_many(
-        self,
-        queries: Sequence[Mapping[str, Any]],
-        *,
-        timeout: Optional[float] = None,
-        deadline: Optional[float] = None,
-    ) -> List[ThermalSolution]:
-        """Answer many heterogeneous queries concurrently in one call.
-
-        ``queries`` is a sequence of mappings with the :meth:`solve`
-        keywords (``chip`` required; ``powers`` / ``total_power_W`` /
-        ``resolution`` / ``backend`` / ``include_maps`` /
-        ``include_values`` / ``use_cache`` optional).  Queries sharing
-        ``(chip, resolution, backend, detail)`` are coalesced into one
-        batched solve — which rides the execution plane when the session
-        drives one — and distinct groups run concurrently on the async
-        executor, so a fan-out across chips costs the wall-clock of its
-        slowest group instead of the sum.  Results come back in query
-        order; ``timeout`` bounds the *whole* call, not each group.
-        """
-        prepared: List[Tuple[int, Dict[str, float]]] = []
-        groups: Dict[Tuple, Dict[str, Any]] = {}
-        for index, query in enumerate(queries):
-            if not isinstance(query, Mapping):
-                raise TypeError(
-                    f"query {index} must be a mapping of solve() keywords, "
-                    f"got {type(query).__name__}"
-                )
-            options = dict(query)
-            if "chip" not in options:
-                raise ValueError(f"query {index} is missing the required 'chip' field")
-            chip_stack = self._resolve_chip(options.pop("chip"))
-            assignment = self._coerce_assignment(
-                chip_stack, options.pop("powers", None), options.pop("total_power_W", None)
-            )
-            key = (
-                chip_stack.name,
-                int(options.pop("resolution", DEFAULT_RESOLUTION)),
-                str(options.pop("backend", "fvm")),
-                bool(options.pop("include_maps", False)),
-                bool(options.pop("include_values", False)),
-                bool(options.pop("use_cache", True)),
-            )
-            if options:
-                raise ValueError(
-                    f"query {index} has unknown fields: {', '.join(sorted(options))}"
-                )
-            group = groups.setdefault(
-                key, {"chip": chip_stack, "indices": [], "assignments": []}
-            )
-            group["indices"].append(index)
-            group["assignments"].append(assignment)
-            prepared.append((index, assignment))
-        if not prepared:
-            return []
-        executor = self._async_executor()
-        futures = []
-        for key, group in groups.items():
-            _, resolution, backend, include_maps, include_values, use_cache = key
-            futures.append(
-                (
-                    group["indices"],
-                    executor.submit(
-                        self.solve_batch,
-                        group["chip"],
-                        group["assignments"],
-                        resolution=resolution,
-                        backend=backend,
-                        include_maps=include_maps,
-                        include_values=include_values,
-                        use_cache=use_cache,
-                        deadline=deadline,
-                    ),
-                )
-            )
-        collect_deadline = None if timeout is None else time.monotonic() + timeout
-        solutions: List[Optional[ThermalSolution]] = [None] * len(prepared)
-        for indices, future in futures:
-            remaining = (
-                None
-                if collect_deadline is None
-                else max(collect_deadline - time.monotonic(), 0.0)
-            )
-            for index, solution in zip(indices, future.result(timeout=remaining)):
-                solutions[index] = solution
         return solutions  # type: ignore[return-value]
 
     def _solve_misses(
@@ -1038,18 +879,10 @@ class ThermalSession:
 
         The batch becomes one task (routed by warm-state key affinity) when
         it is small, or ``plane.workers`` chunk tasks pinned to distinct
-        worker slots when splitting pays — the chunk results are
-        re-concatenated in order, so callers see exactly the inline answer
-        list (chunked answers are bitwise-identical to whole-batch ones).
-
-        The split decision is adaptive: a batch deep enough to feed every
-        worker twice always splits (the historical static rule), and a
-        smaller batch (>= one case per worker) splits when the live
-        per-case latency EWMA for this state key says the whole batch
-        would cost at least :data:`ADAPTIVE_SPLIT_MIN_SECONDS` — heavy
-        keys (high resolutions) split earlier, trivial keys never pay the
-        chunk-dispatch overhead.  Splits the static rule would not have
-        made are counted as ``adaptive_splits`` in :meth:`stats`.
+        worker slots when it is deep enough to feed every worker twice —
+        the chunk results are re-concatenated in order, so callers see
+        exactly the inline answer list (chunked answers are
+        bitwise-identical to whole-batch ones).
         """
         spec = BackendSpec(
             chip=chip_stack,
@@ -1059,17 +892,7 @@ class ThermalSession:
         )
         key = backend_state_key(spec)
         count = len(assignments)
-        with self._dispatch_lock:
-            per_case_s = self._latency_ewma.get(key)
-        static_split = plane.workers > 1 and count >= 2 * plane.workers
-        adaptive_split = (
-            not static_split
-            and plane.workers > 1
-            and count >= plane.workers
-            and per_case_s is not None
-            and count * per_case_s >= ADAPTIVE_SPLIT_MIN_SECONDS
-        )
-        if static_split or adaptive_split:
+        if plane.workers > 1 and count >= 2 * plane.workers:
             bounds = np.linspace(0, count, plane.workers + 1).astype(int)
             chunks = [
                 (slot, assignments[bounds[slot]:bounds[slot + 1]])
@@ -1094,27 +917,13 @@ class ThermalSession:
             )
             for slot, chunk in chunks
         ]
-        started = time.perf_counter()
         solved: List[ThermalSolution] = []
         for chunk_solutions in plane.run_all(tasks):
             solved.extend(chunk_solutions)
-        elapsed = time.perf_counter() - started
-        # Chunks run concurrently, so wall-clock over the batch times the
-        # chunk count approximates one worker's sequential per-case cost.
-        per_case_observed = elapsed * len(chunks) / count
         with self._dispatch_lock:
-            previous = self._latency_ewma.get(key)
-            self._latency_ewma[key] = (
-                per_case_observed
-                if previous is None
-                else ADAPTIVE_SPLIT_ALPHA * per_case_observed
-                + (1.0 - ADAPTIVE_SPLIT_ALPHA) * previous
-            )
             self._plane_batches += 1
             if len(chunks) > 1:
                 self._split_batches += 1
-            if adaptive_split:
-                self._adaptive_splits += 1
         return solved
 
     def solve_transient(
@@ -1396,8 +1205,6 @@ class ThermalSession:
             dispatch = {
                 "plane_batches": self._plane_batches,
                 "split_batches": self._split_batches,
-                "adaptive_splits": self._adaptive_splits,
-                "latency_ewma_keys": len(self._latency_ewma),
             }
         return {
             "result_cache": self.result_cache.stats(),

@@ -12,8 +12,8 @@ had to know which one it was holding.
 temperature maps and the full 3-D field are optional views populated on
 request, ``provenance`` records how the answer was produced (backend
 internals, cache hits, transient horizons), and the serving metadata
-(``request_id`` / ``latency_seconds`` / ``batch_size``) lives
-on the same object so the micro-batching engine needs no wrapper type.
+(``request_id`` / ``latency_seconds``) lives on the same object so the
+serving engine needs no wrapper type.
 ``repro.serving.request.ThermalResult`` is now a deprecation alias for this
 class.
 """
@@ -58,13 +58,13 @@ class ThermalSolution:
         How the answer came to be: backend internals (solver kernel, model
         name), ``cached: True`` for session result-cache hits, transient
         integration parameters, and — through the serving engine — a
-        ``trace`` dict (``trace_id`` plus ``spans_ms`` with queue-wait /
-        dispatch / solve timings) echoed back in ``to_json``.
+        ``trace`` dict (``trace_id`` plus ``spans_ms`` with queue-wait and
+        solve timings) echoed back in ``to_json``.
     history:
         Optional transient time histories (``times_s`` / ``peak_K`` /
         ``mean_K`` arrays) for answers produced by time integration.
-    request_id, latency_seconds, batch_size:
-        Serving metadata stamped by the micro-batching engine; idle defaults
+    request_id, latency_seconds:
+        Serving metadata stamped by the serving engine; idle defaults
         outside the serving path.
     """
 
@@ -83,7 +83,6 @@ class ThermalSolution:
     history: Optional[Dict[str, np.ndarray]] = None
     request_id: str = ""
     latency_seconds: float = 0.0
-    batch_size: int = 1
 
     # ------------------------------------------------------------------
     # Views
@@ -189,7 +188,6 @@ class ThermalSolution:
             "hotspot": {key: finite(v) for key, v in self.hotspot.items()},
             "solve_seconds": self.solve_seconds,
             "latency_seconds": self.latency_seconds,
-            "batch_size": self.batch_size,
         }
         if self.cached:
             body["cached"] = True
@@ -213,8 +211,8 @@ class ThermalSolution:
 
     # ------------------------------------------------------------------
     # Cloning (the session result cache must never hand out the instance
-    # it stores: the serving engine stamps latency/batch metadata onto the
-    # solutions it returns).
+    # it stores: the serving engine stamps latency and trace metadata onto
+    # the solutions it returns).
     # ------------------------------------------------------------------
     def clone(self, **overrides: Any) -> "ThermalSolution":
         """A copy safe to mutate without touching this instance.

@@ -14,8 +14,8 @@ Eight sub-commands cover the everyday workflow without writing Python:
   backend (exact ``fvm``, compact ``hotspot``, time-integrating
   ``transient``, or a trained ``operator`` surrogate).
 * ``repro-thermal serve`` — run the thermal inference service: a JSON HTTP
-  API answering concurrent power-map queries through micro-batched session
-  backends.
+  API answering concurrent power-map queries through the session backends,
+  one solve at a time.
 * ``repro-thermal route`` — run the fleet router in front of N ``serve``
   replicas: health-checked membership, shard-aware placement, draining
   and warm-up re-admission (see ``docs/CLUSTER.md``).
@@ -145,26 +145,20 @@ def build_parser() -> argparse.ArgumentParser:
                        help="trained operator weights (repeatable); enables the "
                             "'operator' backend for the chip/resolution each "
                             "model was trained on")
-    serve.add_argument("--workers", type=int, default=1,
-                       help="dispatcher worker threads; group keys are sharded "
-                            "across them (1 = the classic single dispatcher)")
     serve.add_argument("--exec", dest="exec_plane", default="serial",
                        choices=list(PLANE_KINDS),
-                       help="where each group's batched solve runs: 'serial' "
-                            "(inline in the dispatcher thread, the default), "
+                       help="where each request's solve runs: 'serial' "
+                            "(inline in the HTTP handler thread, the default), "
                             "'threads', or 'processes' (worker processes with "
-                            "warm per-process factorizations — multi-core "
-                            "serving on multi-core hosts)")
+                            "warm per-process block bases); one solve runs at "
+                            "a time either way")
     serve.add_argument("--exec-workers", type=int, default=None, metavar="N",
                        help="workers of the execution plane (default: the host "
                             "CPU count; ignored for --exec serial)")
     serve.add_argument("--max-queue", type=int, default=None, metavar="N",
-                       help="admission bound on queued requests; beyond it /solve "
-                            "answers 429 immediately (default: unbounded)")
-    serve.add_argument("--max-batch-size", type=int, default=32,
-                       help="requests dispatched per batched backend call")
-    serve.add_argument("--batch-wait-ms", type=float, default=2.0,
-                       help="micro-batching window in milliseconds")
+                       help="admission bound on requests waiting for the solver; "
+                            "beyond it /solve answers 429 immediately (default: "
+                            "unbounded)")
     serve.add_argument("--solver-cache-size", type=int, default=8,
                        help="prepared factorisations kept per backend (LRU)")
     serve.add_argument("--result-cache-size", type=int, default=1024,
@@ -470,8 +464,6 @@ def _cmd_serve(args) -> int:
     from repro.serving.engine import MicroBatchEngine
     from repro.serving.server import ThermalServer
 
-    if args.workers < 1:
-        raise ValueError("--workers must be >= 1")
     if args.cache_max_mb <= 0:
         raise ValueError("--cache-max-mb must be positive")
     if args.breaker_threshold < 1:
@@ -500,13 +492,7 @@ def _cmd_serve(args) -> int:
     for path in args.models:
         _load_model(session, path)
     backends = build_backends(session=session)
-    engine = MicroBatchEngine(
-        backends,
-        max_batch_size=args.max_batch_size,
-        max_wait_ms=args.batch_wait_ms,
-        workers=args.workers,
-        max_queue=args.max_queue,
-    )
+    engine = MicroBatchEngine(backends, max_queue=args.max_queue)
     server = ThermalServer(
         engine, host=args.host, port=args.port, verbose=args.verbose, session=session,
         log_json=args.log_json, sample_interval_s=args.sample_interval,
@@ -514,9 +500,11 @@ def _cmd_serve(args) -> int:
     print(f"thermal inference service listening on {server.url}", flush=True)
     print(f"  backends: {', '.join(sorted(backends))}"
           + (f" ({len(args.models)} operator model(s) loaded)" if args.models else ""))
-    print(f"  workers: {args.workers}"
-          + (f" · max queue: {args.max_queue}" if args.max_queue else "")
-          + (f" · exec: {plane.kind} ({plane.workers} workers)" if plane is not None else ""))
+    limits = ([f"max queue: {args.max_queue}"] if args.max_queue else []) + (
+        [f"exec: {plane.kind} ({plane.workers} workers)"] if plane is not None else []
+    )
+    if limits:
+        print("  " + " · ".join(limits))
     if args.fallback or faults is not None:
         print("  reliability: "
               + ("fallback on" if args.fallback else "fallback off")

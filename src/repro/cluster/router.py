@@ -51,7 +51,7 @@ from repro.cluster.hashing import rank
 from repro.cluster.membership import Membership, Replica
 from repro.cluster.proxy import ReplicaError
 from repro.data.power import error_message
-from repro.serving.request import ThermalRequest, TransientRequest
+from repro.serving.request import ThermalRequest, TransientRequest, validate_warm_up_key
 
 __all__ = ["FleetRouter"]
 
@@ -314,8 +314,14 @@ class _RouterHandler(BaseHTTPRequestHandler):
             self._send_error_json(400, "body must be {\"keys\": [...]}")
             return
         try:
+            for key in keys:
+                validate_warm_up_key(key)
+        except ValueError as error:  # a malformed key, named in the message
+            self._send_error_json(400, str(error))
+            return
+        try:
             self._send_json(200, router.warm_fleet(keys))
-        except ValueError as error:
+        except ValueError as error:  # no healthy replicas at all
             self._send_error_json(503, str(error))
 
     def _post_generate(self) -> None:
@@ -585,19 +591,18 @@ class FleetRouter:
         return response.status == 200
 
     def warm_fleet(self, keys: List[Dict[str, Any]]) -> Dict[str, Any]:
-        """``POST /warm_up``: split ``keys`` by owner, forward each slice."""
+        """``POST /warm_up``: split ``keys`` by owner, forward each slice.
+
+        Raises :class:`ValueError` for a malformed key (see
+        :func:`~repro.serving.request.validate_warm_up_key`) and when no
+        replica is healthy.
+        """
+        owners = [validate_warm_up_key(entry) for entry in keys]
         names = self.membership.healthy_names()
         if not names:
             raise ValueError("no healthy replicas in the fleet")
         slices: Dict[str, List[Dict[str, Any]]] = {}
-        for entry in keys:
-            if not isinstance(entry, dict):
-                continue
-            key = (
-                str(entry.get("chip", "")),
-                int(entry.get("resolution", 0)),
-                str(entry.get("backend", "fvm")),
-            )
+        for entry, key in zip(keys, owners):
             owner_name = rank(key, names)[0]
             slices.setdefault(owner_name, []).append(entry)
         outcome: Dict[str, Any] = {"replicas": {}, "warmed": 0}
@@ -651,9 +656,9 @@ class FleetRouter:
             for backend, summary in (stats.get("backends") or {}).items():
                 into = merged["backends"].setdefault(
                     backend,
-                    {"requests": 0, "batches": 0, "errors": 0, "latency_ms": {}},
+                    {"requests": 0, "errors": 0, "latency_ms": {}},
                 )
-                for counter in ("requests", "batches", "errors"):
+                for counter in ("requests", "errors"):
                     into[counter] += summary.get(counter, 0)
                 for quantile, value in (summary.get("latency_ms") or {}).items():
                     into["latency_ms"][quantile] = max(

@@ -27,7 +27,6 @@ from repro.obs.bus import EventBus, Subscription, publish_all
 from repro.obs.events import (
     ALERT_KINDS,
     EVENT_KINDS,
-    BatchDispatched,
     BreakerTransition,
     CacheEviction,
     QueueSaturated,
@@ -46,7 +45,6 @@ from repro.obs.trace import build_trace, new_trace_id
 __all__ = [
     "ALERT_KINDS",
     "EVENT_KINDS",
-    "BatchDispatched",
     "BreakerTransition",
     "CacheEviction",
     "EventBus",

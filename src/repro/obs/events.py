@@ -1,8 +1,8 @@
 """Typed telemetry events of the observability plane.
 
-Every notable incident in the serving stack — a request answered, a batch
-dispatched, a plane worker dying, a circuit breaker opening — is described
-by one small validated dataclass here and published onto the in-process
+Every notable incident in the serving stack — a request answered, a plane
+worker dying, a circuit breaker opening — is described by one small
+validated dataclass here and published onto the in-process
 :class:`~repro.obs.bus.EventBus`.  The wire surfaces (``GET /events``
 long-poll and SSE) serialise events with :meth:`TelemetryEvent.to_json`
 and clients rebuild them with :func:`event_from_json`, so the catalog
@@ -95,32 +95,12 @@ class RequestDone(TelemetryEvent):
     backend: str = ""
     status: str = "ok"
     latency_ms: float = 0.0
-    batch_size: int = 1
     cached: bool = False
     degraded: bool = False
 
     def __post_init__(self) -> None:
         _require_in("status", self.status, ("ok", "error", "shed"))
         _require_non_negative("latency_ms", self.latency_ms)
-
-
-@_register
-@dataclass
-class BatchDispatched(TelemetryEvent):
-    """One micro-batch was dispatched to a backend and solved."""
-
-    kind: ClassVar[str] = "batch_dispatched"
-    backend: str = ""
-    chip: str = ""
-    resolution: int = 0
-    batch_size: int = 0
-    queue_wait_ms: float = 0.0
-    solve_ms: float = 0.0
-
-    def __post_init__(self) -> None:
-        _require_non_negative("batch_size", self.batch_size)
-        _require_non_negative("queue_wait_ms", self.queue_wait_ms)
-        _require_non_negative("solve_ms", self.solve_ms)
 
 
 @_register

@@ -85,8 +85,8 @@ def render_prometheus(stats: Mapping[str, Any], uptime_s: Optional[float] = None
         "counter",
     )
     # Per-(chip, resolution, backend) breakdown of the same counter — the
-    # group granularity the engine batches on and the fleet router shards
-    # on.  The unlabelled sample above stays the all-groups total.
+    # group granularity the fleet router shards on.  The unlabelled sample
+    # above stays the all-groups total.
     for group in stats.get("groups") or ():
         labels = [
             ("chip", group.get("chip")),
@@ -126,7 +126,7 @@ def render_prometheus(stats: Mapping[str, Any], uptime_s: Optional[float] = None
         "Requests shed past their deadline.",
         "counter",
     )
-    out.add("repro_queue_depth", stats.get("queue_depth"), "Requests queued in the engine.")
+    out.add("repro_queue_depth", stats.get("queue_depth"), "Requests waiting for the engine's solver.")
     out.add(
         "repro_queue_max", stats.get("max_queue"), "Admission bound of the engine queue."
     )
@@ -134,11 +134,6 @@ def render_prometheus(stats: Mapping[str, Any], uptime_s: Optional[float] = None
         "repro_throughput_rps",
         stats.get("throughput_rps"),
         "Requests per second over the engine lifetime.",
-    )
-    out.add(
-        "repro_engine_workers",
-        stats.get("workers"),
-        "Dispatcher worker threads in the engine.",
     )
 
     _render_backends(out, stats.get("backends") or {})
@@ -166,16 +161,9 @@ def _render_backends(out: _Lines, backends: Mapping[str, Any]) -> None:
             labels,
         )
         out.add(
-            "repro_backend_batches_total",
-            summary.get("batches"),
-            "Micro-batches dispatched per backend.",
-            "counter",
-            labels,
-        )
-        out.add(
             "repro_backend_errors_total",
             summary.get("errors"),
-            "Failed dispatches per backend.",
+            "Failed requests per backend.",
             "counter",
             labels,
         )

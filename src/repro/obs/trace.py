@@ -6,12 +6,10 @@ the answer is finalised, attaches a trace dict (built by
 ``to_json`` echoes back to the client, so every HTTP response carries the
 id and the span breakdown of its own journey:
 
-``queue_wait_ms``
-    admission → picked up by a dispatcher shard,
-``dispatch_ms``
-    shard pickup → the backend call starts (batch assembly, dedup),
-``solve_ms``
-    the backend's batched solve (shared by the whole micro-batch).
+``queue_wait``
+    admission → the request holds the engine's solve lock,
+``solve``
+    the backend call that answers it.
 
 Ids are process-unique and cheap: a per-process random prefix plus a
 counter, not a uuid4 per request — admission sits on the hot path.
@@ -36,7 +34,6 @@ def new_trace_id() -> str:
 def build_trace(
     trace_id: str,
     queue_wait_s: float = 0.0,
-    dispatch_s: float = 0.0,
     solve_s: float = 0.0,
 ) -> Dict[str, Any]:
     """The trace dict stored in provenance and echoed in responses.
@@ -49,7 +46,6 @@ def build_trace(
         "trace_id": trace_id,
         "spans_ms": {
             "queue_wait": round(max(queue_wait_s, 0.0) * 1e3, 6),
-            "dispatch": round(max(dispatch_s, 0.0) * 1e3, 6),
             "solve": round(max(solve_s, 0.0) * 1e3, 6),
         },
     }

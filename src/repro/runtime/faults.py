@@ -25,7 +25,7 @@ Worker directives are shipped picklable to the spawned workers (each worker
 counts its own tasks, so the plan is deterministic under key-affinity
 routing); backend directives are evaluated in the parent session under a
 lock, so "the first n solves" is well-defined even with concurrent
-dispatcher shards.
+callers.
 """
 
 from __future__ import annotations
@@ -212,7 +212,7 @@ class FaultPlan:
         Sleeps and/or raises :class:`InjectedFault` according to the plan;
         counts every call so :meth:`stats` reflects what actually fired.
         Thread-safe: the call counter is advanced under a lock so "the
-        first n solves" is deterministic under concurrent dispatchers.
+        first n solves" is deterministic under concurrent callers.
         """
         state = self._backend_state.get(backend)
         if state is None:

@@ -1,7 +1,7 @@
 """Execution planes: who runs the solve, and on which core.
 
 Every compute layer of the reproduction — dataset generation, the session's
-``solve_batch``, the serving engine's micro-batch dispatch — ultimately asks
+``solve_batch``, the serving engine's per-request solve — ultimately asks
 the same question: *run this batched solver call against warm per-key state
 (prepared geometry + block basis or factorisation) somewhere*.  Historically the
 answer was always "inline, on the calling thread", which caps every layer at

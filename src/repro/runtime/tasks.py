@@ -15,9 +15,9 @@ Two families of warm state exist:
   round-robin across workers, each of which builds its own basis once.
 * **Backend state** (:func:`build_backend_adapter`) — a prepared
   :class:`repro.api` backend adapter for one ``(chip, resolution, backend)``.
-  :func:`solve_cases` answers a micro-batch of power assignments with it and
+  :func:`solve_cases` answers a batch of power assignments with it and
   returns :class:`~repro.api.solution.ThermalSolution` objects; the session's
-  ``solve_batch`` and (through it) the serving engine dispatch their grouped
+  ``solve_batch`` and (through it) the serving engine run their plane
   solves this way.
 
 State *specs* carry the pickled :class:`~repro.chip.ChipStack` itself (not
@@ -164,7 +164,7 @@ def build_backend_adapter(spec: BackendSpec) -> Any:
 
 
 def solve_cases(adapter: Any, payload: Dict[str, Any]) -> List[Any]:
-    """Answer one homogeneous micro-batch with a warm backend adapter.
+    """Answer one homogeneous batch with a warm backend adapter.
 
     ``payload`` carries ``assignments`` plus the detail flags; the result is
     the list of :class:`~repro.api.solution.ThermalSolution` answers, in

@@ -1,4 +1,4 @@
-"""Thermal inference serving: micro-batched online answers to power-map queries.
+"""Thermal inference serving: online answers to power-map queries.
 
 The subsystem turns the repository's solvers and trained operator surrogates
 into a long-running service:
@@ -6,18 +6,17 @@ into a long-running service:
 * :mod:`repro.serving.request` — validated request/response model.
 * :mod:`repro.serving.backends` — exact (FVM, pooled LRU factorisations),
   learned (operator surrogate) and compact (HotSpot) execution backends.
-* :mod:`repro.serving.engine` — the micro-batching engine: N sharded worker
-  threads group concurrent requests by ``(chip, resolution, backend)``,
-  answer each group with one batched solve, order dispatch by backend
-  priority and reject work beyond a bounded queue depth
-  (:class:`QueueFullError` → HTTP 429).
+* :mod:`repro.serving.engine` — the request engine: answers each request on
+  its caller's thread under one solve lock and rejects work beyond a
+  bounded number of waiters (:class:`QueueFullError` → HTTP 429).
 * :mod:`repro.serving.server` — the stdlib HTTP JSON API
   (``repro-thermal serve``): ``/solve``, ``/solve_transient``, ``/chips``,
   ``/models``, ``/healthz``, ``/stats``.
 
 Reliability: requests may carry a ``deadline_ms`` latency budget — work that
-expires while queued is shed (504) instead of solved; a stopping engine
-fails pending futures with :class:`EngineStopped` (503); backend failures
+expires while waiting for the solver is shed (504) instead of solved; a
+stopped engine refuses new and waiting requests with :class:`EngineStopped`
+(503); backend failures
 trip per-backend circuit breakers in the session, which (with fallback
 enabled) answers from the next backend in the chain, provenance-stamped
 ``degraded``.  ``repro-thermal serve --chaos`` injects worker kills, dropped

@@ -4,11 +4,12 @@ Since the :mod:`repro.api` facade exists, this module no longer constructs
 solvers, pools factorisations or loads models itself — all of that is
 cross-cutting state owned by one :class:`~repro.api.session.ThermalSession`
 shared by every backend of a deployment.  What remains here is the serving
-shape of the problem: take a micro-batch of validated
-:class:`~repro.serving.request.ThermalRequest`\\ s that share a group key,
-route it through the session (which consults its result cache and answers
-the misses with one batched engine call), and stamp the request ids onto the
-returned :class:`~repro.api.solution.ThermalSolution`\\ s.
+shape of the problem: take validated
+:class:`~repro.serving.request.ThermalRequest`\\ s that share a group key (the
+serving engine sends one at a time), route them through the session (which
+consults its result cache and answers the misses with one batched call),
+and stamp the request ids onto the returned
+:class:`~repro.api.solution.ThermalSolution`\\ s.
 
 Four backends answer the same power-map question at different cost/accuracy
 points: exact (``fvm``), learned (``operator``), compact (``hotspot``) and
@@ -35,7 +36,7 @@ class Backend:
     name: str = "base"
 
     def solve_batch(self, requests: Sequence[ThermalRequest]) -> List[ThermalResult]:
-        """Answer a micro-batch of requests sharing one group key, in order."""
+        """Answer requests sharing one group key, in order."""
         raise NotImplementedError
 
     def stats(self) -> Dict[str, Any]:
@@ -68,10 +69,10 @@ class SessionBackend(Backend):
         return self.session.pool(self.name)
 
     def solve_batch(self, requests: Sequence[ThermalRequest]) -> List[ThermalResult]:
-        """Answer one homogeneous micro-batch through the shared session."""
-        # Micro-batches are homogeneous in detail level — include_maps is
-        # part of ThermalRequest.group_key — so one session call answers the
-        # whole group and every answer caches under the right detail key.
+        """Answer requests sharing one group key through the shared session."""
+        # The requests share a group key, which includes include_maps, so one
+        # session call answers them all and every answer caches under the
+        # right detail key.
         first = requests[0]
         # The batch deadline is the loosest member deadline: one member with
         # no deadline means the batch as a whole must be allowed to finish.
@@ -129,7 +130,7 @@ class TransientBackend(SessionBackend):
 
 
 class OperatorBackend(SessionBackend):
-    """Learned-surrogate answers: one vectorised forward pass per batch."""
+    """Learned-surrogate answers from the registered operator model."""
 
     name = "operator"
 

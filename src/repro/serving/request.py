@@ -6,12 +6,11 @@ which backend.  A :class:`TransientRequest` is its time-integrating sibling:
 a (possibly piecewise-constant) power schedule integrated over a duration,
 answered with the full quasi-steady trace.  Validation happens at
 construction time (through the ``create`` / ``from_payload`` classmethods)
-so by the time a request reaches the micro-batching engine or the transient
-endpoint it is guaranteed solvable — the engine only groups and dispatches.
+so by the time a request reaches the serving engine or the transient
+endpoint it is guaranteed solvable — the engine only admits and solves.
 
-Requests carrying the same :attr:`ThermalRequest.group_key` are answered by
-one batched backend call (stacked right-hand sides for the FVM backend, one
-vectorised forward pass for the operator backend).
+The fleet router places requests by :attr:`ThermalRequest.group_key`, so
+each replica's solver pools see a stable slice of the key space.
 """
 
 from __future__ import annotations
@@ -94,6 +93,25 @@ def validate_resolution(resolution: Any) -> int:
     return resolution
 
 
+def validate_warm_up_key(key: Any) -> Tuple[str, int, str]:
+    """The ``(chip, resolution, backend)`` group key of one ``/warm_up`` entry.
+
+    Raises :class:`ValueError` naming the entry when it is not an object or
+    its resolution fails the bound ``/solve`` enforces; a missing resolution
+    means the ``/solve`` default of 32.
+    """
+    if not isinstance(key, Mapping):
+        raise ValueError(
+            f"warm-up key {key!r} must be an object with 'chip', "
+            "'resolution' and 'backend'"
+        )
+    try:
+        resolution = validate_resolution(key.get("resolution", 32))
+    except ValueError as error:
+        raise ValueError(f"warm-up key {key!r}: {error}") from None
+    return str(key.get("chip", "")), resolution, str(key.get("backend", "fvm"))
+
+
 def _validate_deadline_ms(deadline_ms: Any) -> Optional[float]:
     """Turn a relative ``deadline_ms`` budget into an absolute deadline.
 
@@ -152,12 +170,14 @@ class ThermalRequest:
 
     @property
     def group_key(self) -> Tuple[str, int, str, bool]:
-        """Micro-batching key: requests sharing it are solved together.
+        """Group key ``(chip, resolution, backend, include_maps)``.
 
-        ``include_maps`` is part of the key so every micro-batch is
+        The fleet router places a request by its first three fields;
+        ``include_maps`` keeps a batch handed to
+        :meth:`~repro.serving.backends.SessionBackend.solve_batch`
         homogeneous in detail level — the session result cache keys answers
-        by detail, and a mixed batch would cache half the group under the
-        wrong key.
+        by detail, and a mixed batch would cache half of it under the wrong
+        key.
         """
         return (self.chip, self.resolution, self.backend, self.include_maps)
 
@@ -414,6 +434,10 @@ class TransientRequest:
                 if "t_s" not in entry:
                     raise ValueError(f"schedule step {position} needs a numeric 't_s'")
                 t_s = _json_float(entry["t_s"], f"schedule step {position} 't_s'")
+                if not math.isfinite(t_s):
+                    raise ValueError(
+                        f"schedule step {position} 't_s' must be finite, got {t_s!r}"
+                    )
                 if position == 0 and t_s != 0.0:
                     raise ValueError("the first schedule step must start at t_s=0")
                 if previous_t is not None and t_s <= previous_t:

@@ -1,4 +1,4 @@
-"""Stdlib HTTP JSON API in front of the micro-batching engine.
+"""Stdlib HTTP JSON API in front of the serving engine.
 
 Endpoints
 ---------
@@ -38,7 +38,7 @@ Endpoints
 * ``GET /models`` — operator surrogates loaded into the model registry.
 * ``GET /healthz`` — liveness probe (uptime, sampler liveness, last alert).
 * ``GET /stats`` — engine/backend counters (throughput, latency
-  percentiles, worker queue depths, admission rejections, solver-pool and
+  percentiles, queue depth, admission rejections, solver-pool and
   result-cache hit/eviction rates).
 * ``GET /events`` — the telemetry event stream.  Default is a long-poll:
   ``?since=<cursor>&timeout_s=<s>`` answers ``{"events": [...], "cursor":
@@ -50,11 +50,12 @@ Endpoints
 * ``GET /metrics/history`` — the sampler's rolled-up ring-buffer time
   series (``?window_s=`` bounds the rollup window).
 
-The server is a :class:`http.server.ThreadingHTTPServer`: each client
-connection blocks in its own thread on the engine future, which is exactly
-what lets concurrent requests coalesce into micro-batches.  When the
-engine's admission control rejects a request the client gets a fast ``429``
-with a ``Retry-After`` hint instead of queueing without bound.
+The server is a :class:`http.server.ThreadingHTTPServer`: each ``/solve`` is
+answered on the handler thread that parsed it, through
+:meth:`~repro.serving.engine.MicroBatchEngine.solve`, which lets one backend
+call run at a time.  When the engine's admission control rejects a request
+the client gets a fast ``429`` with a ``Retry-After`` hint instead of
+queueing without bound.
 
 With ``log_json=True`` (``serve --log-json``) every answered request emits
 one JSON line to stderr — method, path, status, latency, trace id, backend,
@@ -69,7 +70,6 @@ import sys
 import threading
 import time
 import urllib.parse
-from concurrent.futures import TimeoutError as FutureTimeoutError
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Dict, List, Optional
 
@@ -83,12 +83,12 @@ from repro.obs.telemetry import Telemetry
 from repro.runtime.plane import DeadlineExceeded
 from repro.serving.backends import OperatorBackend
 from repro.serving.engine import EngineStopped, MicroBatchEngine, QueueFullError
-from repro.serving.request import ThermalRequest, TransientRequest, validate_resolution
+from repro.serving.request import ThermalRequest, TransientRequest, validate_warm_up_key
 
 #: Largest accepted ``/solve`` body; far above any legitimate power map.
 MAX_BODY_BYTES = 1 << 20
 
-#: How long one ``/solve`` may wait on the engine before answering 504.
+#: How long one ``/solve`` may wait for the engine's solver before answering 504.
 SOLVE_TIMEOUT_S = 120.0
 
 #: ``Retry-After`` seconds suggested on 429 admission rejections.
@@ -118,14 +118,13 @@ def _error_frame_payload(error: BaseException) -> Dict[str, Any]:
     sees the same taxonomy it would have gotten as an HTTP status —
     ``status`` carries the code the blocking path would have answered,
     ``shed`` flags deadline-driven load shedding.  DeadlineExceeded must be
-    matched before FutureTimeoutError (it subclasses TimeoutError, which
-    *is* concurrent.futures.TimeoutError on modern Pythons).
+    matched before TimeoutError, which it subclasses.
     """
     if isinstance(error, QueueFullError):
         return {"error": str(error), "status": 429, "shed": False}
     if isinstance(error, DeadlineExceeded):
         return {"error": str(error), "status": 504, "shed": True}
-    if isinstance(error, FutureTimeoutError):
+    if isinstance(error, TimeoutError):
         return {
             "error": "solve timed out; the service is overloaded",
             "status": 504,
@@ -414,14 +413,13 @@ class _Handler(BaseHTTPRequestHandler):
         except QueueFullError as error:
             self._send_error_json(429, str(error))
             return
-        # DeadlineExceeded subclasses TimeoutError, which *is*
-        # concurrent.futures.TimeoutError on modern Pythons — it must be
-        # matched first or the shed would masquerade as an engine timeout.
+        # DeadlineExceeded subclasses TimeoutError — it must be matched first
+        # or the shed would masquerade as an engine timeout.
         except DeadlineExceeded as error:
             self._access_extra["shed"] = True
             self._send_error_json(504, str(error))
             return
-        except FutureTimeoutError:
+        except TimeoutError:
             self._send_error_json(504, "solve timed out; the service is overloaded")
             return
         except EngineStopped as error:
@@ -699,10 +697,9 @@ class ThermalServer:
     def solve_transient(self, request: "TransientRequest"):
         """Integrate one validated transient request through the session.
 
-        Runs in the calling (HTTP handler) thread: a trace integration is
-        hundreds of back-substitutions, so it is not micro-batched; the
-        pooled transient adapter serialises concurrent traces per
-        ``(chip, resolution)`` internally.  At most
+        Runs in the calling (HTTP handler) thread, outside the engine's
+        solve lock; the pooled transient adapter serialises concurrent
+        traces per ``(chip, resolution)`` internally.  At most
         :data:`TRANSIENT_MAX_PENDING` requests are admitted at once —
         beyond that the caller gets :class:`QueueFullError` (HTTP 429)
         instead of an unbounded pile-up of handler threads.
@@ -821,23 +818,14 @@ class ThermalServer:
     def warm_up(self, keys: List[Any]) -> Dict[str, Any]:
         """``POST /warm_up``: build solver state for group keys through the session.
 
-        Each key must be an object whose resolution passes the bound
-        ``/solve`` enforces; the first bad key raises :class:`ValueError`
-        naming it (HTTP 400) before anything is built.  Delegates to
+        Each key must pass :func:`~repro.serving.request.validate_warm_up_key`;
+        the first bad key raises :class:`ValueError` naming it (HTTP 400)
+        before anything is built.  Delegates to
         :meth:`ThermalSession.warm_up` with a bounded timeout so one
         poisoned key cannot park a handler thread forever.
         """
         for key in keys:
-            if not isinstance(key, dict):
-                raise ValueError(
-                    f"warm-up key {key!r} must be an object with 'chip', "
-                    "'resolution' and 'backend'"
-                )
-            if "resolution" in key:
-                try:
-                    validate_resolution(key["resolution"])
-                except ValueError as error:
-                    raise ValueError(f"warm-up key {key!r}: {error}") from None
+            validate_warm_up_key(key)
         return self.session.warm_up(keys, timeout=SOLVE_TIMEOUT_S)
 
     def generate_shard(self, payload: Dict[str, Any]) -> bytes:
@@ -1000,7 +988,7 @@ class ThermalServer:
 
     # ------------------------------------------------------------------
     def serve_forever(self) -> None:
-        """Run the engine and HTTP loop in the calling thread (CLI path)."""
+        """Open the engine and run the HTTP loop in this thread (CLI path)."""
         self.engine.start()
         self.telemetry.start(self._telemetry_sample)
         try:

@@ -165,6 +165,12 @@ class TestSessionSolve:
         with pytest.raises(ValueError, match="not both"):
             session.solve("chip1", {"core_layer/Core": 5.0}, total_power_W=10.0)
 
+    def test_total_power_past_the_float_range_is_a_value_error(self, session):
+        # float(10**400) raises OverflowError; the number must be rejected
+        # as bad input like any other non-finite total.
+        with pytest.raises(ValueError, match="finite"):
+            session.solve("chip1", 10**400, resolution=RES)
+
     def test_include_values_requires_a_field_backend(self, session):
         with pytest.raises(ValueError, match="cannot produce a 3-D field"):
             session.solve("chip1", total_power_W=10.0, resolution=RES,
@@ -239,10 +245,10 @@ class TestResultCache:
     def test_mutating_a_returned_solution_does_not_poison_the_cache(self, session):
         first = session.solve("chip1", total_power_W=30.0, resolution=RES)
         first.latency_seconds = 99.0
-        first.batch_size = 7
+        first.request_id = "stolen"
         second = session.solve("chip1", total_power_W=30.0, resolution=RES)
         assert second.latency_seconds == 0.0
-        assert second.batch_size == 1
+        assert second.request_id == ""
 
 
 class TestBackendsAndPools:

@@ -1,12 +1,9 @@
-"""Session warm-up API and the adaptive batch-split heuristic."""
+"""Session warm-up API and the plane batch-split rule."""
 
 import numpy as np
 import pytest
 
-from repro.api.session import (
-    ADAPTIVE_SPLIT_MIN_SECONDS,
-    ThermalSession,
-)
+from repro.api.session import ThermalSession
 from repro.runtime.plane import create_plane
 from repro.runtime.tasks import BackendSpec, backend_state_key
 
@@ -86,17 +83,11 @@ class TestPlaneWarmUp:
 
 
 class TestAdaptiveSplit:
+    """A plane batch splits across workers once it holds two cases per worker."""
+
     def _session(self, workers=2):
         plane = create_plane("threads", workers=workers)
         return ThermalSession(plane=plane), plane
-
-    def _key(self, session, chip="chip1"):
-        return backend_state_key(BackendSpec(
-            chip=session.get_chip(chip),
-            resolution=RES,
-            backend="fvm",
-            cells_per_layer=session.cells_per_layer,
-        ))
 
     def test_small_cold_batch_does_not_split(self):
         session, plane = self._session()
@@ -104,9 +95,7 @@ class TestAdaptiveSplit:
             session.solve_batch("chip1", [20.0, 25.0], resolution=RES,
                                 use_cache=False)
             dispatch = session.stats()["dispatch"]
-            assert dispatch["plane_batches"] == 1
-            assert dispatch["split_batches"] == 0
-            assert dispatch["adaptive_splits"] == 0
+            assert dispatch == {"plane_batches": 1, "split_batches": 0}
         finally:
             plane.close()
 
@@ -115,66 +104,25 @@ class TestAdaptiveSplit:
         try:
             session.solve_batch("chip1", [20.0 + i for i in range(4)],
                                 resolution=RES, use_cache=False)
-            dispatch = session.stats()["dispatch"]
-            assert dispatch["split_batches"] == 1
-            assert dispatch["adaptive_splits"] == 0  # static, not adaptive
-        finally:
-            plane.close()
-
-    def test_slow_key_splits_adaptively_below_the_static_floor(self):
-        session, plane = self._session()
-        try:
-            # A live EWMA says this key costs 1 s/case: a 2-case batch is
-            # far over ADAPTIVE_SPLIT_MIN_SECONDS, so it splits even though
-            # the static rule (>= 2x workers = 4) would not.
-            session._latency_ewma[self._key(session)] = 1.0
-            session.solve_batch("chip1", [20.0, 25.0], resolution=RES,
-                                use_cache=False)
-            dispatch = session.stats()["dispatch"]
-            assert dispatch["split_batches"] == 1
-            assert dispatch["adaptive_splits"] == 1
-        finally:
-            plane.close()
-
-    def test_fast_key_stays_whole_below_the_static_floor(self):
-        session, plane = self._session()
-        try:
-            # 1 µs/case: 2 cases cost far under the split threshold.
-            session._latency_ewma[self._key(session)] = 1e-6
-            session.solve_batch("chip1", [20.0, 25.0], resolution=RES,
-                                use_cache=False)
-            assert session.stats()["dispatch"]["adaptive_splits"] == 0
-        finally:
-            plane.close()
-
-    def test_ewma_learns_from_observed_batches(self):
-        session, plane = self._session()
-        try:
-            assert session.stats()["dispatch"]["latency_ewma_keys"] == 0
-            session.solve_batch("chip1", [20.0, 25.0], resolution=RES,
-                                use_cache=False)
-            assert session.stats()["dispatch"]["latency_ewma_keys"] == 1
-            assert session._latency_ewma[self._key(session)] > 0
+            assert session.stats()["dispatch"]["split_batches"] == 1
         finally:
             plane.close()
 
     def test_adaptive_split_answers_are_bitwise_identical(self):
-        powers = [18.0 + i for i in range(3)]
+        """Chunked answers equal whole-batch ones (the split is by the static
+        rule: a batch of at least two cases per plane worker)."""
+        powers = [18.0 + i for i in range(4)]
         serial = ThermalSession()
         baseline = serial.solve_batch("chip1", powers, resolution=RES,
                                       include_maps=True, use_cache=False)
         session, plane = self._session()
         try:
-            session._latency_ewma[self._key(session)] = 1.0  # force the split
             split = session.solve_batch("chip1", powers, resolution=RES,
                                         include_maps=True, use_cache=False)
-            assert session.stats()["dispatch"]["adaptive_splits"] == 1
+            assert session.stats()["dispatch"]["split_batches"] == 1
             for a, b in zip(baseline, split):
                 assert a.max_K == b.max_K
                 for name, layer in (a.layer_maps or {}).items():
                     np.testing.assert_array_equal(layer, b.layer_maps[name])
         finally:
             plane.close()
-
-    def test_threshold_constant_is_sane(self):
-        assert 0 < ADAPTIVE_SPLIT_MIN_SECONDS < 1

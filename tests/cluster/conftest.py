@@ -74,7 +74,7 @@ class StubReplica:
         self.stats_body = {
             "total_requests": 1, "rejected_requests": 0, "shed_requests": 0,
             "throughput_rps": 1.0, "queue_depth": 0,
-            "backends": {"fvm": {"requests": 1, "batches": 1, "errors": 0,
+            "backends": {"fvm": {"requests": 1, "errors": 0,
                                  "latency_ms": {"p50": 5.0}}},
         }
         self.metrics_text = (

@@ -39,7 +39,7 @@ def _post(url, body, timeout=60):
 
 def _boot_replica(port=0):
     session = ThermalSession()
-    engine = MicroBatchEngine(build_backends(session=session), max_wait_ms=1.0)
+    engine = MicroBatchEngine(build_backends(session=session))
     server = ThermalServer(engine, port=port, session=session)
     return server.start_background()
 

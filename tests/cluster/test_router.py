@@ -179,6 +179,32 @@ class TestWarmUp:
             urllib.request.urlopen(request, timeout=30)
         assert excinfo.value.code == 400
 
+    @pytest.mark.parametrize(
+        "raw_key, named",
+        [
+            (b'{"chip": "chip1", "resolution": "abc", "backend": "fvm"}', "'abc'"),
+            # JSON parses 1e400 as infinity, which int() cannot convert.
+            (b'{"chip": "chip1", "resolution": 1e400, "backend": "fvm"}', "inf"),
+            (b'"chip1/16/fvm"', "'chip1/16/fvm'"),
+        ],
+        ids=["string-resolution", "overflowing-resolution", "non-object-key"],
+    )
+    def test_malformed_key_is_400_and_contacts_no_replica(
+        self, router, stub_replicas, raw_key, named
+    ):
+        valid = b'{"chip": "chip1", "resolution": 16, "backend": "fvm"}'
+        request = urllib.request.Request(
+            router.url + "/warm_up", method="POST",
+            data=b'{"keys": [' + valid + b", " + raw_key + b"]}",
+            headers={"Content-Type": "application/json"},
+        )
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            urllib.request.urlopen(request, timeout=30)
+        assert excinfo.value.code == 400
+        error = json.loads(excinfo.value.read())["error"]
+        assert "warm-up key" in error and named in error
+        assert all(stub.post_count("/warm_up") == 0 for stub in stub_replicas)
+
     def test_rejoin_replays_the_seen_slice(self, router, stub_replicas):
         # Make the router see keys, then drain + recover each stub's owner.
         for resolution in (16, 24, 32, 40, 48):

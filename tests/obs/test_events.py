@@ -7,7 +7,6 @@ import pytest
 from repro.obs.events import (
     ALERT_KINDS,
     EVENT_KINDS,
-    BatchDispatched,
     BreakerTransition,
     CacheEviction,
     QueueSaturated,
@@ -24,7 +23,6 @@ class TestCatalog:
     def test_registry_covers_every_subclass(self):
         expected = {
             "request_done": RequestDone,
-            "batch_dispatched": BatchDispatched,
             "worker_dead": WorkerDead,
             "worker_retry": WorkerRetry,
             "breaker_transition": BreakerTransition,
@@ -68,7 +66,7 @@ class TestWireFormat:
     def test_to_json_carries_kind_and_every_field(self):
         event = RequestDone(
             request_id="r1", trace_id="t-1", chip="chip1", resolution=16,
-            backend="fvm", status="ok", latency_ms=12.5, batch_size=3,
+            backend="fvm", status="ok", latency_ms=12.5,
         )
         body = event.to_json()
         assert body["kind"] == "request_done"

@@ -19,11 +19,10 @@ FULL_STATS = {
     "queue_depth": 2,
     "max_queue": 64,
     "throughput_rps": 8.5,
-    "workers": 2,
     "uptime_seconds": 12.5,
     "backends": {
         "fvm": {
-            "requests": 40, "batches": 12, "errors": 1,
+            "requests": 40, "errors": 1,
             "samples_dropped": 5,
             "latency_ms": {"p50": 3.0, "p95": 9.0, "p99": 15.0},
         },
@@ -90,6 +89,8 @@ class TestExposition:
         assert "repro_plane_workers_alive 3" in text
         assert 'repro_events_by_kind_total{kind="request_done"} 100' in text
         assert "repro_transient_requests_total 9" in text
+        assert "repro_engine_workers" not in text
+        assert "repro_backend_batches_total" not in text
 
     def test_group_labels(self):
         text = render_prometheus(FULL_STATS)
@@ -129,10 +130,10 @@ class TestTrace:
         assert int(counter_b) == int(counter_a) + 1
 
     def test_build_trace_converts_spans_to_ms(self):
-        trace = build_trace("t-1", queue_wait_s=0.002, dispatch_s=0.0005, solve_s=0.25)
+        trace = build_trace("t-1", queue_wait_s=0.002, solve_s=0.25)
         assert trace["trace_id"] == "t-1"
-        assert trace["spans_ms"] == {"queue_wait": 2.0, "dispatch": 0.5, "solve": 250.0}
+        assert trace["spans_ms"] == {"queue_wait": 2.0, "solve": 250.0}
 
     def test_build_trace_clamps_negative_clock_skew(self):
-        trace = build_trace("t-2", queue_wait_s=-0.001, dispatch_s=0.0, solve_s=0.0)
+        trace = build_trace("t-2", queue_wait_s=-0.001, solve_s=0.0)
         assert trace["spans_ms"]["queue_wait"] == 0.0

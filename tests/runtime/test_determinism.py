@@ -61,15 +61,13 @@ class TestBitwiseDeterminism:
 
     def test_serving_answers_match_serial_engine(self, process_plane):
         def answers(session):
-            engine = MicroBatchEngine(
-                build_backends(session=session), workers=2, max_wait_ms=1.0
-            )
+            engine = MicroBatchEngine(build_backends(session=session))
             with engine:
                 requests = [
                     ThermalRequest.create(chip, total_power_W=40.0 + index, resolution=RES)
                     for index, chip in enumerate(("chip1", "chip2", "chip1", "chip2"))
                 ]
-                return engine.solve_many(requests, timeout=300)
+                return [engine.solve(request, timeout=300) for request in requests]
 
         serial_answers = answers(ThermalSession())
         planar_answers = answers(ThermalSession(plane=process_plane))

@@ -1,9 +1,15 @@
-"""Tests for the micro-batching engine, backends and solver pool."""
+"""Tests for the request engine, backends and solver pool."""
+
+import sys
+import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
 from repro.chip.designs import get_chip
 from repro.serving.backends import (
+    Backend,
     FVMBackend,
     HotSpotBackend,
     LRUPool,
@@ -84,67 +90,82 @@ class TestThermalRequest:
             ThermalRequest.from_payload({"total_power": 10})
 
 
+class _CountingBackend(Backend):
+    """Answers after a short sleep and records how many of its calls overlap."""
+
+    name = "fvm"
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self.in_flight = 0
+        self.max_in_flight = 0
+
+    def solve_batch(self, requests):
+        with self._lock:
+            self.in_flight += 1
+            self.max_in_flight = max(self.max_in_flight, self.in_flight)
+        time.sleep(0.005)  # long enough for the other callers to pile up
+        with self._lock:
+            self.in_flight -= 1
+        return [
+            ThermalResult(
+                request_id=r.request_id, chip=r.chip, resolution=r.resolution,
+                backend=self.name, max_K=350.0, min_K=300.0, mean_K=320.0,
+                total_power_W=r.total_power_W,
+            )
+            for r in requests
+        ]
+
+
+class _GatedBackend(Backend):
+    """Blocks inside solve_batch until released."""
+
+    name = "fvm"
+
+    def __init__(self):
+        self.entered = threading.Event()
+        self.release = threading.Event()
+
+    def solve_batch(self, requests):
+        self.entered.set()
+        assert self.release.wait(timeout=60), "test forgot to release the gate"
+        return [
+            ThermalResult(
+                request_id=r.request_id, chip=r.chip, resolution=r.resolution,
+                backend=self.name, max_K=350.0, min_K=300.0, mean_K=320.0,
+                total_power_W=r.total_power_W,
+            )
+            for r in requests
+        ]
+
+
 class TestMicroBatching:
     def test_batched_group_equals_single_shot_solves(self):
-        """The acceptance bar: micro-batched fvm answers == FVMSolver.solve."""
+        """The acceptance bar: served fvm answers == FVMSolver.solve."""
         requests = _requests("chip1", 6) + _requests("chip2", 3)
-        engine = MicroBatchEngine(build_backends(), max_batch_size=16, max_wait_ms=5.0)
+        engine = MicroBatchEngine(build_backends())
         with engine:
-            results = engine.solve_many(requests)
+            results = [engine.solve(request) for request in requests]
         for request, result in zip(requests, results):
             reference = FVMSolver(get_chip(request.chip), nx=RES).solve(request.assignment)
             assert abs(result.max_K - reference.max_K) <= 1e-9
             assert abs(result.mean_K - reference.mean_K) <= 1e-9
 
-    def test_same_key_requests_share_one_dispatch(self):
-        engine = MicroBatchEngine(build_backends(), max_batch_size=16)
-        futures = [engine.submit(r) for r in _requests("chip1", 6)]
-        engine.start()  # queued before start => exactly one group dispatch
-        results = [f.result(timeout=60) for f in futures]
-        engine.stop()
-        assert all(result.batch_size == 6 for result in results)
-        stats = engine.stats()["backends"]["fvm"]
-        assert stats["requests"] == 6
-        assert stats["batches"] == 1
-        assert stats["mean_batch_size"] == 6.0
-
-    def test_mixed_keys_split_into_groups(self):
-        engine = MicroBatchEngine(build_backends(), max_batch_size=16)
-        requests = _requests("chip1", 4) + _requests("chip2", 2) + _requests(
-            "chip1", 2, backend="hotspot"
-        )
-        futures = [engine.submit(r) for r in requests]
-        engine.start()
-        results = [f.result(timeout=60) for f in futures]
-        engine.stop()
-        assert [r.batch_size for r in results] == [4, 4, 4, 4, 2, 2, 2, 2]
-        assert {r.backend for r in results[:6]} == {"fvm"}
-        assert {r.backend for r in results[6:]} == {"hotspot"}
-
-    def test_max_batch_size_bounds_groups(self):
-        engine = MicroBatchEngine(build_backends(), max_batch_size=4)
-        futures = [engine.submit(r) for r in _requests("chip1", 10)]
-        engine.start()
-        results = [f.result(timeout=60) for f in futures]
-        engine.stop()
-        assert max(r.batch_size for r in results) <= 4
-        assert engine.stats()["backends"]["fvm"]["batches"] >= 3
-
     def test_submit_unknown_backend_raises(self):
         engine = MicroBatchEngine({"fvm": FVMBackend()})
         request = ThermalRequest.create("chip1", total_power_W=10, backend="hotspot")
         with pytest.raises(KeyError, match="not enabled"):
-            engine.submit(request)
+            engine.solve(request)
 
     def test_backend_errors_propagate_to_futures(self):
+        """A backend failure reaches the caller and is counted."""
         engine = MicroBatchEngine(build_backends())  # no operator models loaded
         request = ThermalRequest.create(
             "chip1", total_power_W=10, resolution=RES, backend="operator"
         )
         with engine:
-            future = engine.submit(request)
             with pytest.raises(KeyError, match="no operator model registered"):
-                future.result(timeout=60)
+                engine.solve(request)
         assert engine.stats()["backends"]["operator"]["errors"] == 1
 
     def test_submit_after_stop_raises_instead_of_hanging(self):
@@ -152,17 +173,61 @@ class TestMicroBatching:
         engine.start()
         engine.stop()
         with pytest.raises(RuntimeError, match="stopped"):
-            engine.submit(_requests("chip1", 1)[0])
+            engine.solve(_requests("chip1", 1)[0])
 
     def test_stats_shape(self):
-        engine = MicroBatchEngine(build_backends(), max_wait_ms=0.5)
+        engine = MicroBatchEngine(build_backends())
         with engine:
             engine.solve(ThermalRequest.create("chip1", total_power_W=20, resolution=RES))
         stats = engine.stats()
+        assert set(stats) == {
+            "running", "uptime_seconds", "queue_depth", "max_queue",
+            "rejected_requests", "shed_requests", "total_requests",
+            "throughput_rps", "backends", "groups",
+        }
         assert stats["total_requests"] == 1
         fvm = stats["backends"]["fvm"]
+        assert {"requests", "errors", "shed", "samples_dropped"} <= set(fvm)
         assert fvm["latency_ms"]["p95"] >= fvm["latency_ms"]["p50"] > 0
         assert fvm["solver_pool"]["misses"] == 1
+
+
+class TestSolveLock:
+    def test_one_backend_call_in_flight_at_a_time(self):
+        backend = _CountingBackend()
+        engine = MicroBatchEngine({"fvm": backend})
+        requests = _requests("chip1", 8)
+        switch_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # interleave the callers as finely as possible
+        try:
+            with engine, ThreadPoolExecutor(max_workers=8) as pool:
+                results = list(pool.map(lambda r: engine.solve(r, timeout=60), requests))
+        finally:
+            sys.setswitchinterval(switch_interval)
+        assert backend.max_in_flight == 1
+        assert [r.request_id for r in results] == [r.request_id for r in requests]
+        stats = engine.stats()
+        assert stats["total_requests"] == 8 and stats["queue_depth"] == 0
+
+    def test_lock_wait_past_the_timeout_raises_timeout_error(self):
+        gated = _GatedBackend()
+        engine = MicroBatchEngine({"fvm": gated})
+        first, second = _requests("chip1", 2)
+        with engine, ThreadPoolExecutor(max_workers=1) as pool:
+            holder = pool.submit(engine.solve, first, 60)
+            assert gated.entered.wait(timeout=60)
+            with pytest.raises(TimeoutError, match="waited"):
+                engine.solve(second, timeout=0.05)
+            assert engine.stats()["queue_depth"] == 0  # the timed-out waiter left
+            gated.release.set()
+            assert holder.result(timeout=60).request_id == first.request_id
+
+    def test_engine_starts_no_thread(self):
+        engine = MicroBatchEngine(build_backends())
+        before = threading.active_count()
+        with engine:
+            engine.solve(_requests("chip1", 1)[0])
+            assert threading.active_count() == before
 
 
 class TestLRUPool:

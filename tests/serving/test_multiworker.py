@@ -1,4 +1,4 @@
-"""Multi-worker dispatch and the HTTP transient endpoint."""
+"""Concurrent callers of the engine and the HTTP transient endpoint."""
 
 import json
 import urllib.error
@@ -43,52 +43,32 @@ def _post(url, body):
 
 
 class TestMultiWorkerDispatch:
+    """Concurrent callers answered on their own threads under one solve lock."""
+
     def test_all_requests_answered_across_shards(self):
         session = ThermalSession()
-        engine = MicroBatchEngine(
-            build_backends(session=session), workers=3, max_wait_ms=1.0
-        )
+        engine = MicroBatchEngine(build_backends(session=session))
         requests = (
             _requests(4, "chip1") + _requests(4, "chip2") + _requests(4, "chip3")
             + _requests(2, "chip1", backend="hotspot")
         )
-        with engine:
-            results = engine.solve_many(requests, timeout=120)
+        with engine, ThreadPoolExecutor(max_workers=4) as pool:
+            results = list(pool.map(lambda r: engine.solve(r, timeout=120), requests))
         assert len(results) == len(requests)
         for request, result in zip(requests, results):
+            assert result.request_id == request.request_id
             assert result.chip == request.chip
             assert result.backend == request.backend
             assert result.max_K > 300.0
-        stats = engine.stats()
-        assert stats["workers"] == 3
-        assert len(stats["shard_queue_depths"]) == 3
-        assert stats["total_requests"] == len(requests)
-
-    def test_group_always_lands_on_the_same_shard(self):
-        engine = MicroBatchEngine(build_backends(), workers=4)
-        request = _requests(1)[0]
-        shards = {engine._shard_of(request).index for _ in range(32)}
-        assert len(shards) == 1
-
-    def test_sharding_matches_solver_pool_granularity(self):
-        """Detail-level variants of one (chip, resolution, backend) share a
-        shard: the pooled prepared adapter must only ever be driven by one
-        worker thread."""
-        engine = MicroBatchEngine(build_backends(), workers=4)
-        plain = ThermalRequest.create("chip1", total_power_W=20, resolution=RES)
-        mapped = ThermalRequest.create(
-            "chip1", total_power_W=20, resolution=RES, include_maps=True
-        )
-        assert plain.group_key != mapped.group_key  # still separate batches
-        assert engine._shard_of(plain).index == engine._shard_of(mapped).index
+        assert engine.stats()["total_requests"] == len(requests)
 
     def test_single_worker_answers_are_bitwise_identical(self):
-        """Acceptance: --workers 1 answers == the solver's batch-of-one
-        answers exactly, and within 1e-9 K of direct back-substitution."""
+        """Acceptance: served answers == the solver's batch-of-one answers
+        exactly, and within 1e-9 K of direct back-substitution."""
         requests = _requests(5)
-        engine = MicroBatchEngine(build_backends(), workers=1, max_wait_ms=1.0)
-        with engine:
-            results = engine.solve_many(requests, timeout=120)
+        engine = MicroBatchEngine(build_backends())
+        with engine, ThreadPoolExecutor(max_workers=5) as pool:
+            results = list(pool.map(lambda r: engine.solve(r, timeout=120), requests))
         solver = FVMSolver(get_chip("chip1"), nx=RES)
         for request, result in zip(requests, results):
             reference = solver.solve_batch([request.assignment])[0]
@@ -100,39 +80,21 @@ class TestMultiWorkerDispatch:
             assert abs(result.min_K - direct.min_K) <= 1e-9
             assert abs(result.mean_K - direct.mean_K) <= 1e-9
 
-    def test_multi_worker_answers_match_single_worker(self):
-        requests = _requests(6, "chip1") + _requests(6, "chip2")
-        single_session = ThermalSession()
-        multi_session = ThermalSession()
-        with MicroBatchEngine(
-            build_backends(session=single_session), workers=1, max_wait_ms=1.0
-        ) as engine:
-            single = engine.solve_many(requests, timeout=120)
-        with MicroBatchEngine(
-            build_backends(session=multi_session), workers=4, max_wait_ms=1.0
-        ) as engine:
-            multi = engine.solve_many(requests, timeout=120)
-        for a, b in zip(single, multi):
-            assert a.max_K == b.max_K
-            assert a.mean_K == b.mean_K
-
     def test_concurrent_submitters_under_multiworker(self):
-        engine = MicroBatchEngine(build_backends(), workers=2, max_wait_ms=1.0)
+        engine = MicroBatchEngine(build_backends())
         chips = ["chip1", "chip2", "chip3"]
-
-        def client(index):
-            request = _requests(1, chips[index % 3], base=20.0 + index)[0]
-            return engine.solve(request, timeout=120)
-
-        with engine:
-            with ThreadPoolExecutor(max_workers=8) as pool:
-                results = list(pool.map(client, range(24)))
-        assert len(results) == 24
-        assert all(r.max_K > 300.0 for r in results)
-
-    def test_workers_validation(self):
-        with pytest.raises(ValueError, match="workers"):
-            MicroBatchEngine(build_backends(), workers=0)
+        requests = [
+            _requests(1, chips[index % 3], base=20.0 + index)[0] for index in range(24)
+        ]
+        with engine, ThreadPoolExecutor(max_workers=8) as pool:
+            results = list(pool.map(lambda r: engine.solve(r, timeout=120), requests))
+        solvers = {chip: FVMSolver(get_chip(chip), nx=RES) for chip in chips}
+        for request, result in zip(requests, results):
+            assert result.request_id == request.request_id
+            reference = solvers[request.chip].solve_batch([request.assignment])[0]
+            assert result.max_K == reference.max_K  # bitwise, not approx
+            assert result.min_K == reference.min_K
+            assert result.mean_K == reference.mean_K
 
 
 class TestTransientRequestValidation:
@@ -206,6 +168,13 @@ class TestTransientRequestValidation:
             )
         with pytest.raises(ValueError, match="at least one"):
             TransientRequest.create("chip1", duration_s=0.2, dt_s=0.01, schedule=[])
+        # NaN compares false with everything: such a step would never fire.
+        with pytest.raises(ValueError, match="step 1 't_s' must be finite"):
+            TransientRequest.from_payload(
+                {"chip": "chip1", "duration_s": 0.2, "dt_s": 0.01,
+                 "schedule": [{"t_s": 0, "total_power": 10},
+                              {"t_s": float("nan"), "total_power": 50}]}
+            )
 
     def test_from_payload_rejects_unknown_and_missing_fields(self):
         with pytest.raises(ValueError, match="unknown request fields"):
@@ -223,9 +192,7 @@ class TestTransientRequestValidation:
 @pytest.fixture(scope="module")
 def server():
     session = ThermalSession()
-    engine = MicroBatchEngine(
-        build_backends(session=session), workers=2, max_wait_ms=1.0
-    )
+    engine = MicroBatchEngine(build_backends(session=session))
     with ThermalServer(engine, port=0, session=session) as running:
         yield running
 

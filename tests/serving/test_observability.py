@@ -8,8 +8,11 @@ log — against a real server on a real socket.
 
 import json
 import socket
+import threading
+import time
 import urllib.error
 import urllib.request
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -67,7 +70,7 @@ def _parse_sse(text):
 
 @pytest.fixture(scope="module")
 def server():
-    engine = MicroBatchEngine(build_backends(), max_batch_size=8, max_wait_ms=1.0)
+    engine = MicroBatchEngine(build_backends())
     with ThermalServer(engine, port=0, sample_interval_s=0.2) as running:
         yield running
 
@@ -79,9 +82,9 @@ class TestTracing:
         trace = body["trace"]
         assert trace["trace_id"]
         spans = trace["spans_ms"]
-        assert set(spans) == {"queue_wait", "dispatch", "solve"}
+        assert set(spans) == {"queue_wait", "solve"}
         assert spans["solve"] > 0.0
-        assert spans["queue_wait"] >= 0.0 and spans["dispatch"] >= 0.0
+        assert spans["queue_wait"] >= 0.0
         assert all(value >= 0.0 for value in spans.values())
 
     def test_trace_ids_are_distinct_per_request(self, server):
@@ -104,7 +107,6 @@ class TestEventsEndpoint:
         _, after = _get(server.url + f"/events?timeout_s=5&since={before['cursor']}")
         kinds = [event["kind"] for event in after["events"]]
         assert "request_done" in kinds
-        assert "batch_dispatched" in kinds
         assert after["cursor"] > before["cursor"]
         # Every payload round-trips through the typed catalog.
         for payload in after["events"]:
@@ -125,7 +127,9 @@ class TestEventsEndpoint:
     def test_sse_stream_frames_and_resume_after_reconnect(self, server):
         _, start = _get(server.url + "/events?timeout_s=0")
         cursor = start["cursor"]
+        # One request_done event per solve: two solves, two frames.
         _solve(server, power=42.0)
+        _solve(server, power=42.5)
         first = _parse_sse(_get_raw(
             server.url + f"/events?since={cursor}&max_events=2",
             {"Accept": "text/event-stream"},
@@ -139,6 +143,7 @@ class TestEventsEndpoint:
         # resumes exactly past the last seen frame, no duplicates.
         last_seen = first[-1][0]
         _solve(server, power=43.0)
+        _solve(server, power=43.5)
         resumed = _parse_sse(_get_raw(
             server.url + "/events?max_events=2",
             {"Accept": "text/event-stream", "Last-Event-ID": str(last_seen)},
@@ -215,7 +220,7 @@ class TestHealthEnrichment:
 
 class TestAccessLog:
     def test_log_json_emits_one_line_per_request(self, capsys):
-        engine = MicroBatchEngine(build_backends(), max_batch_size=4, max_wait_ms=1.0)
+        engine = MicroBatchEngine(build_backends())
         with ThermalServer(engine, port=0, log_json=True,
                            sample_interval_s=60.0) as running:
             _solve(running, power=61.0)
@@ -233,7 +238,7 @@ class TestAccessLog:
         assert record["cached"] is False and record["degraded"] is False
 
     def test_plain_text_log_stays_the_default(self, capsys):
-        engine = MicroBatchEngine(build_backends(), max_batch_size=4, max_wait_ms=1.0)
+        engine = MicroBatchEngine(build_backends())
         with ThermalServer(engine, port=0, sample_interval_s=60.0) as running:
             _solve(running, power=62.0)
         json_lines = [line for line in capsys.readouterr().err.splitlines()
@@ -245,8 +250,7 @@ class TestEngineEventFlow:
     def test_shared_bus_between_engine_and_server(self):
         """A bus attached to the engine up front is reused by the server."""
         bus = EventBus()
-        engine = MicroBatchEngine(build_backends(), max_batch_size=4,
-                                  max_wait_ms=1.0, events=bus)
+        engine = MicroBatchEngine(build_backends(), events=bus)
         with ThermalServer(engine, port=0, sample_interval_s=60.0) as running:
             assert running.telemetry.bus is bus
             with bus.subscribe() as subscription:
@@ -255,20 +259,41 @@ class TestEngineEventFlow:
                 assert event is not None
 
     def test_queue_saturation_event_on_rejection(self):
+        from repro.serving.backends import Backend
         from repro.serving.engine import QueueFullError
-        from repro.serving.request import ThermalRequest
+        from repro.serving.request import ThermalRequest, ThermalResult
+
+        class Gated(Backend):
+            name = "fvm"
+            entered = threading.Event()
+            release = threading.Event()
+
+            def solve_batch(self, requests):
+                self.entered.set()
+                assert self.release.wait(timeout=60)
+                return [ThermalResult(chip=r.chip, resolution=r.resolution,
+                                      backend=self.name, max_K=350.0, min_K=300.0,
+                                      mean_K=320.0, total_power_W=0.0)
+                        for r in requests]
+
+        def request():
+            return ThermalRequest(chip="chip1", resolution=RES, assignment={})
 
         bus = EventBus()
-        engine = MicroBatchEngine(build_backends(), max_batch_size=4,
-                                  max_wait_ms=50.0, max_queue=1, events=bus)
-        engine.start()
-        try:
-            engine.submit(ThermalRequest(chip="chip1", resolution=RES,
-                                         assignment={}))
+        gated = Gated()
+        engine = MicroBatchEngine({"fvm": gated}, max_queue=1, events=bus)
+        with engine, ThreadPoolExecutor(max_workers=2) as pool:
+            holder = pool.submit(engine.solve, request())
+            assert gated.entered.wait(timeout=60)
+            waiter = pool.submit(engine.solve, request())
+            deadline = time.monotonic() + 30
+            while engine.stats()["queue_depth"] < 1:
+                assert time.monotonic() < deadline
+                time.sleep(0.002)
             with pytest.raises(QueueFullError):
-                engine.submit(ThermalRequest(chip="chip1", resolution=RES,
-                                             assignment={}))
-        finally:
-            engine.stop()
+                engine.solve(request())
+            gated.release.set()
+            holder.result(timeout=60)
+            waiter.result(timeout=60)
         kinds = [event.kind for event in bus.replay()]
         assert "queue_saturated" in kinds

@@ -1,18 +1,20 @@
-"""Overload behaviour: admission control, priority, TTL and size eviction.
+"""Overload behaviour: admission control, TTL and size eviction.
 
-Everything here is deterministic: queue compositions are forced by
-submitting before :meth:`MicroBatchEngine.start`, slow backends are gated on
-events rather than sleeps, and cache-expiry tests drive a fake clock.
+Everything here is deterministic: a gated backend holds the engine's solve
+lock while other threads wait for it, so the waiting set is known exactly;
+cache-expiry tests drive a fake clock.
 """
 
 import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
 from repro.api.pool import ResultCache
 from repro.api.session import ThermalSession
 from repro.serving.backends import Backend, build_backends
-from repro.serving.engine import DEFAULT_PRIORITIES, MicroBatchEngine, QueueFullError
+from repro.serving.engine import MicroBatchEngine, QueueFullError
 from repro.serving.request import ThermalRequest, ThermalResult
 
 RES = 8
@@ -24,27 +26,8 @@ def _request(backend="fvm", power=20.0, chip="chip1"):
     )
 
 
-class _RecordingBackend(Backend):
-    """Answers instantly and records the dispatch order of its batches."""
-
-    def __init__(self, name, log):
-        self.name = name
-        self._log = log
-
-    def solve_batch(self, requests):
-        self._log.append((self.name, len(requests)))
-        return [
-            ThermalResult(
-                request_id=r.request_id, chip=r.chip, resolution=r.resolution,
-                backend=self.name, max_K=350.0, min_K=300.0, mean_K=320.0,
-                total_power_W=r.total_power_W,
-            )
-            for r in requests
-        ]
-
-
 class _GatedBackend(Backend):
-    """Blocks inside solve_batch until released (deterministic busy worker)."""
+    """Blocks inside solve_batch until released (deterministic busy solver)."""
 
     def __init__(self, name="fvm"):
         self.name = name
@@ -64,133 +47,68 @@ class _GatedBackend(Backend):
         ]
 
 
+def _wait_for(predicate, timeout=30.0):
+    """Poll until ``predicate()`` holds (the waiters run on other threads)."""
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        assert time.monotonic() < deadline, "condition never held"
+        time.sleep(0.002)
+
+
 class TestAdmissionControl:
     def test_queue_full_rejects_fast(self):
-        engine = MicroBatchEngine(build_backends(), max_queue=2)
-        engine.submit(_request(power=20))
-        engine.submit(_request(power=21))
-        with pytest.raises(QueueFullError, match="overloaded"):
-            engine.submit(_request(power=22))
-        assert engine.stats()["rejected_requests"] == 1
-        assert engine.stats()["queue_depth"] == 2
-        # The queued requests still complete once the engine runs.
-        engine.start()
-        engine.stop()
-        assert engine.stats()["total_requests"] == 2
+        gated = _GatedBackend()
+        engine = MicroBatchEngine({"fvm": gated}, max_queue=2)
+        with engine, ThreadPoolExecutor(max_workers=3) as pool:
+            # One request holds the solver; two more wait for it.
+            holder = pool.submit(engine.solve, _request(power=20))
+            assert gated.entered.wait(timeout=60)
+            waiters = [pool.submit(engine.solve, _request(power=p)) for p in (21, 22)]
+            _wait_for(lambda: engine.stats()["queue_depth"] == 2)
+            with pytest.raises(QueueFullError, match="overloaded"):
+                engine.solve(_request(power=23))
+            assert engine.stats()["rejected_requests"] == 1
+            # The admitted requests still complete once the solver frees up.
+            gated.release.set()
+            for future in [holder, *waiters]:
+                assert future.result(timeout=60).max_K == 350.0
+        assert engine.stats()["total_requests"] == 3
+        assert engine.stats()["queue_depth"] == 0
 
     def test_dispatch_frees_queue_slots(self):
+        """A request holding the solve lock no longer counts as waiting."""
         gated = _GatedBackend()
-        engine = MicroBatchEngine({"fvm": gated}, max_queue=1, max_wait_ms=0.0)
-        with engine:
-            first = engine.submit(_request(power=20))
-            # Once the worker picks the request up it no longer counts
-            # against max_queue, so the next submit is admitted.
+        engine = MicroBatchEngine({"fvm": gated}, max_queue=1)
+        with engine, ThreadPoolExecutor(max_workers=2) as pool:
+            first = pool.submit(engine.solve, _request(power=20))
             assert gated.entered.wait(timeout=60)
-            second = engine.submit(_request(power=21))
+            assert engine.stats()["queue_depth"] == 0
+            second = pool.submit(engine.solve, _request(power=21))
+            _wait_for(lambda: engine.stats()["queue_depth"] == 1)
             gated.release.set()
             assert first.result(timeout=60).max_K == 350.0
             assert second.result(timeout=60).max_K == 350.0
         assert engine.stats()["rejected_requests"] == 0
 
     def test_unbounded_by_default(self):
-        engine = MicroBatchEngine(build_backends())
-        for index in range(64):
-            engine.submit(_request(power=20 + index))
-        assert engine.stats()["queue_depth"] == 64
-        engine.start()
-        engine.stop()
+        gated = _GatedBackend()
+        engine = MicroBatchEngine({"fvm": gated})
+        with engine, ThreadPoolExecutor(max_workers=33) as pool:
+            holder = pool.submit(engine.solve, _request(power=20))
+            assert gated.entered.wait(timeout=60)
+            waiters = [
+                pool.submit(engine.solve, _request(power=21 + index))
+                for index in range(32)
+            ]
+            _wait_for(lambda: engine.stats()["queue_depth"] == 32)
+            gated.release.set()
+            for future in [holder, *waiters]:
+                future.result(timeout=60)
+        assert engine.stats()["total_requests"] == 33
 
     def test_max_queue_validation(self):
         with pytest.raises(ValueError, match="max_queue"):
             MicroBatchEngine(build_backends(), max_queue=0)
-
-
-class TestPriorityOrdering:
-    def test_cheap_backends_jump_heavy_queues(self):
-        log = []
-        backends = {
-            "fvm": _RecordingBackend("fvm", log),
-            "hotspot": _RecordingBackend("hotspot", log),
-            "transient": _RecordingBackend("transient", log),
-        }
-        engine = MicroBatchEngine(backends, max_wait_ms=0.0)
-        # Submission order: heavy first.  Priority dispatch must still answer
-        # the hotspot group before fvm, and fvm before transient.
-        for power in (20, 21):
-            engine.submit(_request("transient", power))
-        for power in (22, 23):
-            engine.submit(_request("fvm", power))
-        for power in (24, 25):
-            engine.submit(_request("hotspot", power))
-        engine.start()
-        engine.stop()
-        assert [name for name, _ in log] == ["hotspot", "fvm", "transient"]
-        assert [count for _, count in log] == [2, 2, 2]
-
-    def test_equal_priority_dispatches_oldest_first(self):
-        log = []
-        backends = {"fvm": _RecordingBackend("fvm", log)}
-        engine = MicroBatchEngine(backends, max_wait_ms=0.0)
-        engine.submit(_request("fvm", 20, chip="chip2"))
-        engine.submit(_request("fvm", 21, chip="chip1"))
-        engine.submit(_request("fvm", 22, chip="chip2"))
-        engine.start()
-        engine.stop()
-        # chip2's group is oldest -> dispatches first and takes both chip2
-        # requests; chip1 follows.
-        assert [count for _, count in log] == [2, 1]
-
-    def test_custom_priorities_override_defaults(self):
-        log = []
-        backends = {
-            "fvm": _RecordingBackend("fvm", log),
-            "hotspot": _RecordingBackend("hotspot", log),
-        }
-        engine = MicroBatchEngine(
-            backends, max_wait_ms=0.0, priorities={"fvm": 0, "hotspot": 5}
-        )
-        engine.submit(_request("hotspot", 20))
-        engine.submit(_request("fvm", 21))
-        engine.start()
-        engine.stop()
-        assert [name for name, _ in log] == ["fvm", "hotspot"]
-
-    def test_default_priorities_are_exposed_in_stats(self):
-        engine = MicroBatchEngine(build_backends())
-        stats = engine.stats()
-        assert stats["starvation_age_s"] > 0
-        for name, priority in DEFAULT_PRIORITIES.items():
-            assert stats["backends"][name]["priority"] == priority
-
-    def test_starved_low_priority_request_outranks_fresh_high_priority(self):
-        """Aging bounds strict priority: a request older than the starvation
-        age dispatches before fresh higher-priority arrivals."""
-        import time as time_module
-        from concurrent.futures import Future
-
-        from repro.serving.engine import _Pending
-
-        engine = MicroBatchEngine(build_backends(), starvation_age_s=5.0)
-        now = time_module.perf_counter()
-
-        def pending(backend, age_s):
-            return _Pending(
-                request=_request(backend), future=Future(), enqueued_at=now - age_s
-            )
-
-        fresh_hotspot = pending("hotspot", 0.001)
-        young_fvm = pending("fvm", 1.0)
-        starved_fvm = pending("fvm", 6.0)
-        # Without starvation, hotspot (priority 0) wins over a young fvm.
-        assert engine._select_head([young_fvm, fresh_hotspot]) is fresh_hotspot
-        # Past the starvation age, the old fvm request outranks every tier.
-        assert (
-            engine._select_head([starved_fvm, fresh_hotspot, young_fvm]) is starved_fvm
-        )
-
-    def test_starvation_age_validation(self):
-        with pytest.raises(ValueError, match="starvation_age_s"):
-            MicroBatchEngine(build_backends(), starvation_age_s=0.0)
 
 
 class FakeClock:

@@ -1,16 +1,18 @@
 """Fault-tolerance plane: deadlines, shutdown, breakers, fallback, chaos.
 
-Deterministic throughout: queue compositions are forced by submitting before
-:meth:`MicroBatchEngine.start`, deadlines use real but generous margins only
-where a queue must *hold* work (never to race a solver), and the chaos
+Deterministic throughout: a gated backend holds the engine's solve lock while
+other threads wait for it, deadlines use real but generous margins only
+where requests must *wait* (never to race a solver), and the chaos
 acceptance test drives a closed-loop client so every injected fault maps to
 exactly one counter.
 """
 
 import json
+import threading
 import time
 import urllib.error
 import urllib.request
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -51,14 +53,19 @@ def _post(url, body):
 
 
 class _RecordingBackend(Backend):
-    """Answers instantly and records how many requests reached it."""
+    """Records how many requests reached it; blocks while its gate is shut."""
 
     def __init__(self, name="fvm"):
         self.name = name
         self.seen = 0
+        self.entered = threading.Event()
+        self.release = threading.Event()
+        self.release.set()  # open unless a test shuts it
 
     def solve_batch(self, requests):
         self.seen += len(requests)
+        self.entered.set()
+        assert self.release.wait(timeout=60), "test forgot to release the gate"
         return [
             ThermalResult(
                 request_id=r.request_id, chip=r.chip, resolution=r.resolution,
@@ -67,6 +74,14 @@ class _RecordingBackend(Backend):
             )
             for r in requests
         ]
+
+
+def _wait_for(predicate, timeout=30.0):
+    """Poll until ``predicate()`` holds (the waiters run on other threads)."""
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        assert time.monotonic() < deadline, "condition never held"
+        time.sleep(0.002)
 
 
 class TestDeadlines:
@@ -90,27 +105,32 @@ class TestDeadlines:
         request = _request(deadline_ms=1)
         time.sleep(0.01)
         with pytest.raises(DeadlineExceeded, match="shed"):
-            engine.submit(request)
+            engine.solve(request)
         assert backend.seen == 0
         assert engine.stats()["backends"]["fvm"]["shed"] == 1
         assert engine.stats()["shed_requests"] == 1
 
     def test_expired_while_queued_is_shed_at_dispatch(self):
         backend = _RecordingBackend()
+        backend.release.clear()
         engine = MicroBatchEngine({"fvm": backend})
-        # Queue three requests before the engine runs; two with a budget that
-        # will be spent by the time the workers start, one without.
-        shed_futures = [engine.submit(_request(power=p, deadline_ms=30))
-                        for p in (20.0, 21.0)]
-        kept_future = engine.submit(_request(power=22.0))
-        time.sleep(0.1)
-        engine.start()
-        engine.stop()
-        for future in shed_futures:
-            with pytest.raises(DeadlineExceeded, match="budget"):
-                future.result(timeout=5)
-        assert kept_future.result(timeout=5).max_K == 350.0
-        assert backend.seen == 1  # the shed requests never reached the backend
+        with engine, ThreadPoolExecutor(max_workers=4) as pool:
+            holder = pool.submit(engine.solve, _request(power=19.0))
+            assert backend.entered.wait(timeout=60)
+            # Three requests wait behind the gated solve; two with a budget
+            # that is spent before the solver frees up, one without.
+            shed_futures = [pool.submit(engine.solve, _request(power=p, deadline_ms=250))
+                            for p in (20.0, 21.0)]
+            kept_future = pool.submit(engine.solve, _request(power=22.0))
+            _wait_for(lambda: engine.stats()["queue_depth"] == 3)
+            time.sleep(0.3)
+            backend.release.set()
+            for future in shed_futures:
+                with pytest.raises(DeadlineExceeded, match="budget"):
+                    future.result(timeout=5)
+            assert kept_future.result(timeout=5).max_K == 350.0
+            assert holder.result(timeout=5).max_K == 350.0
+        assert backend.seen == 2  # the shed requests never reached the backend
         assert engine.stats()["backends"]["fvm"]["shed"] == 2
 
 
@@ -120,17 +140,29 @@ class TestEngineStopped:
         engine.start()
         engine.stop()
         with pytest.raises(EngineStopped, match="stopped"):
-            engine.submit(_request())
+            engine.solve(_request())
         # Back-compat: callers catching the historical RuntimeError still do.
         assert issubclass(EngineStopped, RuntimeError)
 
     def test_stop_fails_pending_futures_instead_of_hanging(self):
-        engine = MicroBatchEngine({"fvm": _RecordingBackend()})
-        futures = [engine.submit(_request(power=p)) for p in (20.0, 21.0)]
-        engine.stop()  # never started: the queued futures must not hang
-        for future in futures:
-            with pytest.raises(EngineStopped, match="stopped"):
-                future.result(timeout=5)
+        """A request waiting for the solver when stop() lands gets
+        EngineStopped; the request already being solved completes."""
+        backend = _RecordingBackend()
+        backend.release.clear()
+        engine = MicroBatchEngine({"fvm": backend})
+        with ThreadPoolExecutor(max_workers=3) as pool:
+            engine.start()
+            holder = pool.submit(engine.solve, _request(power=19.0))
+            assert backend.entered.wait(timeout=60)
+            waiters = [pool.submit(engine.solve, _request(power=p)) for p in (20.0, 21.0)]
+            _wait_for(lambda: engine.stats()["queue_depth"] == 2)
+            engine.stop()
+            backend.release.set()
+            assert holder.result(timeout=5).max_K == 350.0
+            for future in waiters:
+                with pytest.raises(EngineStopped, match="stopped"):
+                    future.result(timeout=5)
+        assert backend.seen == 1
 
     def test_http_maps_engine_stopped_to_503(self):
         engine = MicroBatchEngine(build_backends())

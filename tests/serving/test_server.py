@@ -1,6 +1,7 @@
 """End-to-end tests of the HTTP JSON API (stdlib client, real sockets)."""
 
 import json
+import threading
 import urllib.error
 import urllib.request
 from concurrent.futures import ThreadPoolExecutor
@@ -12,8 +13,10 @@ from repro.chip.designs import get_chip
 from repro.cluster.fleetgen import spec_to_payload
 from repro.data.generation import DatasetSpec, generate_dataset
 from repro.operators.factory import build_operator, save_operator
-from repro.serving.backends import build_backends
+from repro.serving import server as server_module
+from repro.serving.backends import Backend, build_backends
 from repro.serving.engine import MicroBatchEngine
+from repro.serving.request import ThermalResult
 from repro.serving.server import ThermalServer
 from repro.solvers.fvm import FVMSolver
 from repro.training.trainer import Trainer, TrainingConfig
@@ -21,9 +24,9 @@ from repro.training.trainer import Trainer, TrainingConfig
 RES = 10
 
 #: Serving metadata that legitimately differs between two solves of the
-#: same physical query (ids, wall-clock, batching, cache provenance).
+#: same physical query (ids, wall-clock, cache provenance).
 VOLATILE_KEYS = {
-    "request_id", "solve_seconds", "latency_seconds", "batch_size",
+    "request_id", "solve_seconds", "latency_seconds",
     "trace", "cached", "provenance",
 }
 
@@ -79,11 +82,7 @@ def trained_model_path(tmp_path_factory):
 
 @pytest.fixture(scope="module")
 def server(trained_model_path):
-    engine = MicroBatchEngine(
-        build_backends(model_paths=[trained_model_path]),
-        max_batch_size=16,
-        max_wait_ms=2.0,
-    )
+    engine = MicroBatchEngine(build_backends(model_paths=[trained_model_path]))
     with ThermalServer(engine, port=0) as running:
         yield running
 
@@ -257,6 +256,9 @@ class TestSolveEndpoint:
             {**steady, "schedule": [{"t_s": 10**400, "total_power": 10}]},
             {**steady, "schedule": [{"t_s": 0, "total_power": 10**400}]},
             {**steady, "schedule": [{"t_s": 0, "powers": {"core_layer/Core": 10**400}}]},
+            # json parses the NaN literal; a NaN step time would never fire.
+            {**steady, "schedule": [{"t_s": 0, "total_power": 10},
+                                    {"t_s": float("nan"), "total_power": 50}]},
         ]
         for body in transient_cases:
             status, answer = _post(server.url + "/solve_transient", body)
@@ -339,6 +341,42 @@ class TestSolveEndpoint:
                 urllib.request.urlopen(request, timeout=60)
             assert excinfo.value.code == 400
             assert "malformed JSON" in json.loads(excinfo.value.read())["error"]
+
+
+class TestSolveTimeout:
+    def test_lock_wait_past_the_solve_timeout_is_504(self, monkeypatch):
+        """A request that cannot get the solver within the server's solve
+        timeout answers 504 instead of waiting on."""
+
+        class Gated(Backend):
+            name = "fvm"
+
+            def __init__(self):
+                self.entered = threading.Event()
+                self.release = threading.Event()
+
+            def solve_batch(self, requests):
+                self.entered.set()
+                assert self.release.wait(timeout=60)
+                return [ThermalResult(chip=r.chip, resolution=r.resolution,
+                                      backend=self.name, max_K=350.0, min_K=300.0,
+                                      mean_K=320.0, total_power_W=r.total_power_W,
+                                      request_id=r.request_id)
+                        for r in requests]
+
+        monkeypatch.setattr(server_module, "SOLVE_TIMEOUT_S", 0.1)
+        gated = Gated()
+        engine = MicroBatchEngine({"fvm": gated})
+        body = {"chip": "chip1", "total_power": 20, "resolution": RES}
+        with ThermalServer(engine, port=0) as running, \
+                ThreadPoolExecutor(max_workers=1) as pool:
+            holder = pool.submit(_post, running.url + "/solve", body)
+            assert gated.entered.wait(timeout=60)
+            status, answer = _post(running.url + "/solve", {**body, "total_power": 21})
+            assert status == 504
+            assert "overloaded" in answer["error"]
+            gated.release.set()
+            assert holder.result(timeout=60)[0] == 200
 
 
 class TestWarmUpAndGenerate:

@@ -34,6 +34,15 @@ class TestParser:
         args = build_parser().parse_args(["serve", "--model", "a.npz", "--model", "b.npz"])
         assert args.models == ["a.npz", "b.npz"]
 
+    @pytest.mark.parametrize(
+        "flag", [["--workers", "2"], ["--max-batch-size", "4"], ["--batch-wait-ms", "1"]]
+    )
+    def test_serve_has_no_batching_flags(self, flag, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(["serve", *flag])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
 
 class TestCommands:
     def test_chips_lists_all_designs(self, capsys):
