@@ -4,8 +4,10 @@ Not a paper table by itself, but the cost model behind them: FVM assembly and
 solve at the two Table II resolutions — cold (per-case factorisation, the
 seed pipeline's cost model), warm (cached factorisation) and batched (one
 product per case against the block basis) —
-the HotSpot network solve, one forward pass of each operator family, and
-one training step of SAU-FNO.  Useful for tracking performance regressions of
+the HotSpot network solve, one forward pass of each operator family, the
+forward + backward of the three autodiff kernels that dominate a SAU-FNO
+training step, and one training step of SAU-FNO.  Useful for tracking
+performance regressions of
 the substrates; the cached-vs-cold pair reports the amortised speedup the
 prepare-once / solve-many refactor buys dataset generation.
 """
@@ -17,6 +19,9 @@ import numpy as np
 import pytest
 
 from repro.autodiff import functional as F
+from repro.autodiff.attention import softmax_attention
+from repro.autodiff.conv import conv2d
+from repro.autodiff.spectral import spectral_conv2d
 from repro.autodiff.tensor import Tensor
 from repro.chip.designs import get_chip
 from repro.data.power import PowerSampler
@@ -185,6 +190,44 @@ def test_operator_forward(benchmark, name, factory):
     assert out.dtype == np.float32  # no silent float64 promotion
 
 
+#: Per kernel: operand shapes, the upstream gradient's shape and the op, at
+#: the shapes of perfbench's ``train`` workload (``tiny`` model, batch 4,
+#: 40 x 40 grid): the U-Net's 24 -> 8 3x3 convolution, the 8-mode spectral
+#: op at width 16, and attention over N = 1600 positions with d = 16.
+_TRAIN_KERNELS = {
+    "conv2d": (
+        [(4, 24, 40, 40), (8, 24, 3, 3), (8,)], (4, 8, 40, 40),
+        lambda x, w, b: conv2d(x, w, b, padding=1),
+    ),
+    "spectral_conv2d": (
+        [(4, 16, 40, 40), (2, 16, 16, 8, 8), (2, 16, 16, 8, 8)], (4, 16, 40, 40),
+        lambda x, wr, wi: spectral_conv2d(x, wr, wi, 8, 8),
+    ),
+    "softmax_attention": (
+        [(4, 1600, 16), (4, 16, 1600), (4, 1600, 16)], (4, 1600, 16),
+        lambda q, k, v: softmax_attention(q, k, v, 0.25),
+    ),
+}
+
+
+@pytest.mark.parametrize("kernel", list(_TRAIN_KERNELS))
+def test_autodiff_kernel(benchmark, kernel):
+    """Forward + backward of one training-step kernel, float32 throughout."""
+    shapes, upstream_shape, op = _TRAIN_KERNELS[kernel]
+    rng = np.random.default_rng(0)
+    operands = [rng.standard_normal(shape).astype(np.float32) for shape in shapes]
+    upstream = rng.standard_normal(upstream_shape).astype(np.float32)
+
+    def step():
+        tensors = [Tensor(array, requires_grad=True) for array in operands]
+        out = op(*tensors)
+        out.backward(upstream)
+        return [out.dtype] + [tensor.grad.dtype for tensor in tensors]
+
+    dtypes = benchmark(step)
+    assert all(dtype == np.float32 for dtype in dtypes)  # no silent float64 promotion
+
+
 def test_sau_fno_training_step(benchmark):
     model = _tiny(SAUFNO2d, num_fourier_layers=1, num_ufourier_layers=1,
                   unet_base_channels=8, unet_levels=2, attention_dim=16)
@@ -235,8 +278,9 @@ def test_sau_fno_small_scale_step_memory():
     # The bar is two float32 (B, N, N) arrays, 1,074 MB: what an attention op
     # that keeps its weights for the backward holds on its own (the weights
     # plus the backward's score gradient), so a step that holds an N x N array
-    # again crosses it.  With query blocks and interior gradients freed during
-    # backward, the whole step traces at ~0.8 GB.
+    # again crosses it.  With query blocks, interior gradients freed during
+    # backward and convolutions that keep only their padded input, the whole
+    # step traces at ~0.4 GB.
     positions = resolution * resolution
     bar = 2 * batch * positions ** 2 * 4
     assert peak < bar, f"traced peak {peak / 1e6:.0f} MB >= bar {bar / 1e6:.0f} MB"

@@ -48,15 +48,26 @@ def softmax_attention(query: Tensor, key: Tensor, value: Tensor, scale: float) -
       = dO_i . O_i``, computed from ``O`` rather than from the ``N x N`` product
     * ``dQ = scale * dS K^T`` and ``dK = (scale * Q)^T dS``.
 
-    Both passes walk blocks of query rows.  The forward shifts each row of
-    ``S`` by its maximum ``m`` and divides by its sum ``z`` after the
-    ``exp``, so scores of any magnitude give finite weights and gradients.
-    For the backward it keeps ``scale * Q``, ``O``, ``m`` and ``z`` (the last
-    two ``(B, N, 1)`` in the input dtype, and only when a gradient is
-    tracked); the backward recomputes each block's ``P`` with the same
-    product, shift and divide, so it differentiates the forward's own
-    weights.  Beyond arrays of the operands' sizes, either pass holds at
-    most two ``(rows, N)`` blocks.
+    Both passes walk blocks of query rows, and two products with augmented
+    operands carry the softmax normalisation, so no full-width pass over a
+    block sums, divides or subtracts ``D``:
+
+    * Forward: each row of ``S`` is shifted by its maximum ``m`` (an exact
+      zero at the maximum, so scores of any magnitude give finite weights
+      and gradients), ``E = exp(S - m)``, and one product
+      ``E [V | 1] = [E V | z]`` gives the unnormalised output and the row
+      sums ``z`` together; ``O = (E V) / z`` divides ``(rows, C)``, not
+      ``(rows, N)``.
+    * Backward: ``dV = E^T (dO / z)`` and
+      ``dS = E * ([dO / z | -D / z] [V | 1]^T)``, which is ``P * (dP - D)``
+      with ``P = E / z`` never formed.
+
+    For the backward the op keeps ``scale * Q``, ``O``, ``[V | 1]``, ``m`` and
+    ``z`` (the last two ``(B, N, 1)``, and only when a gradient is tracked),
+    all ``O(B * N)``.  The backward recomputes each block's ``E`` with the
+    same product and shift, so it differentiates the forward's own weights.
+    Beyond arrays of the operands' sizes, either pass holds at most two
+    ``(rows, N)`` blocks.
     """
     query = Tensor.ensure(query)
     key = Tensor.ensure(key)
@@ -66,23 +77,29 @@ def softmax_attention(query: Tensor, key: Tensor, value: Tensor, scale: float) -
     scaled_query = query.data * scale
     keys, values = key.data, value.data
     batch, positions, _ = scaled_query.shape
+    channels = values.shape[-1]
     blocks = [slice(start, start + _BLOCK_ROWS) for start in range(0, positions, _BLOCK_ROWS)]
     score_dtype = np.result_type(scaled_query, keys)
-    out = np.empty((batch, positions, values.shape[-1]), np.result_type(score_dtype, values))
+    out_dtype = np.result_type(score_dtype, values)
+    # [V | 1]: one product with the exponentials gives E V and the row sums z.
+    augmented_values = np.empty((batch, positions, channels + 1), out_dtype)
+    augmented_values[..., :channels] = values
+    augmented_values[..., channels] = 1
+    out = np.empty((batch, positions, channels), out_dtype)
     tracked = is_grad_enabled() and (query.requires_grad or key.requires_grad or value.requires_grad)
     if tracked:
         row_max = np.empty((batch, positions, 1), score_dtype)
-        row_sum = np.empty_like(row_max)
+        row_sum = np.empty((batch, positions, 1), out_dtype)
 
     for b in range(batch):
         for rows in blocks:
-            weights = np.matmul(scaled_query[b, rows], keys[b])  # S, then P in place
+            weights = np.matmul(scaled_query[b, rows], keys[b])  # S, then E in place
             block_max = weights.max(axis=-1, keepdims=True)
             weights -= block_max
             np.exp(weights, out=weights)
-            block_sum = weights.sum(axis=-1, keepdims=True)
-            weights /= block_sum
-            np.matmul(weights, values[b], out=out[b, rows])
+            products = np.matmul(weights, augmented_values[b])  # [E V | z]
+            block_sum = products[:, channels:]
+            np.divide(products[:, :channels], block_sum, out=out[b, rows])
             if tracked:
                 row_max[b, rows] = block_max
                 row_sum[b, rows] = block_sum
@@ -91,27 +108,29 @@ def softmax_attention(query: Tensor, key: Tensor, value: Tensor, scale: float) -
         grad_query = np.empty_like(scaled_query) if query.requires_grad else None
         grad_key = np.zeros_like(keys) if key.requires_grad else None
         grad_value = np.zeros_like(values) if value.requires_grad else None
-        want_scores = grad_query is not None or grad_key is not None
-        if want_scores:
-            row_dot = np.sum(grad * out, axis=-1, keepdims=True)  # D
+        # [dO / z | -D / z] with D = rowsum(dO * O): its product with [V | 1]^T
+        # is (dP - D) / z, and its first C columns, dO / z, give dV.
+        augmented_grad = np.empty((batch, positions, channels + 1), np.result_type(grad, out))
+        np.divide(grad, row_sum, out=augmented_grad[..., :channels])
+        np.sum(augmented_grad[..., :channels] * out, axis=-1, out=augmented_grad[..., channels])
+        np.negative(augmented_grad[..., channels], out=augmented_grad[..., channels])
+        scaled_grad = augmented_grad[..., :channels]  # dO / z
         for b in range(batch):
             for rows in blocks:
-                # The forward's own P: same product, shift and divide.
+                # The forward's own E: same product and shift.
                 weights = np.matmul(scaled_query[b, rows], keys[b])
                 weights -= row_max[b, rows]
                 np.exp(weights, out=weights)
-                weights /= row_sum[b, rows]
                 if grad_value is not None:
-                    grad_value[b] += np.matmul(weights.T, grad[b, rows])
-                if not want_scores:
+                    grad_value[b] += np.matmul(weights.T, scaled_grad[b, rows])
+                if grad_query is None and grad_key is None:
                     continue
-                grad_scores = np.matmul(grad[b, rows], values[b].T)  # dP, then dS in place
-                grad_scores -= row_dot[b, rows]
-                grad_scores *= weights
+                # dS = E * ((dO / z) V^T - D / z) = P * (dP - D), in place in E.
+                weights *= np.matmul(augmented_grad[b, rows], augmented_values[b].T)
                 if grad_query is not None:
-                    np.matmul(grad_scores, keys[b].T, out=grad_query[b, rows])
+                    np.matmul(weights, keys[b].T, out=grad_query[b, rows])
                 if grad_key is not None:
-                    grad_key[b] += np.matmul(scaled_query[b, rows].T, grad_scores)
+                    grad_key[b] += np.matmul(scaled_query[b, rows].T, weights)
         if grad_query is not None:
             grad_query *= scale
             query._accumulate(grad_query)

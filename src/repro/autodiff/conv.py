@@ -1,10 +1,23 @@
 """Convolution, pooling and resampling primitives with autodiff support.
 
-The convolution is implemented with the im2col/col2im strategy: the input is
-unfolded into patch columns, the convolution becomes a single matrix
-multiplication, and the backward pass scatters gradients back through the
-same unfolding.  This keeps the implementation short, exact and fast enough
-for the grid sizes used in 3D-IC thermal surrogates.
+The convolution runs as one matrix product per kernel tap on a flat copy of
+the padded input (the implicit-GEMM scheme; Anderson et al., *Low-memory
+GEMM-based convolution algorithms for deep neural networks*, 2017).  With the
+input padded to ``Hp x Wp`` and each channel's rows laid end to end, tap
+``(i, j)`` of a stride-1 cross-correlation reads the contiguous window that
+starts at offset ``i * Wp + j`` and spans ``(Hp - kh + 1) * Wp`` entries, so
+
+    out = sum over taps of  W[:, :, i, j] @ window(i, j)
+
+is ``kh * kw`` BLAS products on views, with no patch matrix.  The output is
+computed on ``Wp`` columns per row; the last ``kw - 1`` of them wrap into the
+next row and are cropped.  The backward pass pads the output gradient into
+the same layout (its wrap columns zero) and takes, per tap, the weight
+gradient as a product of that gradient with the window and the input
+gradient as ``W[:, :, i, j]^T @ grad`` added into the window.  The backward
+keeps only the flat padded input, about the input's own size, where an
+unfolded patch matrix would be ``kh * kw`` times it.  A stride other than 1
+subsamples the stride-1 result.
 """
 
 from __future__ import annotations
@@ -24,51 +37,6 @@ def _pair(value: IntPair) -> Tuple[int, int]:
     return (int(value), int(value))
 
 
-def _im2col(
-    x: np.ndarray, kernel: Tuple[int, int], stride: Tuple[int, int], padding: Tuple[int, int]
-) -> Tuple[np.ndarray, Tuple[int, int]]:
-    """Unfold ``x`` (B, C, H, W) into columns of shape (B, C*kh*kw, Hout*Wout)."""
-    kh, kw = kernel
-    sh, sw = stride
-    ph, pw = padding
-    if ph or pw:
-        x = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
-    batch, channels, height, width = x.shape
-    out_h = (height - kh) // sh + 1
-    out_w = (width - kw) // sw + 1
-    windows = np.lib.stride_tricks.sliding_window_view(x, (kh, kw), axis=(2, 3))
-    windows = windows[:, :, ::sh, ::sw, :, :]
-    # (B, C, Hout, Wout, kh, kw) -> (B, C*kh*kw, Hout*Wout)
-    cols = windows.transpose(0, 1, 4, 5, 2, 3).reshape(batch, channels * kh * kw, out_h * out_w)
-    return np.ascontiguousarray(cols), (out_h, out_w)
-
-
-def _col2im(
-    cols: np.ndarray,
-    input_shape: Tuple[int, int, int, int],
-    kernel: Tuple[int, int],
-    stride: Tuple[int, int],
-    padding: Tuple[int, int],
-    out_size: Tuple[int, int],
-) -> np.ndarray:
-    """Adjoint of :func:`_im2col`: scatter columns back into an image."""
-    batch, channels, height, width = input_shape
-    kh, kw = kernel
-    sh, sw = stride
-    ph, pw = padding
-    out_h, out_w = out_size
-    padded = np.zeros((batch, channels, height + 2 * ph, width + 2 * pw), dtype=cols.dtype)
-    cols = cols.reshape(batch, channels, kh, kw, out_h, out_w)
-    for i in range(kh):
-        i_end = i + sh * out_h
-        for j in range(kw):
-            j_end = j + sw * out_w
-            padded[:, :, i:i_end:sh, j:j_end:sw] += cols[:, :, i, j]
-    if ph or pw:
-        return padded[:, :, ph:ph + height, pw:pw + width]
-    return padded
-
-
 def conv2d(
     x: Tensor,
     weight: Tensor,
@@ -79,37 +47,71 @@ def conv2d(
     """2D cross-correlation of ``x`` (B, Cin, H, W) with ``weight`` (Cout, Cin, kh, kw)."""
     x = Tensor.ensure(x)
     weight = Tensor.ensure(weight)
-    stride_pair = _pair(stride)
-    padding_pair = _pair(padding)
+    sh, sw = _pair(stride)
+    ph, pw = _pair(padding)
     out_channels, in_channels, kh, kw = weight.shape
     if x.shape[1] != in_channels:
         raise ValueError(
             f"conv2d channel mismatch: input has {x.shape[1]} channels, weight expects {in_channels}"
         )
 
-    cols, (out_h, out_w) = _im2col(x.data, (kh, kw), stride_pair, padding_pair)
-    w_mat = weight.data.reshape(out_channels, in_channels * kh * kw)
-    # (O, K) @ (B, K, N) -> (B, O, N): one BLAS product per batch item.
-    out = np.matmul(w_mat, cols)
-    out = out.reshape(x.shape[0], out_channels, out_h, out_w)
+    batch, _, height, width = x.shape
+    padded_h, padded_w = height + 2 * ph, width + 2 * pw
+    full_h, full_w = padded_h - kh + 1, padded_w - kw + 1  # the stride-1 output
+    length = full_h * padded_w  # one tap's window: full_h rows of padded_w columns
+    # The padded input, one flat row per channel; the kw - 1 trailing zeros
+    # keep the last tap's window in range.
+    flat = np.zeros((batch, in_channels, padded_h * padded_w + kw - 1), x.data.dtype)
+    flat[:, :, :padded_h * padded_w].reshape(batch, in_channels, padded_h, padded_w)[
+        :, :, ph:ph + height, pw:pw + width
+    ] = x.data
+    windows = [
+        slice(i * padded_w + j, i * padded_w + j + length) for i in range(kh) for j in range(kw)
+    ]
+    # (Cout, Cin, kh, kw) -> one contiguous (Cout, Cin) matrix per tap.
+    taps = np.ascontiguousarray(weight.data.transpose(2, 3, 0, 1)).reshape(
+        kh * kw, out_channels, in_channels
+    )
+
+    wide = np.matmul(taps[0], flat[:, :, windows[0]])  # (B, Cout, length)
+    for tap in range(1, kh * kw):
+        wide += np.matmul(taps[tap], flat[:, :, windows[tap]])
+    out = wide.reshape(batch, out_channels, full_h, padded_w)[:, :, ::sh, :full_w:sw]
     if bias is not None:
         out = out + bias.data.reshape(1, out_channels, 1, 1)
+    else:
+        out = np.ascontiguousarray(out)
 
     parents = (x, weight) if bias is None else (x, weight, bias)
 
     def backward(grad: np.ndarray) -> None:
-        grad_mat = grad.reshape(x.shape[0], out_channels, out_h * out_w)
-        if weight.requires_grad:
-            grad_w = np.tensordot(grad_mat, cols, axes=([0, 2], [0, 2]))
-            weight._accumulate(grad_w.reshape(weight.shape))
         if bias is not None and bias.requires_grad:
             bias._accumulate(grad.sum(axis=(0, 2, 3)).reshape(bias.shape))
-        if x.requires_grad:
-            grad_cols = np.matmul(w_mat.T, grad_mat)
-            grad_x = _col2im(
-                grad_cols, x.shape, (kh, kw), stride_pair, padding_pair, (out_h, out_w)
+        if not (weight.requires_grad or x.requires_grad):
+            return
+        # The output gradient in the forward's wide layout: zero on the wrap
+        # columns and, for a stride above 1, on the skipped positions.
+        grad_wide = np.zeros((batch, out_channels, full_h, padded_w), grad.dtype)
+        grad_wide[:, :, ::sh, :full_w:sw] = grad
+        grad_wide = grad_wide.reshape(batch, out_channels, length)
+        if weight.requires_grad:
+            grad_taps = np.empty(taps.shape, np.result_type(grad_wide, flat))
+            for tap, window in enumerate(windows):
+                # (B, Cout, length) @ (B, length, Cin), summed over the batch.
+                np.sum(np.matmul(grad_wide, flat[:, :, window].swapaxes(1, 2)), axis=0,
+                       out=grad_taps[tap])
+            weight._accumulate(
+                grad_taps.reshape(kh, kw, out_channels, in_channels).transpose(2, 3, 0, 1)
             )
-            x._accumulate(grad_x)
+        if x.requires_grad:
+            grad_flat = np.zeros(flat.shape, np.result_type(taps, grad_wide))
+            for tap, window in enumerate(windows):
+                grad_flat[:, :, window] += np.matmul(taps[tap].T, grad_wide)
+            x._accumulate(
+                grad_flat[:, :, :padded_h * padded_w].reshape(
+                    batch, in_channels, padded_h, padded_w
+                )[:, :, ph:ph + height, pw:pw + width]
+            )
 
     return Tensor._make(out, parents, backward)
 

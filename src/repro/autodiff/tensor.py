@@ -22,6 +22,7 @@ result, and every node after it, to float64.
 from __future__ import annotations
 
 import contextlib
+import contextvars
 import math
 from typing import Callable, Iterable, Optional, Sequence, Tuple, Union
 
@@ -32,7 +33,9 @@ Number = Union[int, float]
 ArrayLike = Union[Number, Sequence, np.ndarray, "Tensor"]
 
 _DEFAULT_DTYPE = np.float32
-_GRAD_ENABLED = True
+# Per thread (and per asyncio task): one thread's ``no_grad`` does not stop
+# another from recording.
+_GRAD_ENABLED = contextvars.ContextVar("repro_grad_enabled", default=True)
 # A Python float: an np.float64 constant would promote float32 gradients.
 _TWO_OVER_SQRT_PI = 2.0 / math.sqrt(math.pi)
 
@@ -50,22 +53,23 @@ def get_default_dtype():
 
 def is_grad_enabled() -> bool:
     """Return whether operations are currently being recorded on the tape."""
-    return _GRAD_ENABLED
+    return _GRAD_ENABLED.get()
 
 
 @contextlib.contextmanager
 def no_grad():
-    """Context manager that disables gradient recording.
+    """Context manager that disables gradient recording in the calling thread.
 
-    Used for inference and for parameter updates inside optimizers.
+    Used for inference and for parameter updates inside optimizers.  The flag
+    is a context variable, so the setting is the calling thread's (or asyncio
+    task's) own, and exiting restores exactly what entering replaced, however
+    other threads interleave.
     """
-    global _GRAD_ENABLED
-    previous = _GRAD_ENABLED
-    _GRAD_ENABLED = False
+    token = _GRAD_ENABLED.set(False)
     try:
         yield
     finally:
-        _GRAD_ENABLED = previous
+        _GRAD_ENABLED.reset(token)
 
 
 def _as_array(value: ArrayLike, dtype=None) -> np.ndarray:
@@ -108,7 +112,7 @@ class Tensor:
     ):
         self.data = _as_array(data)
         self.grad: Optional[np.ndarray] = None
-        self.requires_grad = bool(requires_grad) and _GRAD_ENABLED
+        self.requires_grad = bool(requires_grad) and _GRAD_ENABLED.get()
         self._parents = _parents if self.requires_grad or _parents else ()
         self._backward = _backward
         self.name = name
@@ -251,7 +255,7 @@ class Tensor:
         parents: Tuple["Tensor", ...],
         backward: Callable[[np.ndarray], None],
     ) -> "Tensor":
-        requires = _GRAD_ENABLED and any(p.requires_grad for p in parents)
+        requires = _GRAD_ENABLED.get() and any(p.requires_grad for p in parents)
         if not requires:
             return Tensor(data)
         return Tensor(data, requires_grad=True, _parents=parents, _backward=backward)

@@ -52,12 +52,11 @@ class Conv2d(Module):
 
 
 class PointwiseConv2d(Module):
-    """1x1 convolution implemented as a channel-mixing einsum.
+    """1x1 convolution implemented as a channel-mixing matrix product.
 
     This is the ``W`` linear bypass of every Fourier layer as well as the
-    Q/K/V embeddings of the attention block; it is cheaper than the generic
-    im2col convolution because no patch extraction is needed and it preserves
-    mesh-invariance exactly (it never looks at neighbouring grid points).
+    Q/K/V embeddings of the attention block.  It never looks at neighbouring
+    grid points, so it preserves mesh-invariance exactly.
     """
 
     def __init__(

@@ -11,12 +11,12 @@ dispatcher hop cost; the class keeps its historical name.
 The solve lock lets one backend call run at a time.  That keeps two
 invariants the serving stack relies on: each pooled adapter and each
 operator model is driven by one thread at a time (:class:`~repro.api.pool.LRUPool`
-builds a missing key outside its own lock, and ``autodiff.no_grad`` is a
-process-wide flag), and two clients' operator forwards never interleave on
-the GIL and stretch each other.  One process therefore solves one request at
-a time; more cores mean more replicas behind the fleet router.  With an
-execution plane (``repro-thermal serve --exec processes``) the backend call
-runs on a warm worker process, still one task at a time.
+builds a missing key outside its own lock), and two clients' operator
+forwards never interleave on the GIL and stretch each other.  One process
+therefore solves one request at a time; more cores mean more replicas behind
+the fleet router.  With an execution plane (``repro-thermal serve --exec
+processes``) the backend call runs on a warm worker process, still one task
+at a time.
 
 ``max_queue`` bounds the requests waiting for the lock; beyond it
 :meth:`~MicroBatchEngine.solve` fails fast with :class:`QueueFullError` (the

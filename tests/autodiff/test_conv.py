@@ -1,5 +1,7 @@
 """Gradient checks for convolution, pooling and bilinear resampling."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -57,6 +59,81 @@ class TestConv2d:
 
         assert_gradients_close(xt.grad, numerical_gradient(scalar, x))
         assert_gradients_close(wt.grad, numerical_gradient(scalar, w))
+
+
+def _direct_conv2d(x, w, b, stride, padding):
+    """Cross-correlation by nested loops over every output entry, in float64."""
+    (sh, sw), (ph, pw) = stride, padding
+    padded = np.pad(x.astype(np.float64), ((0, 0), (0, 0), (ph, ph), (pw, pw)))
+    batch, _, height, width = padded.shape
+    out_channels, _, kh, kw = w.shape
+    out_h, out_w = (height - kh) // sh + 1, (width - kw) // sw + 1
+    out = np.zeros((batch, out_channels, out_h, out_w))
+    for n in range(batch):
+        for o in range(out_channels):
+            for i in range(out_h):
+                for j in range(out_w):
+                    patch = padded[n, :, i * sh:i * sh + kh, j * sw:j * sw + kw]
+                    out[n, o, i, j] = np.sum(patch * w[o]) + (b[o] if b is not None else 0.0)
+    return out
+
+
+class TestConv2dAgainstDirectLoop:
+    @pytest.mark.parametrize("kernel", [(1, 1), (3, 3), (5, 5), (3, 2)], ids="{0[0]}x{0[1]}".format)
+    @pytest.mark.parametrize("padding", [0, 1, 2], ids="pad{}".format)
+    @pytest.mark.parametrize("stride", [1, 2], ids="stride{}".format)
+    def test_matches_direct_loop(self, rng, kernel, padding, stride):
+        x = rng.standard_normal((2, 3, 7, 9))  # H != W
+        w = rng.standard_normal((4, 3) + kernel)
+        b = rng.standard_normal(4)
+        for bias in (None, b):
+            expected = _direct_conv2d(x, w, bias, (stride, stride), (padding, padding))
+            out = conv2d(Tensor(x), Tensor(w), None if bias is None else Tensor(bias),
+                         stride=stride, padding=padding).data
+            assert out.dtype == np.float64
+            np.testing.assert_allclose(out, expected, rtol=0, atol=1e-12)
+
+            x32, w32 = x.astype(np.float32), w.astype(np.float32)
+            b32 = None if bias is None else bias.astype(np.float32)
+            out32 = conv2d(Tensor(x32), Tensor(w32), None if b32 is None else Tensor(b32),
+                           stride=stride, padding=padding).data
+            expected32 = _direct_conv2d(x32, w32, b32, (stride, stride), (padding, padding))
+            assert out32.dtype == np.float32
+            assert np.abs(out32 - expected32).max() <= 1e-5 * np.abs(expected32).max()
+
+    @pytest.mark.parametrize("kernel,padding", [((5, 5), 2), ((1, 1), 0)], ids=["5x5-pad2", "1x1"])
+    def test_gradcheck(self, rng, kernel, padding):
+        x = rng.standard_normal((2, 2, 6, 7))
+        w = rng.standard_normal((3, 2) + kernel)
+        b = rng.standard_normal(3)
+        xt = Tensor(x.copy(), requires_grad=True)
+        wt = Tensor(w.copy(), requires_grad=True)
+        bt = Tensor(b.copy(), requires_grad=True)
+        (conv2d(xt, wt, bt, padding=padding) ** 2).mean().backward()
+
+        def scalar():
+            return float((conv2d(Tensor(x), Tensor(w), Tensor(b), padding=padding) ** 2).mean().data)
+
+        assert_gradients_close(xt.grad, numerical_gradient(scalar, x))
+        assert_gradients_close(wt.grad, numerical_gradient(scalar, w))
+        assert_gradients_close(bt.grad, numerical_gradient(scalar, b))
+
+
+def test_conv2d_tape_keeps_about_the_input():
+    """What a float32 forward leaves allocated for its backward (the padded
+    input) plus its output stays below 3x the input's bytes; a patch matrix
+    of a 3x3 kernel alone would be 9x."""
+    rng = np.random.default_rng(0)
+    x = Tensor(rng.standard_normal((8, 16, 64, 64)).astype(np.float32), requires_grad=True)
+    w = Tensor(rng.standard_normal((16, 16, 3, 3)).astype(np.float32), requires_grad=True)
+    tracemalloc.start()
+    try:
+        out = conv2d(x, w, padding=1)
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert out.requires_grad and out.dtype == np.float32
+    assert retained < 3 * x.data.nbytes, f"retained {retained / 1e6:.1f} MB"
 
 
 class TestPooling:

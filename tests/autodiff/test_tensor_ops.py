@@ -1,5 +1,7 @@
 """Gradient and semantics tests for the elementwise / reduction Tensor ops."""
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -198,6 +200,50 @@ class TestGraphMechanics:
             out = tensor * 2
         assert not out.requires_grad
         assert is_grad_enabled()
+
+    def test_no_grad_is_per_thread(self):
+        """Two threads interleave their ``no_grad`` blocks: A enters, B enters,
+        A exits, B exits.  Both end with recording on, and a thread inside
+        ``no_grad`` does not stop another from recording."""
+        a_in, b_in, a_out = threading.Event(), threading.Event(), threading.Event()
+        seen = {}
+
+        def records():
+            return (Tensor(np.ones(2), requires_grad=True) * 2).requires_grad
+
+        def thread_a():
+            with no_grad():
+                a_in.set()
+                b_in.wait(5)
+            seen["a_after"] = is_grad_enabled()
+            a_out.set()
+
+        def thread_b():
+            a_in.wait(5)
+            seen["b_records_while_a_inside"] = records()
+            with no_grad():
+                b_in.set()
+                a_out.wait(5)
+                with no_grad():  # a nested block restores what it replaced
+                    pass
+                seen["b_inside"] = is_grad_enabled()
+            seen["b_after"] = is_grad_enabled()
+            seen["b_records_after"] = records()
+
+        threads = [threading.Thread(target=thread_a), threading.Thread(target=thread_b)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(10)
+        assert not any(thread.is_alive() for thread in threads)
+        assert seen == {
+            "b_records_while_a_inside": True,
+            "a_after": True,
+            "b_inside": False,
+            "b_after": True,
+            "b_records_after": True,
+        }
+        assert is_grad_enabled() and records()
 
     def test_detach_stops_gradient(self):
         tensor = Tensor(np.ones(3), requires_grad=True)
