@@ -20,8 +20,8 @@ concurrent load, for the exact (fvm) and learned (operator) backends:
   the proxy hop costs < 15% of throughput), and through the router
   fronting two replica processes (acceptance on multi-core hosts: >= 1.5x
   the single-replica routed throughput — the replicas are separate
-  processes, so the fleet is the scale-out rung above ``--exec
-  processes``; see docs/CLUSTER.md).
+  processes, so the fleet is how one host uses more than one core; see
+  docs/CLUSTER.md).
 """
 
 import os
@@ -35,11 +35,10 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from repro.api.session import ThermalSession
+from repro.api.session import DeadlineExceeded, ThermalSession
 from repro.chip.designs import get_chip
 from repro.data.generation import DatasetSpec, generate_dataset
 from repro.operators.factory import build_operator, save_operator
-from repro.runtime.plane import DeadlineExceeded
 from repro.serving.backends import build_backends
 from repro.serving.engine import MicroBatchEngine
 from repro.serving.request import ThermalRequest
@@ -173,7 +172,7 @@ def _overload_round(deadline_ms, session, power_base):
     ``SHED_BACKLOG`` threads call the engine together; with a
     ``deadline_ms`` budget, requests whose budget is spent before they are
     solved are shed (their calls raise
-    :class:`~repro.runtime.plane.DeadlineExceeded`) instead of solved.
+    :class:`~repro.api.session.DeadlineExceeded`) instead of solved.
     """
     requests = [
         ThermalRequest.create(

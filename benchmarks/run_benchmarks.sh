@@ -17,10 +17,7 @@
 # requests/sec vs the per-request cold-solver baseline (>= 5x), closed-loop
 # p50/p95/p99 latency for the fvm and operator backends, deadline shedding
 # under a backlog of concurrent callers, the telemetry overhead (< 3%) and
-# the fleet-router hop (< 15%).  bench_exec.py records the
-# execution-plane scaling numbers: fvm dataset generation through a 4-worker
-# ProcessPlane vs SerialPlane (>= 1.7x on hosts with >= 4 cores, bitwise
-# identical outputs) and serving throughput inline vs on a process plane.
+# the fleet-router hop (< 15%).
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -33,20 +30,17 @@ if [[ "${1:-}" == "--smoke" ]]; then
     python -m compileall -q src
     echo "== smoke: CLI surface sanity =="
     python -m repro.cli chips > /dev/null
-    echo "== smoke: generate --exec processes (2-worker dataset generation) =="
+    echo "== smoke: generate (dataset generation) =="
     SMOKE_DATASET="$(mktemp -t repro_smoke_dataset_XXXXXX.npz)"
     trap 'rm -f "$SMOKE_DATASET"' EXIT
     python -m repro.cli generate --chip chip1 --resolution 12 --samples 8 \
-        --batch-size 4 --exec processes --exec-workers 2 \
-        --output "$SMOKE_DATASET" > /dev/null
+        --batch-size 4 --output "$SMOKE_DATASET" > /dev/null
     echo "== smoke: serve --max-queue 64 end-to-end (solve + transient + stats) =="
     python benchmarks/smoke_serving.py
-    echo "== smoke: serve --exec processes end-to-end (plane-backed solves) =="
-    python benchmarks/smoke_serving.py --exec processes --exec-workers 2
-    echo "== smoke: serve --chaos (killed plane worker, zero failed requests, incident on /events + /metrics + watch) =="
-    python benchmarks/smoke_serving.py --exec processes --exec-workers 2 \
-        --chaos kill-worker:0@5 --sample-interval 0.2
-    echo "== smoke: fleet (2 replicas + router, SIGKILL one, zero failed requests, degraded->ok, fleet generate) =="
+    echo "== smoke: serve --chaos (fvm breaker opened, every answer degraded, incident on /events + /healthz + /metrics + watch) =="
+    python benchmarks/smoke_serving.py --chaos fail-backend:fvm@3 --fallback \
+        --breaker-threshold 3 --sample-interval 0.2
+    echo "== smoke: fleet (2 replicas + router, SIGKILL one, zero failed requests, degraded->ok) =="
     python benchmarks/smoke_fleet.py
     echo "== smoke: streaming (streamed /solve_transient, replica and router, first segment beats blocking, resume) =="
     python benchmarks/smoke_streaming.py
@@ -54,7 +48,6 @@ if [[ "${1:-}" == "--smoke" ]]; then
     python -m pytest \
         benchmarks/bench_solver_kernels.py \
         benchmarks/bench_serving.py \
-        benchmarks/bench_exec.py \
         --benchmark-disable \
         -q "$@"
     echo "smoke benchmarks ok"
@@ -68,7 +61,6 @@ mkdir -p "$(dirname "$OUTPUT")"
 python -m pytest \
     benchmarks/bench_solver_kernels.py \
     benchmarks/bench_serving.py \
-    benchmarks/bench_exec.py \
     --benchmark-only \
     --benchmark-disable-gc \
     --benchmark-json="$OUTPUT" \

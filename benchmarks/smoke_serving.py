@@ -9,26 +9,21 @@ KeyboardInterrupt path).  This is the end-to-end guard the unit tests can't
 give: the actual CLI wiring of the queue/cache flags, the actual HTTP
 loop, the actual signal-driven shutdown.
 
-Extra command-line arguments are forwarded to ``repro-thermal serve``, which
-the smoke runner uses for a second pass with ``--exec processes
---exec-workers 2`` — the multi-core execution plane booted through the real
-CLI, with ``/stats`` asserting the plane is live and SIGINT asserting its
-worker processes die with the server.
+Extra command-line arguments are forwarded to ``repro-thermal serve``.
+When ``--chaos`` is among them the smoke switches to the reliability
+drill, which the smoke runner boots with ``--chaos fail-backend:fvm@3
+--fallback --breaker-threshold 3``: the first three fvm solves raise
+injected faults and open the ``fvm`` breaker, the fourth is refused by
+the open breaker, and every one of the four requests must still answer
+200 with ``degraded: true``.  ``/stats`` must show the breaker open with
+counters matching the plan exactly, and ``/healthz`` must be degraded.
 
-When ``--chaos`` is among the forwarded arguments the smoke switches to the
-reliability drill: it pins a closed-loop stream of unique ``/solve``
-requests onto plane worker 0 (by warm-state key), lets the injected
-``kill-worker`` directive kill that worker mid-run, and asserts every
-single client request still answered 200 (the lost task recovered by
-retry), that ``/stats`` reports the retry and the dead worker, and that
-``/healthz`` degraded.
-
-Both passes also exercise the telemetry plane end to end: every answered
+Both passes also exercise the telemetry end to end: every answered
 request must carry a trace id with a non-zero solve span, ``/events``
-must deliver the ``request_done`` stream (and, under chaos, the
-``worker_dead`` / ``worker_retry`` events plus a watchdog-sourced
-alert), ``/metrics`` must scrape as Prometheus text (the chaos pass
-checks the incident is visible as ``repro_plane_workers_dead 1``), and
+must deliver the ``request_done`` stream (and, under chaos, a
+``breaker_transition`` from the session and one from the watchdog),
+``/metrics`` must scrape as Prometheus text (the chaos pass checks the
+incident is visible as ``repro_breaker_state{backend="fvm"} 2``), and
 ``repro-thermal watch --once`` must render a dashboard frame against
 the live server.
 """
@@ -102,61 +97,48 @@ def _assert_watch_renders(url):
     assert "backend" in result.stdout, result.stdout[:400]
 
 
-def _slot0_resolution(workers):
-    """A resolution whose fvm warm-state key routes to plane worker 0."""
-    from repro.chip.designs import get_chip
-    from repro.runtime.plane import _stable_slot
-    from repro.runtime.tasks import BackendSpec, backend_state_key
-
-    chip = get_chip("chip1")
-    for resolution in range(8, 32):
-        spec = BackendSpec(chip=chip, resolution=resolution, backend="fvm")
-        if _stable_slot(backend_state_key(spec), workers) == 0:
-            return resolution
-    raise AssertionError("no resolution maps to plane slot 0 — routing changed?")
-
-
-def _chaos_drill(url, extra_args):
-    """Closed-loop kill-worker drill: every request answered, retry counted."""
-    workers = 2
-    if "--exec-workers" in extra_args:
-        workers = int(extra_args[extra_args.index("--exec-workers") + 1])
-    resolution = _slot0_resolution(workers)
-    requests = 8  # enough to cross a kill-worker:0@<m> directive with m < 8
+def _chaos_drill(url):
+    """Backend-fault drill: the fvm breaker opens, every request degrades."""
+    requests = 4  # three injected failures open the breaker; one is refused
     for index in range(requests):
         status, solved = _post(
             url + "/solve",
-            {"chip": "chip1", "resolution": resolution, "backend": "fvm",
+            {"chip": "chip1", "resolution": 12, "backend": "fvm",
              "total_power": 30.0 + index},  # unique powers dodge the result cache
         )
         assert status == 200 and solved["max_K"] > 300.0, (index, solved)
+        assert solved["degraded"] is True, solved
+        assert solved["requested_backend"] == "fvm", solved
         _assert_traced(solved)
 
     stats = _get(url + "/stats")
-    plane = stats["session"]["plane"]
-    assert plane["workers_dead"] == 1, plane
-    assert plane["retried"] >= 1, plane
-    assert plane["errors"] == 0, plane
     assert stats["backends"]["fvm"]["errors"] == 0, stats["backends"]["fvm"]
-
-    health = _get(url + "/healthz")
-    assert health["status"] == "degraded", health
-    assert health["plane_workers_dead"] == 1, health
+    assert stats["shed_requests"] == 0, stats
+    reliability = stats["session"]["reliability"]
+    breaker = reliability["breakers"]["fvm"]
+    assert breaker["state"] == "open", breaker
+    assert breaker["opened"] == 1 and breaker["failures"] == 3, breaker
+    assert reliability["breaker_rejections"] == 1, reliability
+    assert reliability["fallbacks"] == requests, reliability
+    assert reliability["faults"]["backends"]["fvm"] == {
+        "calls": 3, "injected_failures": 3, "injected_delays": 0,
+    }, reliability["faults"]
 
     # The incident must be visible on every telemetry surface.  Give the
-    # sampler (boot flag --sample-interval 0.2) one tick to observe the
-    # death so the watchdog's rollup-level alert lands on the bus too.
+    # sampler (boot flag --sample-interval 0.2) time to observe the open
+    # breaker so the watchdog's sample-level alert lands on the bus too.
     time.sleep(1.0)
     feed = _get(url + "/events?timeout_s=0&limit=500")
-    kinds = {event["kind"] for event in feed["events"]}
-    assert "worker_dead" in kinds, sorted(kinds)
-    assert "worker_retry" in kinds, sorted(kinds)
-    watchdog_alerts = [event for event in feed["events"]
-                       if event.get("source") == "watchdog"]
-    assert watchdog_alerts, sorted(kinds)
-    assert _get(url + "/healthz")["last_alert"] is not None, \
+    transitions = [event for event in feed["events"]
+                   if event["kind"] == "breaker_transition"]
+    sources = {event.get("source") for event in transitions}
+    assert {"session", "watchdog"} <= sources, transitions
+    health = _get(url + "/healthz")
+    assert health["status"] == "degraded", health
+    assert health["open_breakers"] == ["fvm"], health
+    assert health["last_alert"] is not None, \
         "healthz should surface the incident as last_alert"
-    _assert_metrics_scrape(url, expected=["repro_plane_workers_dead 1"])
+    _assert_metrics_scrape(url, expected=['repro_breaker_state{backend="fvm"} 2'])
     _assert_watch_renders(url)
     return requests
 
@@ -184,12 +166,12 @@ def main() -> int:
         url = match.group(1)
 
         if chaos:
-            requests = _chaos_drill(url, extra_args)
+            requests = _chaos_drill(url)
             process.send_signal(signal.SIGINT)
             returncode = process.wait(timeout=STARTUP_TIMEOUT_S)
             assert returncode == 0, f"server exited {returncode} on SIGINT"
             print(f"serving chaos smoke ok: {requests}/{requests} requests answered "
-                  "despite a killed plane worker + clean shutdown")
+                  "degraded behind an open fvm breaker + clean shutdown")
             return 0
 
         status, solved = _post(
@@ -222,16 +204,12 @@ def main() -> int:
         assert stats["total_requests"] >= 1, stats
         assert stats["transient_endpoint"]["requests"] == 1, stats
         assert stats["session"]["result_cache"]["ttl_s"] == 600.0, stats
-        if "--exec" in extra_args:
-            exec_kind = extra_args[extra_args.index("--exec") + 1]
-            plane = stats["session"]["plane"]
-            assert plane and plane["kind"] == exec_kind, stats
-            assert plane["tasks"] >= 1, stats  # /solve actually rode the plane
+        assert "plane" not in stats["session"], stats  # every solve runs inline
 
         process.send_signal(signal.SIGINT)
         returncode = process.wait(timeout=STARTUP_TIMEOUT_S)
         assert returncode == 0, f"server exited {returncode} on SIGINT"
-        suffix = f" (exec: {' '.join(extra_args)})" if extra_args else ""
+        suffix = f" ({' '.join(extra_args)})" if extra_args else ""
         print("serving smoke ok: /solve /solve_transient /stats /events /metrics"
               " + clean shutdown" + suffix)
         return 0

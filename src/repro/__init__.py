@@ -44,12 +44,6 @@ _LAZY_EXPORTS = {
     "build_operator": ("repro.operators.factory", "build_operator"),
     "load_operator": ("repro.operators.factory", "load_operator"),
     "save_operator": ("repro.operators.factory", "save_operator"),
-    # Execution planes (multi-core runtime)
-    "ExecutionPlane": ("repro.runtime.plane", "ExecutionPlane"),
-    "SerialPlane": ("repro.runtime.plane", "SerialPlane"),
-    "ThreadPlane": ("repro.runtime.plane", "ThreadPlane"),
-    "ProcessPlane": ("repro.runtime.plane", "ProcessPlane"),
-    "create_plane": ("repro.runtime.plane", "create_plane"),
     # Data and training
     "generate_dataset": ("repro.data.generation", "generate_dataset"),
     "ThermalDataset": ("repro.data.dataset", "ThermalDataset"),

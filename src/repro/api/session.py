@@ -81,27 +81,12 @@ from repro.operators.factory import (
 )
 from repro.operators.gar import GARRegressor
 from repro.runtime.faults import FaultPlan
-from repro.runtime.plane import DeadlineExceeded, ExecutionPlane, PlaneTask
-from repro.runtime.tasks import (
-    BackendSpec,
-    backend_state_key,
-    build_backend_adapter,
-    solve_cases,
-    warm_state,
-)
 from repro.solvers.hotspot import HotSpotModel
 from repro.solvers.transient import PowerTrace
 from repro.training.trainer import Trainer, TrainingConfig, TrainingHistory
 
 #: Grid resolution used when a query does not specify one.
 DEFAULT_RESOLUTION = 32
-
-#: Backends a session dispatches onto its execution plane.  ``operator``
-#: surrogates live in the parent session's model registry and solve inline;
-#: ``hotspot`` answers in microseconds, so shipping it across a process
-#: boundary would cost more than the solve — it stays inline too (its state
-#: *can* be rebuilt on a worker, see :mod:`repro.runtime.tasks`).
-PLANE_BACKENDS = ("fvm", "transient")
 
 #: The opt-in graceful-degradation order (``fallback=True``): when a
 #: requested backend fails or its circuit breaker is open, the session walks
@@ -124,12 +109,21 @@ DEFAULT_BREAKER_COOLDOWN_S = 30.0
 ChipLike = Union[str, ChipStack]
 
 
+class DeadlineExceeded(TimeoutError):
+    """A request's deadline expired before its work was started.
+
+    Raised by the session's fallback walk and by the serving engine when it
+    sheds a request that expired while waiting.  The work was *never
+    solved*: callers distinguishing "slow" from "shed" can rely on that.
+    """
+
+
 def _chip_fingerprint(chip: ChipStack) -> str:
     """Structural identity of a chip design (see :meth:`ChipStack.fingerprint`).
 
-    Kept as a module-level helper for compatibility; the logic moved onto
-    :class:`~repro.chip.stack.ChipStack` so the execution planes can embed
-    the same identity in warm-state keys without importing the session.
+    Kept as a module-level helper for compatibility; the logic lives on
+    :class:`~repro.chip.stack.ChipStack` so generation's warm-state keys
+    share the same identity without importing the session.
     """
     return chip.fingerprint()
 
@@ -279,13 +273,6 @@ class ThermalSession:
         An existing :class:`ModelRegistry` to share; a fresh one otherwise.
     operator_batch_size:
         Forward-pass batch size of the operator backend.
-    plane:
-        An optional :class:`~repro.runtime.plane.ExecutionPlane` this
-        session dispatches its batched field solves onto (see
-        :data:`PLANE_BACKENDS`).  ``None`` — the default — solves inline on
-        the calling thread, exactly the historical behaviour.  The caller
-        owns the plane's lifecycle (``close()`` it, or use it as a context
-        manager); one plane may be shared by several sessions.
     breaker_threshold:
         Consecutive solve failures that open a backend's circuit breaker
         (see :class:`~repro.api.breaker.CircuitBreaker`).
@@ -314,7 +301,6 @@ class ThermalSession:
         result_cache: Optional[ResultCache] = None,
         models: Optional[ModelRegistry] = None,
         operator_batch_size: int = 32,
-        plane: Optional[ExecutionPlane] = None,
         breaker_threshold: int = DEFAULT_BREAKER_THRESHOLD,
         breaker_cooldown_s: float = DEFAULT_BREAKER_COOLDOWN_S,
         fallback: Union[bool, Mapping[str, Sequence[str]]] = False,
@@ -322,7 +308,6 @@ class ThermalSession:
     ):
         self.cells_per_layer = cells_per_layer
         self.operator_batch_size = operator_batch_size
-        self.plane = plane
         self.breaker_threshold = int(breaker_threshold)
         self.breaker_cooldown_s = float(breaker_cooldown_s)
         self.faults = faults
@@ -340,10 +325,6 @@ class ThermalSession:
         self._reliability_lock = threading.Lock()
         self._fallbacks = 0
         self._breaker_rejections = 0
-        # Plane-dispatch counters, surfaced in stats()["dispatch"].
-        self._dispatch_lock = threading.Lock()
-        self._plane_batches = 0
-        self._split_batches = 0
         self._chips: Dict[str, ChipStack] = {}
         self._pools: Dict[str, LRUPool] = {
             name: LRUPool(pool_size) for name in ("fvm", "hotspot", "transient")
@@ -380,15 +361,11 @@ class ThermalSession:
     def attach_events(self, bus: EventBus) -> None:
         """Publish this session's telemetry onto ``bus``.
 
-        Wires the result cache's eviction listener, every existing (and
-        future) circuit breaker's transition listener, and — if the session
-        drives an execution plane that has no bus yet — the plane's
-        worker-death/retry events.  Safe to call once after construction;
-        sessions without a bus emit nothing.
+        Wires the result cache's eviction listener and every existing (and
+        future) circuit breaker's transition listener.  Safe to call once
+        after construction; sessions without a bus emit nothing.
         """
         self.events = bus
-        if self.plane is not None and getattr(self.plane, "events", None) is None:
-            self.plane.attach_events(bus)
 
     def _on_cache_eviction(self, cause: str, key: Any) -> None:
         publish_all(
@@ -626,7 +603,6 @@ class ThermalSession:
         include_maps: bool = False,
         include_values: bool = False,
         use_cache: bool = True,
-        plane: Optional[ExecutionPlane] = None,
         deadline: Optional[float] = None,
     ) -> List[ThermalSolution]:
         """Answer many power cases in one batched backend call.
@@ -635,19 +611,11 @@ class ThermalSession:
         backend, together, so a warm cache turns a batch into one dictionary
         pass and the cold remainder still amortises the factorisation.
 
-        ``plane`` (default: the session's configured plane) routes the miss
-        batch of a plane-eligible backend (:data:`PLANE_BACKENDS`) onto an
-        execution plane: small batches travel whole to the worker owning
-        the key's warm state, while batches large enough to feed every
-        worker are split into per-worker chunks — each worker warms its own
-        factorisation, so a big batch genuinely runs on several cores.  The
-        answers are bitwise-identical to inline solving either way.
-
-        ``deadline`` (absolute ``time.monotonic()`` seconds) propagates to
-        the plane tasks and is re-checked before each solve attempt;
-        expired work raises :class:`~repro.runtime.plane.DeadlineExceeded`
-        instead of burning solver time.  Cached answers are still served —
-        a dictionary lookup beats any deadline worth having.
+        ``deadline`` (absolute ``time.monotonic()`` seconds) is checked
+        before each solve attempt; expired work raises
+        :class:`DeadlineExceeded` instead of burning solver time.  Cached
+        answers are still served — a dictionary lookup beats any deadline
+        worth having.
 
         When the session was built with ``fallback`` enabled, a failing (or
         breaker-open) backend degrades to its fallback chain instead of
@@ -685,10 +653,8 @@ class ThermalSession:
                 else:
                     misses.append(index)
         if misses:
-            plane = plane if plane is not None else self.plane
             miss_assignments = [assignments[index] for index in misses]
             solved, producer = self._solve_misses(
-                plane,
                 chip_stack,
                 resolution,
                 backend,
@@ -712,7 +678,6 @@ class ThermalSession:
 
     def _solve_misses(
         self,
-        plane: Optional[ExecutionPlane],
         chip_stack: ChipStack,
         resolution: int,
         backend: str,
@@ -744,14 +709,12 @@ class ThermalSession:
                 )
             try:
                 solve = self._prepare_candidate(
-                    plane,
                     chip_stack,
                     resolution,
                     candidate,
                     assignments,
                     include_maps=include_maps,
                     include_values=include_values,
-                    deadline=deadline,
                 )
             except Exception as error:  # noqa: BLE001 — config, not health
                 # The candidate cannot serve this request *shape* (unknown
@@ -795,7 +758,6 @@ class ThermalSession:
 
     def _prepare_candidate(
         self,
-        plane: Optional[ExecutionPlane],
         chip_stack: ChipStack,
         resolution: int,
         candidate: str,
@@ -803,24 +765,12 @@ class ThermalSession:
         *,
         include_maps: bool,
         include_values: bool,
-        deadline: Optional[float],
     ) -> Callable[[], List[ThermalSolution]]:
         """A zero-argument solve closure for one fallback-chain candidate.
 
         Raises immediately (before any breaker bookkeeping) when the
         candidate cannot serve the request shape at all.
         """
-        if plane is not None and candidate in PLANE_BACKENDS:
-            return lambda: self._solve_batch_on_plane(
-                plane,
-                chip_stack,
-                resolution,
-                candidate,
-                assignments,
-                include_maps=include_maps,
-                include_values=include_values,
-                deadline=deadline,
-            )
         adapter = self.backend(candidate, chip_stack, resolution)
         if include_values and not adapter.capabilities().get("values", False):
             raise ValueError(
@@ -863,69 +813,6 @@ class ThermalSession:
             breakers = list(self._breakers.items())
         return sorted(name for name, breaker in breakers if breaker.state != "closed")
 
-    def _solve_batch_on_plane(
-        self,
-        plane: ExecutionPlane,
-        chip_stack: ChipStack,
-        resolution: int,
-        backend: str,
-        assignments: List[Dict[str, float]],
-        *,
-        include_maps: bool,
-        include_values: bool,
-        deadline: Optional[float] = None,
-    ) -> List[ThermalSolution]:
-        """Dispatch one homogeneous miss batch onto an execution plane.
-
-        The batch becomes one task (routed by warm-state key affinity) when
-        it is small, or ``plane.workers`` chunk tasks pinned to distinct
-        worker slots when it is deep enough to feed every worker twice —
-        the chunk results are re-concatenated in order, so callers see
-        exactly the inline answer list (chunked answers are
-        bitwise-identical to whole-batch ones).
-        """
-        spec = BackendSpec(
-            chip=chip_stack,
-            resolution=resolution,
-            backend=backend,
-            cells_per_layer=self.cells_per_layer,
-        )
-        key = backend_state_key(spec)
-        count = len(assignments)
-        if plane.workers > 1 and count >= 2 * plane.workers:
-            bounds = np.linspace(0, count, plane.workers + 1).astype(int)
-            chunks = [
-                (slot, assignments[bounds[slot]:bounds[slot + 1]])
-                for slot in range(plane.workers)
-                if bounds[slot] < bounds[slot + 1]
-            ]
-        else:
-            chunks = [(None, assignments)]
-        tasks = [
-            PlaneTask(
-                fn=solve_cases,
-                payload={
-                    "assignments": chunk,
-                    "include_maps": include_maps,
-                    "include_values": include_values,
-                },
-                state_key=key,
-                state_factory=build_backend_adapter,
-                state_spec=spec,
-                affinity=slot,
-                deadline=deadline,
-            )
-            for slot, chunk in chunks
-        ]
-        solved: List[ThermalSolution] = []
-        for chunk_solutions in plane.run_all(tasks):
-            solved.extend(chunk_solutions)
-        with self._dispatch_lock:
-            self._plane_batches += 1
-            if len(chunks) > 1:
-                self._split_batches += 1
-        return solved
-
     def solve_transient(
         self,
         chip: ChipLike,
@@ -959,29 +846,21 @@ class ThermalSession:
     # ------------------------------------------------------------------
     # Warm-up
     # ------------------------------------------------------------------
-    def warm_up(
-        self,
-        keys: Sequence[Any],
-        timeout: Optional[float] = None,
-    ) -> Dict[str, Any]:
+    def warm_up(self, keys: Sequence[Any]) -> Dict[str, Any]:
         """Pre-build solver state for a set of group keys before traffic.
 
         ``keys`` is a sequence of ``(chip, resolution, backend)`` triples or
-        ``{"chip": ..., "resolution": ..., "backend": ...}`` mappings.
-        Plane-eligible backends (:data:`PLANE_BACKENDS`, when this session
-        drives a plane) warm through
-        :meth:`~repro.runtime.plane.ExecutionPlane.warm_up`, building each
-        key's factorisation on the worker that owns it; everything else
-        warms by touching the session's adapter pools inline.  Returns
+        ``{"chip": ..., "resolution": ..., "backend": ...}`` mappings.  Each
+        key warms by touching the session's adapter pools, which builds the
+        prepared adapter (geometry and block basis).  Returns
         ``{"warmed": [labels...], "errors": {label: message}}``.
 
         This is the session half of the fleet warm-up protocol: a replica
         answering ``POST /warm_up`` calls this so a (re)joining node
-        pre-factorizes its key slice before the router admits traffic.
+        pre-builds its key slice before the router admits traffic.
         """
         warmed: List[str] = []
         errors: Dict[str, str] = {}
-        plane_jobs: List[Tuple[str, PlaneTask]] = []
         for entry in keys:
             if isinstance(entry, Mapping):
                 chip_name = entry.get("chip")
@@ -992,44 +871,11 @@ class ThermalSession:
             label = f"{chip_name}/{resolution}/{backend}"
             try:
                 chip_stack = self._resolve_chip(chip_name)
-                resolution = int(resolution)
-                backend = str(backend)
-                if self.plane is not None and backend in PLANE_BACKENDS:
-                    spec = BackendSpec(
-                        chip=chip_stack,
-                        resolution=resolution,
-                        backend=backend,
-                        cells_per_layer=self.cells_per_layer,
-                    )
-                    plane_jobs.append(
-                        (
-                            label,
-                            PlaneTask(
-                                fn=warm_state,
-                                state_key=backend_state_key(spec),
-                                state_factory=build_backend_adapter,
-                                state_spec=spec,
-                            ),
-                        )
-                    )
-                else:
-                    # Pool touch: building the adapter is the warm-up.
-                    self.backend(backend, chip_stack, resolution)
-                    warmed.append(label)
+                # Pool touch: building the adapter is the warm-up.
+                self.backend(str(backend), chip_stack, int(resolution))
+                warmed.append(label)
             except Exception as error:  # noqa: BLE001 — collected per key
                 errors[label] = str(error)
-        if plane_jobs:
-            # Submit every plane job before collecting so distinct keys warm
-            # concurrently on their owning workers; errors stay per-key.
-            futures = [
-                (label, self.plane.submit(task)) for label, task in plane_jobs
-            ]
-            for label, future in futures:
-                try:
-                    future.result(timeout=timeout)
-                    warmed.append(label)
-                except Exception as error:  # noqa: BLE001
-                    errors[label] = str(error)
         return {"warmed": warmed, "errors": errors}
 
     # ------------------------------------------------------------------
@@ -1043,14 +889,12 @@ class ThermalSession:
         seed: int = 0,
         batch_size: int = DEFAULT_BATCH_SIZE,
         verbose: bool = False,
-        plane: Optional[ExecutionPlane] = None,
         **spec_options: Any,
     ) -> ThermalDataset:
         """Generate a (power map -> temperature field) training dataset.
 
-        Runs the prepare-once / solve-many FVM pipeline, sharded across
-        ``plane`` (default: the session's configured plane, else inline
-        serial); ``spec_options`` forwards the remaining
+        Runs the prepare-once / solve-many FVM pipeline; ``spec_options``
+        forwards the remaining
         :class:`~repro.data.generation.DatasetSpec` fields (``core_bias``,
         ``idle_probability``, ``total_power_range_W``).
         """
@@ -1068,7 +912,6 @@ class ThermalSession:
             chip=chip_stack,
             verbose=verbose,
             batch_size=batch_size,
-            plane=plane if plane is not None else self.plane,
         )
 
     def generate_multifidelity_pair(
@@ -1080,7 +923,6 @@ class ThermalSession:
         num_high: int,
         seed: int = 0,
         batch_size: int = DEFAULT_BATCH_SIZE,
-        plane: Optional[ExecutionPlane] = None,
     ) -> Tuple[ThermalDataset, ThermalDataset]:
         """The low/high-fidelity dataset pair used by transfer learning.
 
@@ -1101,7 +943,6 @@ class ThermalSession:
             cells_per_layer=self.cells_per_layer,
             batch_size=batch_size,
             chip=chip_stack,
-            plane=plane if plane is not None else self.plane,
         )
 
     # ------------------------------------------------------------------
@@ -1201,18 +1042,11 @@ class ThermalSession:
         with self._reliability_lock:
             fallbacks = self._fallbacks
             rejections = self._breaker_rejections
-        with self._dispatch_lock:
-            dispatch = {
-                "plane_batches": self._plane_batches,
-                "split_batches": self._split_batches,
-            }
         return {
             "result_cache": self.result_cache.stats(),
             "pools": {name: pool.stats() for name, pool in self._pools.items()},
             "models": len(self.models),
             "custom_chips": sorted(self._chips),
-            "plane": self.plane.stats() if self.plane is not None else None,
-            "dispatch": dispatch,
             "reliability": {
                 "breakers": breakers,
                 "open_breakers": self.open_breakers(),

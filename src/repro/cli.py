@@ -41,7 +41,6 @@ Examples
     repro-thermal solve --chip chip1 --backend operator --model sau_fno.npz --total-power 60
     repro-thermal serve --port 8471 --model sau_fno.npz
     repro-thermal route --replica http://127.0.0.1:8471 --replica http://127.0.0.1:8472
-    repro-thermal generate --chip chip1 --samples 64 --fleet http://127.0.0.1:8470 --output d.npz
     repro-thermal report --output repro_report.md --scale tiny
     repro-thermal watch http://127.0.0.1:8471
     repro-thermal report --serve-history http://127.0.0.1:8471 --format csv
@@ -62,7 +61,6 @@ from repro.chip.designs import get_chip, list_chips
 from repro.data.dataset import ThermalDataset
 from repro.data.generation import DEFAULT_BATCH_SIZE
 from repro.data.power import error_message, parse_power_spec
-from repro.runtime.plane import PLANE_KINDS
 from repro.evaluation.reporting import ascii_heatmap, format_table
 from repro.operators.factory import OPERATOR_REGISTRY
 from repro.training.trainer import TrainingConfig
@@ -84,25 +82,8 @@ def build_parser() -> argparse.ArgumentParser:
     generate.add_argument("--samples", type=int, default=64)
     generate.add_argument("--seed", type=int, default=0)
     generate.add_argument("--batch-size", type=int, default=DEFAULT_BATCH_SIZE,
-                          help="power cases solved per batched factorization pass")
-    generate.add_argument("--exec", dest="exec_plane", default="serial",
-                          choices=list(PLANE_KINDS),
-                          help="execution plane solving the batches: 'serial' "
-                               "(inline, the default), 'threads', or 'processes' "
-                               "(worker processes with warm per-process "
-                               "factorizations — true multi-core generation)")
-    generate.add_argument("--exec-workers", type=int, default=None, metavar="N",
-                          help="workers of the execution plane (default: the "
-                               "host CPU count; ignored for --exec serial)")
-    generate.add_argument("--fleet", default=None, metavar="ROUTER_URL",
-                          help="generate through a fleet router instead of "
-                               "locally: the dataset's batches are sharded "
-                               "across the router's healthy replicas and the "
-                               "merged result is bitwise-identical to a "
-                               "single-host run (ignores --exec)")
-    generate.add_argument("--shards", type=int, default=None, metavar="N",
-                          help="with --fleet: number of shards (default: one "
-                               "per healthy replica)")
+                          help="power cases per generation task; every batch "
+                               "size gives the same dataset")
     generate.add_argument("--output", required=True, help="output .npz path")
 
     train = subparsers.add_parser("train", help="train an operator on a generated dataset")
@@ -145,16 +126,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="trained operator weights (repeatable); enables the "
                             "'operator' backend for the chip/resolution each "
                             "model was trained on")
-    serve.add_argument("--exec", dest="exec_plane", default="serial",
-                       choices=list(PLANE_KINDS),
-                       help="where each request's solve runs: 'serial' "
-                            "(inline in the HTTP handler thread, the default), "
-                            "'threads', or 'processes' (worker processes with "
-                            "warm per-process block bases); one solve runs at "
-                            "a time either way")
-    serve.add_argument("--exec-workers", type=int, default=None, metavar="N",
-                       help="workers of the execution plane (default: the host "
-                            "CPU count; ignored for --exec serial)")
     serve.add_argument("--max-queue", type=int, default=None, metavar="N",
                        help="admission bound on requests waiting for the solver; "
                             "beyond it /solve answers 429 immediately (default: "
@@ -180,10 +151,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="seconds an open breaker rests before letting one "
                             "probe request through (default: 30)")
     serve.add_argument("--chaos", type=str, default=None, metavar="SPEC",
-                       help="inject faults for reliability drills, e.g. "
-                            "'kill-worker:0@5,fail-backend:fvm@3' (worker "
-                            "directives need --exec processes); see "
-                            "repro.runtime.faults.FaultPlan.parse")
+                       help="inject backend faults for reliability drills, e.g. "
+                            "'fail-backend:fvm@3,delay-backend:hotspot:0.5@2'; "
+                            "see repro.runtime.faults.FaultPlan.parse")
     serve.add_argument("--verbose", action="store_true", help="log HTTP requests")
     serve.add_argument("--log-json", action="store_true",
                        help="structured access log: one JSON line per request "
@@ -269,84 +239,18 @@ def _cmd_chips(_args) -> int:
     return 0
 
 
-def _make_plane(args, faults=None):
-    """Build the execution plane a subcommand asked for (None for serial).
-
-    ``--exec serial`` maps to no plane at all: the inline code path is the
-    historical single-core pipeline, bitwise-identical by construction.
-    ``faults`` (a :class:`~repro.runtime.faults.FaultPlan`) arms chaos
-    injection on the plane's workers.
-    """
-    if args.exec_plane == "serial":
-        if faults is not None and faults.has_worker_faults:
-            raise ValueError(
-                "worker fault injection (kill-worker / drop-result) requires "
-                "--exec processes"
-            )
-        return None
-    from repro.runtime import create_plane
-
-    if args.exec_workers is not None and args.exec_workers < 1:
-        raise ValueError("--exec-workers must be >= 1")
-    return create_plane(args.exec_plane, workers=args.exec_workers, faults=faults)
-
-
 def _cmd_generate(args) -> int:
-    if args.fleet:
-        return _generate_fleet(args)
-    plane = _make_plane(args)
-    session = ThermalSession(plane=plane)
-    where = f" on a {plane.kind} plane ({plane.workers} workers)" if plane is not None else ""
+    session = ThermalSession()
     print(f"generating {args.samples} cases for {args.chip} "
-          f"at {args.resolution}x{args.resolution}{where} ...")
-    try:
-        dataset = session.generate_dataset(
-            args.chip,
-            resolution=args.resolution,
-            num_samples=args.samples,
-            seed=args.seed,
-            batch_size=args.batch_size,
-            verbose=True,
-        )
-    finally:
-        if plane is not None:
-            plane.close()
-    dataset.save(args.output)
-    print(f"wrote {args.output}: inputs {dataset.inputs.shape}, targets {dataset.targets.shape}")
-    return 0
-
-
-def _generate_fleet(args) -> int:
-    """``generate --fleet``: shard the dataset across a router's replicas.
-
-    The seeded case list makes sharding deterministic, so the merged
-    archive is bitwise-identical to a local run (only the wall-clock
-    ``solve_seconds`` metadata differs).
-    """
-    from repro.cluster.fleetgen import fleet_generate
-    from repro.cluster.proxy import ReplicaError
-    from repro.data.generation import DatasetSpec
-
-    if args.shards is not None and args.shards < 1:
-        raise ValueError("--shards must be >= 1")
-    spec = DatasetSpec(
-        chip_name=args.chip,
+          f"at {args.resolution}x{args.resolution} ...")
+    dataset = session.generate_dataset(
+        args.chip,
         resolution=args.resolution,
         num_samples=args.samples,
         seed=args.seed,
+        batch_size=args.batch_size,
+        verbose=True,
     )
-    print(f"generating {args.samples} cases for {args.chip} "
-          f"at {args.resolution}x{args.resolution} via fleet {args.fleet} ...")
-    try:
-        dataset = fleet_generate(
-            args.fleet,
-            spec,
-            batch_size=args.batch_size,
-            shard_count=args.shards,
-            verbose=True,
-        )
-    except ReplicaError as error:
-        raise OSError(f"fleet generation failed: {error_message(error)}")
     dataset.save(args.output)
     print(f"wrote {args.output}: inputs {dataset.inputs.shape}, targets {dataset.targets.shape}")
     return 0
@@ -477,13 +381,11 @@ def _cmd_serve(args) -> int:
         from repro.runtime.faults import FaultPlan
 
         faults = FaultPlan.parse(args.chaos)  # ValueError -> exit 2 with message
-    plane = _make_plane(args, faults=faults)
     session = ThermalSession(
         pool_size=args.solver_cache_size,
         result_cache_size=args.result_cache_size,
         result_cache_max_bytes=int(args.cache_max_mb * 1024 * 1024),
         result_cache_ttl_s=args.cache_ttl,
-        plane=plane,
         fallback=args.fallback,
         breaker_threshold=args.breaker_threshold,
         breaker_cooldown_s=args.breaker_cooldown,
@@ -500,11 +402,8 @@ def _cmd_serve(args) -> int:
     print(f"thermal inference service listening on {server.url}", flush=True)
     print(f"  backends: {', '.join(sorted(backends))}"
           + (f" ({len(args.models)} operator model(s) loaded)" if args.models else ""))
-    limits = ([f"max queue: {args.max_queue}"] if args.max_queue else []) + (
-        [f"exec: {plane.kind} ({plane.workers} workers)"] if plane is not None else []
-    )
-    if limits:
-        print("  " + " · ".join(limits))
+    if args.max_queue:
+        print(f"  max queue: {args.max_queue}")
     if args.fallback or faults is not None:
         print("  reliability: "
               + ("fallback on" if args.fallback else "fallback off")
@@ -526,19 +425,12 @@ def _cmd_serve(args) -> int:
         # are daemons and die with the process.  Interpreter finalisation can
         # race those daemons' stdio teardown (observed as exit status 120),
         # so flush explicitly and exit hard: for a service process SIGINT ->
-        # clean "shutting down" -> exit 0 must be deterministic.  The plane's
-        # worker processes must be stopped *before* os._exit, which skips the
-        # atexit hooks that would otherwise reap them.
+        # clean "shutting down" -> exit 0 must be deterministic.
         server.close()
-        if plane is not None:
-            plane.close()
         sys.stdout.flush()
         sys.stderr.flush()
         import os
         os._exit(0)
-    finally:
-        if plane is not None:
-            plane.close()
     return 0
 
 
@@ -583,7 +475,7 @@ def _cmd_route(args) -> int:
     print(f"  probing /healthz every {args.probe_interval:g}s · "
           f"drain after {args.failure_threshold} failures · "
           "warm-up before re-admission", flush=True)
-    print("  endpoints: POST /solve /solve_transient /warm_up /generate · "
+    print("  endpoints: POST /solve /solve_transient /warm_up · "
           "GET /chips /models /healthz /stats /events /metrics", flush=True)
     print("  streaming: streamed transients are proxied frame-by-frame to their "
           "owning replica", flush=True)

@@ -13,19 +13,14 @@ fleet cannot do without:
 * **health + draining** — :mod:`repro.cluster.membership` probes replica
   ``/healthz`` endpoints, drains a failing replica (its slice remaps to the
   survivors, in-flight requests retry once on a peer) and re-admits it only
-  after a ``POST /warm_up`` replay pre-factorizes its shard;
+  after a ``POST /warm_up`` replay pre-builds its key slice;
 * **aggregation** — the router merges replica ``/stats``, re-exports
   replica ``/metrics`` with a ``replica`` label and summarizes the fleet on
   ``/healthz``, so one URL feeds dashboards for the whole fleet.
 
-:mod:`repro.cluster.fleetgen` rides the same router for distributed dataset
-generation: a :class:`~repro.data.generation.DatasetSpec` is sharded across
-replicas by global batch index and the merged ``.npz`` is bitwise-identical
-to single-host output (modulo wall-clock timing metadata).  See
-``docs/CLUSTER.md`` for topology, semantics and capacity planning.
+See ``docs/CLUSTER.md`` for topology, semantics and capacity planning.
 """
 
-from repro.cluster.fleetgen import fleet_generate, generate_shard, merge_shards
 from repro.cluster.hashing import owner, rank, rendezvous_score
 from repro.cluster.membership import Membership, Replica
 from repro.cluster.proxy import ReplicaClient, ReplicaError, ReplicaResponse
@@ -38,9 +33,6 @@ __all__ = [
     "ReplicaClient",
     "ReplicaError",
     "ReplicaResponse",
-    "fleet_generate",
-    "generate_shard",
-    "merge_shards",
     "owner",
     "rank",
     "rendezvous_score",

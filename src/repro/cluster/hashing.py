@@ -1,12 +1,10 @@
 """Consistent placement of ``(chip, resolution, backend)`` groups on replicas.
 
-The single-host planes route work by CRC affinity
-(:func:`repro.runtime.plane._stable_slot` hashes a warm-state key onto a
-worker slot).  Across replicas a plain ``crc % n`` would reshuffle almost
-every key whenever ``n`` changes, evicting every replica's warm LRU solver
-pools on each membership event.  This module generalises the same CRC hash
-to **rendezvous (highest-random-weight) hashing**: every ``(replica, key)``
-pair gets a deterministic score and a key lives on the highest-scoring
+A plain ``crc32(key) % n`` would reshuffle almost every key whenever the
+replica count ``n`` changes, evicting every replica's warm LRU solver pools
+on each membership event.  This module uses **rendezvous
+(highest-random-weight) hashing** over CRC-32 instead: every
+``(replica, key)`` pair gets a deterministic score and a key lives on the highest-scoring
 replica.  Removing a replica moves *only* that replica's keys (each falls
 to its own second choice); adding one steals only the keys it now wins.
 That minimal-disruption property is exactly what keeps the per-replica
@@ -25,9 +23,8 @@ __all__ = ["rendezvous_score", "owner", "rank"]
 def rendezvous_score(replica_id: str, key: Hashable) -> int:
     """Deterministic weight of placing ``key`` on ``replica_id``.
 
-    Same hash family as the plane's worker affinity (CRC-32 over the
-    ``repr`` of the key), salted with the replica identity so each replica
-    induces an independent ordering over keys.
+    CRC-32 over the ``repr`` of the key, salted with the replica identity
+    so each replica induces an independent ordering over keys.
     """
     token = f"{replica_id}|{key!r}".encode("utf-8")
     return zlib.crc32(token)

@@ -18,8 +18,6 @@ that fronts N ``repro-thermal serve`` replicas:
   typed in-band ``event: error`` frame (retries only happen before the
   first byte, so a retried stream can never duplicate frames).
 * ``POST /warm_up`` — splits the keys by owner and forwards each slice.
-* ``POST /generate`` — forwards one dataset-generation shard to a healthy
-  replica (round-robin by shard index, retried on a peer on failure).
 * ``GET /healthz`` — fleet membership summary (ok / degraded / down).
 * ``GET /stats`` — live-merged replica stats plus per-replica breakdown
   and the router's own routing counters.
@@ -238,14 +236,11 @@ class _RouterHandler(BaseHTTPRequestHandler):
 
     # ------------------------------------------------------------------
     def do_POST(self) -> None:  # noqa: N802
-        router: "FleetRouter" = self.server.router
         path = self.path.split("?", 1)[0].rstrip("/")
         if path in ("/solve", "/solve_transient"):
             self._post_solve(path)
         elif path == "/warm_up":
             self._post_warm_up()
-        elif path == "/generate":
-            self._post_generate()
         else:
             self.close_connection = True  # body never read
             self._send_error_json(404, f"unknown path '{self.path}'")
@@ -323,28 +318,6 @@ class _RouterHandler(BaseHTTPRequestHandler):
             self._send_json(200, router.warm_fleet(keys))
         except ValueError as error:  # no healthy replicas at all
             self._send_error_json(503, str(error))
-
-    def _post_generate(self) -> None:
-        router: "FleetRouter" = self.server.router
-        raw = self._read_body()
-        if raw is None:
-            return
-        try:
-            payload = json.loads(raw.decode("utf-8"))
-            shard = payload["shard"]
-            shard_index = int(shard["index"])
-        except (KeyError, TypeError, ValueError, json.JSONDecodeError) as error:
-            self._send_error_json(400, f"malformed generate request: {error}")
-            return
-        try:
-            response, name = router.route_shard(shard_index, raw)
-        except ReplicaError as error:
-            self._send_error_json(502, str(error))
-            return
-        except ValueError as error:
-            self._send_error_json(503, str(error))
-            return
-        self._send_proxied(response, name)
 
 
 class FleetRouter:
@@ -519,36 +492,6 @@ class FleetRouter:
         raise ReplicaError(
             f"all candidate replicas for {key} failed: {last_error}"
         )
-
-    def route_shard(self, shard_index: int, body: bytes):
-        """Forward one generation shard round-robin over healthy replicas."""
-        replicas = self.membership.healthy()
-        if not replicas:
-            raise ValueError("no healthy replicas in the fleet")
-        headers = {"Content-Type": "application/json",
-                   "Content-Length": str(len(body))}
-        ordered = replicas[shard_index % len(replicas):] + \
-            replicas[:shard_index % len(replicas)]
-        last_error: Optional[ReplicaError] = None
-        for replica in ordered:
-            try:
-                response = replica.client.request("POST", "/generate", body=body,
-                                                  headers=headers)
-            except ReplicaError as error:
-                last_error = error
-                self.membership.mark_failed(replica)
-                with self._lock:
-                    self._retries += 1
-                continue
-            with self._lock:
-                self._routed += 1
-                self._routed_by_replica[replica.name] = (
-                    self._routed_by_replica.get(replica.name, 0) + 1
-                )
-            return response, replica.name
-        with self._lock:
-            self._proxy_errors += 1
-        raise ReplicaError(f"every healthy replica failed the shard: {last_error}")
 
     def proxy_read(self, path_and_query: str):
         """Proxy a read to one healthy replica, walking peers on failure."""

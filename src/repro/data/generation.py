@@ -8,18 +8,15 @@ temperature maps as targets.
 
 The loop is built on the solver's exact block basis
 (:meth:`~repro.solvers.fvm.FVMSolver.block_basis`: one 1 W response per
-floorplan block, so every case's targets are one small product) **and** on
-the runtime's execution planes (:mod:`repro.runtime`): cases are drawn up
-front (preserving the exact seed RNG sequence), grouped into batches, and
-the batches are submitted to an :class:`~repro.runtime.plane.ExecutionPlane`
-as tasks carrying a warm-solver state key.  On the default
-:class:`~repro.runtime.plane.SerialPlane` this runs inline against one
-cached basis; on a :class:`~repro.runtime.plane.ProcessPlane` the batches
-shard round-robin across worker processes, each of which builds and keeps
-its own basis.  Every case is answered by its own product, so the targets
-are bitwise-identical whatever the batch size or plane.  This is where the
-paper's cost asymmetry lives (thousands of PDE solves per dataset): one
-factorisation per geometry, then no back-substitution at all.
+floorplan block, so every case's targets are one small product).  Cases are
+drawn up front (preserving the exact seed RNG sequence), grouped into
+batches, and each batch runs inline as a task of a
+:class:`~repro.runtime.plane.SerialPlane`, whose warm-state LRU keeps the
+solver and its basis between batches and between datasets sharing the
+plane.  Every case is answered by its own product, so the targets are
+bitwise-identical whatever the batch size.  This is where the paper's cost
+asymmetry lives (thousands of PDE solves per dataset): one factorisation
+per geometry, then no back-substitution at all.
 """
 
 from __future__ import annotations
@@ -33,13 +30,12 @@ from repro.chip.designs import get_chip
 from repro.chip.stack import ChipStack
 from repro.data.dataset import ThermalDataset
 from repro.data.power import PowerSampler
-from repro.runtime.plane import ExecutionPlane, PlaneTask, SerialPlane
+from repro.runtime.plane import PlaneTask, SerialPlane
 from repro.runtime.tasks import SolverSpec, build_fvm_solver, generate_batch, solver_state_key
 from repro.solvers.fvm import SOLVER_VERSION
 from repro.solvers.voxelize import GridGeometry, build_geometry
 
-#: Number of power cases per generation task: the unit of work sharded
-#: across execution-plane workers.
+#: Number of power cases per generation task.
 DEFAULT_BATCH_SIZE = 32
 
 
@@ -79,7 +75,7 @@ def generate_dataset(
     chip: Optional[ChipStack] = None,
     verbose: bool = False,
     batch_size: int = DEFAULT_BATCH_SIZE,
-    plane: Optional[ExecutionPlane] = None,
+    plane: Optional[SerialPlane] = None,
     geometry: Optional[GridGeometry] = None,
 ) -> ThermalDataset:
     """Generate a full dataset according to ``spec``.
@@ -89,12 +85,9 @@ def generate_dataset(
     experiment harness rely on.  Cases are solved in batches of
     ``batch_size`` against a cached block basis.
 
-    ``plane`` selects *who* solves the batches: ``None`` (a private
-    :class:`~repro.runtime.plane.SerialPlane`) runs them inline; a shared
-    :class:`~repro.runtime.plane.ProcessPlane` shards the batches
-    round-robin across its worker processes, each building its own basis.
-    The solved answers are identical either way — each case is its own
-    product against the basis.
+    ``plane`` is the :class:`~repro.runtime.plane.SerialPlane` whose warm
+    solvers answer the batches; ``None`` builds a private one.  Passing one
+    plane to several calls reuses each chip's basis across datasets.
 
     ``geometry`` optionally injects a pre-built voxelisation (the
     multifidelity pair shares one across its two fidelities).
@@ -113,11 +106,6 @@ def generate_dataset(
     # Sampling is the only consumer of the RNG, so drawing every case up
     # front produces the exact sequence the per-case loop used to.
     cases = sampler.sample_many(spec.num_samples, rng)
-    batches = [
-        cases[batch_start:batch_start + batch_size]
-        for batch_start in range(0, spec.num_samples, batch_size)
-    ]
-
     solver_spec = SolverSpec(
         chip=chip,
         resolution=spec.resolution,
@@ -126,44 +114,29 @@ def generate_dataset(
     )
     state_key = solver_state_key(solver_spec)
     plane = plane if plane is not None else SerialPlane()
-    # Explicit round-robin affinity: every batch shares one state key, so
-    # key-hash routing would pin the whole dataset to one worker.  Sharding
-    # by batch index instead spreads the work across all workers, each of
-    # which builds its own copy of the basis.
-    tasks = [
-        PlaneTask(
-            fn=generate_batch,
-            payload=[case.assignment for case in batch],
-            state_key=state_key,
-            state_factory=build_fvm_solver,
-            state_spec=solver_spec,
-            affinity=index,
-        )
-        for index, batch in enumerate(batches)
-    ]
-    if plane.synchronous:
-        # A synchronous plane runs each task inside submit(), so submitting
-        # lazily keeps the verbose progress lines interleaved with the work
-        # instead of all flushing after the last batch.
-        pending = ((batch, plane.submit(task)) for batch, task in zip(batches, tasks))
-    else:
-        pending = zip(batches, [plane.submit(task) for task in tasks])
 
     inputs: List[np.ndarray] = []
     targets: List[np.ndarray] = []
     totals: List[float] = []
     solve_times: List[float] = []
-    done = 0
-    for batch, future in pending:
-        batch_targets, batch_seconds = future.result()
+    for batch_start in range(0, spec.num_samples, batch_size):
+        batch = cases[batch_start:batch_start + batch_size]
+        batch_targets, batch_seconds = plane.submit(
+            PlaneTask(
+                fn=generate_batch,
+                payload=[case.assignment for case in batch],
+                state_key=state_key,
+                state_factory=build_fvm_solver,
+                state_spec=solver_spec,
+            )
+        )
         for case, case_targets, case_seconds in zip(batch, batch_targets, batch_seconds):
             inputs.append(sampler.rasterize(case, spec.resolution, spec.resolution))
             targets.append(case_targets)
             totals.append(case.total_W)
             solve_times.append(float(case_seconds))
-        done += len(batch)
         if verbose:
-            print(f"  generated {done}/{spec.num_samples} cases for {spec.chip_name}")
+            print(f"  generated {len(inputs)}/{spec.num_samples} cases for {spec.chip_name}")
 
     return ThermalDataset(
         inputs=np.stack(inputs),
@@ -187,7 +160,6 @@ def generate_multifidelity_pair(
     cells_per_layer: int = 2,
     batch_size: int = DEFAULT_BATCH_SIZE,
     chip: Optional[ChipStack] = None,
-    plane: Optional[ExecutionPlane] = None,
 ) -> Tuple[ThermalDataset, ThermalDataset]:
     """Generate the low-fidelity / high-fidelity dataset pair for transfer learning.
 
@@ -195,8 +167,7 @@ def generate_multifidelity_pair(
     and fine-tunes on a small amount of high-resolution data (1,000 cases, a
     4:1 ratio).  The two datasets here use different seeds so the fine-tuning
     data is not a subset of the pre-training data.  Each dataset runs through
-    the batched solver path with its own cached block basis, optionally
-    sharded across an execution ``plane``.
+    the batched solver path with its own cached block basis.
 
     When the high resolution is an integer multiple of the low, the chip is
     voxelised **once** at the high resolution and the low-fidelity geometry
@@ -224,7 +195,6 @@ def generate_multifidelity_pair(
         ),
         chip=chip,
         batch_size=batch_size,
-        plane=plane,
         geometry=low_geometry,
     )
     high = generate_dataset(
@@ -237,7 +207,6 @@ def generate_multifidelity_pair(
         ),
         chip=chip,
         batch_size=batch_size,
-        plane=plane,
         geometry=high_geometry,
     )
     return low, high

@@ -52,11 +52,13 @@ class Conv2d(Module):
 
 
 class PointwiseConv2d(Module):
-    """1x1 convolution implemented as a channel-mixing matrix product.
+    """1x1 convolution: a pure channel mix, run through :func:`conv2d`.
 
     This is the ``W`` linear bypass of every Fourier layer as well as the
     Q/K/V embeddings of the attention block.  It never looks at neighbouring
-    grid points, so it preserves mesh-invariance exactly.
+    grid points, so it preserves mesh-invariance exactly.  The weight is
+    stored as a ``(out_channels, in_channels)`` matrix, so saved operators
+    keep their parameter shapes, and viewed as a 1x1 kernel per call.
     """
 
     def __init__(
@@ -78,17 +80,12 @@ class PointwiseConv2d(Module):
 
     def forward(self, x: Tensor) -> Tensor:
         x = Tensor.ensure(x)
-        batch, channels, height, width = x.shape
-        if channels != self.in_channels:
+        if x.shape[1] != self.in_channels:
             raise ValueError(
-                f"PointwiseConv2d expected {self.in_channels} channels, got {channels}"
+                f"PointwiseConv2d expected {self.in_channels} channels, got {x.shape[1]}"
             )
-        flat = x.reshape(batch, channels, height * width)
-        # (B, Cin, N) -> (B, N, Cin) @ (Cin, Cout) -> (B, N, Cout) -> (B, Cout, N)
-        mixed = flat.transpose(0, 2, 1) @ self.weight.transpose()
-        if self.bias is not None:
-            mixed = mixed + self.bias
-        return mixed.transpose(0, 2, 1).reshape(batch, self.out_channels, height, width)
+        kernel = self.weight.reshape(self.out_channels, self.in_channels, 1, 1)
+        return conv2d(x, kernel, self.bias)
 
     def __repr__(self) -> str:
         return f"PointwiseConv2d(in={self.in_channels}, out={self.out_channels})"

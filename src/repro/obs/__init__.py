@@ -1,10 +1,9 @@
 """Observability plane: typed events, rolling metrics, tracing, dashboards.
 
-The fleet-telemetry layer under the serving stack (ISSUE 7 / ROADMAP
-"Fleet telemetry + live ops plane"):
+The telemetry layer under the serving stack:
 
 * :mod:`repro.obs.events` — the typed event catalog (``RequestDone``,
-  ``WorkerDead``, ``BreakerTransition``, …) that is also the wire schema
+  ``BreakerTransition``, ``CacheEviction``, …) that is also the wire schema
   of ``GET /events``,
 * :mod:`repro.obs.bus` — the in-process :class:`EventBus` with bounded
   per-subscriber queues, drop counters, and cursor-replayable history,
@@ -19,7 +18,7 @@ The fleet-telemetry layer under the serving stack (ISSUE 7 / ROADMAP
 * :mod:`repro.obs.watch` — the ``repro-thermal watch`` live dashboard.
 
 Nothing in this package imports from the rest of ``repro`` (stdlib +
-numpy only), so the engine, session and planes can all depend on it
+numpy only), so the engine and the session can both depend on it
 without cycles.
 """
 
@@ -33,8 +32,6 @@ from repro.obs.events import (
     RequestDone,
     TelemetryEvent,
     ThroughputFlatlined,
-    WorkerDead,
-    WorkerRetry,
     event_from_json,
 )
 from repro.obs.metrics import LatencyReservoir, MetricsStore, Sampler, Watchdog
@@ -58,8 +55,6 @@ __all__ = [
     "TelemetryEvent",
     "ThroughputFlatlined",
     "Watchdog",
-    "WorkerDead",
-    "WorkerRetry",
     "build_trace",
     "event_from_json",
     "new_trace_id",

@@ -1,7 +1,7 @@
 """Typed telemetry events of the observability plane.
 
-Every notable incident in the serving stack — a request answered, a plane
-worker dying, a circuit breaker opening — is described by one small
+Every notable incident in the serving stack — a request answered, a cache
+eviction, a circuit breaker opening — is described by one small
 validated dataclass here and published onto the in-process
 :class:`~repro.obs.bus.EventBus`.  The wire surfaces (``GET /events``
 long-poll and SSE) serialise events with :meth:`TelemetryEvent.to_json`
@@ -28,8 +28,6 @@ EVENT_KINDS: Dict[str, Type["TelemetryEvent"]] = {}
 #: dashboard's scrolling alert row and ``/healthz``'s ``last_alert``).
 ALERT_KINDS = frozenset(
     {
-        "worker_dead",
-        "worker_retry",
         "breaker_transition",
         "queue_saturated",
         "throughput_flatlined",
@@ -62,9 +60,9 @@ class TelemetryEvent:
     ``seq`` (a monotonically increasing sequence number) and ``ts`` (wall
     clock seconds) are stamped by the :class:`~repro.obs.bus.EventBus` at
     publish time; emitters leave them zero.  ``source`` names the emitting
-    subsystem (``engine``, ``plane``, ``session``, ``watchdog``) so e.g. a
-    plane-observed worker death is distinguishable from the watchdog's
-    rollup-derived alert for the same incident.
+    subsystem (``engine``, ``session``, ``watchdog``) so e.g. a
+    session-observed breaker transition is distinguishable from the
+    watchdog's sample-derived alert for the same incident.
     """
 
     kind: ClassVar[str] = "event"
@@ -101,40 +99,6 @@ class RequestDone(TelemetryEvent):
     def __post_init__(self) -> None:
         _require_in("status", self.status, ("ok", "error", "shed"))
         _require_non_negative("latency_ms", self.latency_ms)
-
-
-@_register
-@dataclass
-class WorkerDead(TelemetryEvent):
-    """An execution-plane worker process exited unexpectedly.
-
-    ``slot`` is ``-1`` when the emitter only knows the count changed (the
-    watchdog observes rollups, not individual processes).
-    """
-
-    kind: ClassVar[str] = "worker_dead"
-    slot: int = -1
-    exit_code: Optional[int] = None
-    pending: int = 0
-
-    def __post_init__(self) -> None:
-        _require_non_negative("pending", self.pending)
-
-
-@_register
-@dataclass
-class WorkerRetry(TelemetryEvent):
-    """A task lost to a dead worker was queued for resubmission."""
-
-    kind: ClassVar[str] = "worker_retry"
-    slot: int = -1
-    attempts: int = 1
-    state_key: str = ""
-    reason: str = ""
-
-    def __post_init__(self) -> None:
-        if self.attempts < 1:
-            raise ValueError(f"attempts must be >= 1, got {self.attempts!r}")
 
 
 @_register

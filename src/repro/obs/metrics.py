@@ -7,11 +7,11 @@ The flow, wired up by :class:`~repro.obs.telemetry.Telemetry`:
    ``interval_s`` seconds into one flat numeric sample,
 2. the :class:`MetricsStore` ring buffer keeps the last ``capacity``
    samples (constant memory forever) and computes windowed rollups —
-   requests/sec, latency percentiles, hit rate, queue depth, workers
-   alive — for ``/metrics/history`` and the ``watch`` dashboard,
+   requests/sec, latency percentiles, hit rate, queue depth — for
+   ``/metrics/history`` and the ``watch`` dashboard,
 3. the :class:`Watchdog` compares consecutive samples and converts bad
-   trends into alert events on the bus: queue saturation, a worker death
-   observed from the rollup, flatlined throughput, a breaker opening.
+   trends into alert events on the bus: queue saturation, flatlined
+   throughput, a breaker opening.
 
 :class:`LatencyReservoir` lives here too: the fixed-size uniform sample
 (Vitter's Algorithm R) behind the engine's per-backend latency
@@ -35,7 +35,6 @@ from repro.obs.events import (
     QueueSaturated,
     TelemetryEvent,
     ThroughputFlatlined,
-    WorkerDead,
 )
 
 #: Samples kept by a default :class:`MetricsStore` (at the default 1 s
@@ -155,8 +154,8 @@ class MetricsStore:
         Cumulative counters (``requests_total``, ``shed_total``,
         ``rejected_total``, ``errors_total``) become window deltas and a
         ``rps`` rate; gauges report their last value (queue depth also its
-        window max, workers alive its window min — the pessimistic edge is
-        what alerting wants).  Percentile fields pass through as their
+        window max — the pessimistic edge is what alerting wants).
+        Percentile fields pass through as their
         latest value: they are already aggregates of the engine's latency
         reservoirs.
         """
@@ -183,13 +182,6 @@ class MetricsStore:
         if "queue_depth" in last:
             summary["queue_depth"] = last["queue_depth"]
             summary["queue_depth_max"] = max(row.get("queue_depth", 0.0) for row in rows)
-        if "workers_alive" in last:
-            summary["workers_alive"] = last["workers_alive"]
-            summary["workers_alive_min"] = min(
-                row.get("workers_alive", last["workers_alive"]) for row in rows
-            )
-        if "workers_dead" in last:
-            summary["workers_dead"] = last["workers_dead"]
         return summary
 
     def rows(self) -> Dict[str, Any]:
@@ -215,16 +207,12 @@ class MetricsStore:
 class Watchdog:
     """Turns consecutive metric samples into alert events on the bus.
 
-    Four rules, each edge-triggered (one event per incident, re-armed when
+    Three rules, each edge-triggered (one event per incident, re-armed when
     the condition clears):
 
     * **queue saturation** — queue depth at or past
       ``saturation_fraction`` of ``max_queue`` (re-armed below half the
       threshold),
-    * **dead worker** — ``workers_dead`` increased since the last sample
-      (the plane also emits a :class:`~repro.obs.events.WorkerDead` with
-      the exact slot; the watchdog's copy is the rollup-level alert and is
-      stamped ``source="watchdog"``),
     * **flatlined throughput** — requests are queued but
       ``requests_total`` has not moved for ``flatline_after_s`` seconds,
     * **breaker open** — a backend name appeared in the sample's
@@ -254,7 +242,6 @@ class Watchdog:
         self._clock = clock
         self._last_requests: Optional[float] = None
         self._progress_at: Optional[float] = None
-        self._last_workers_dead = 0.0
         self._open_breakers: set = set()
         self._saturated = False
         self._flatlined = False
@@ -269,7 +256,6 @@ class Watchdog:
         """Inspect one sample; publish and return any alert events fired."""
         fired: List[TelemetryEvent] = []
         fired.extend(self._check_queue(sample))
-        fired.extend(self._check_workers(sample))
         fired.extend(self._check_flatline(sample))
         fired.extend(self._check_breakers(sample))
         self._alerts += len(fired)
@@ -298,14 +284,6 @@ class Watchdog:
         if depth <= threshold / 2:
             self._saturated = False
         return []
-
-    def _check_workers(self, sample: Mapping[str, Any]) -> List[TelemetryEvent]:
-        dead = float(sample.get("workers_dead", 0) or 0)
-        fired: List[TelemetryEvent] = []
-        if dead > self._last_workers_dead:
-            fired.append(WorkerDead(source="watchdog", slot=-1, pending=0))
-        self._last_workers_dead = dead
-        return fired
 
     def _check_flatline(self, sample: Mapping[str, Any]) -> List[TelemetryEvent]:
         requests = sample.get("requests_total")

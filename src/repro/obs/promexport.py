@@ -1,7 +1,7 @@
 """Prometheus text exposition for ``GET /metrics`` — stdlib only.
 
-Renders the service's merged stats snapshot (engine + session + plane +
-event bus, the same dict ``/stats`` serves as JSON) into the Prometheus
+Renders the service's merged stats snapshot (engine + session + event
+bus, the same dict ``/stats`` serves as JSON) into the Prometheus
 `text exposition format
 <https://prometheus.io/docs/instrumenting/exposition_formats/>`_ by hand:
 ``# HELP`` / ``# TYPE`` headers, one ``name{labels} value`` line per
@@ -207,42 +207,6 @@ def _render_session(out: _Lines, session: Mapping[str, Any]) -> None:
             "Result cache evictions by cause.",
             "counter",
             [("cause", cause)],
-        )
-
-    plane = session.get("plane") or {}
-    if plane:
-        workers = plane.get("workers") or 0
-        dead = plane.get("workers_dead") or 0
-        out.add(
-            "repro_plane_workers", workers, "Execution-plane workers configured."
-        )
-        out.add(
-            "repro_plane_workers_dead",
-            dead,
-            "Execution-plane workers observed dead.",
-        )
-        out.add(
-            "repro_plane_workers_alive",
-            max(workers - dead, 0),
-            "Execution-plane workers currently alive.",
-        )
-        out.add(
-            "repro_plane_tasks_total",
-            plane.get("tasks"),
-            "Tasks submitted to the execution plane.",
-            "counter",
-        )
-        out.add(
-            "repro_plane_retried_total",
-            plane.get("retried"),
-            "Tasks resubmitted after a worker death.",
-            "counter",
-        )
-        out.add(
-            "repro_plane_errors_total",
-            plane.get("errors"),
-            "Tasks that raised in the execution plane.",
-            "counter",
         )
 
     reliability = session.get("reliability") or {}

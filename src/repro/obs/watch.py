@@ -9,12 +9,11 @@ block when the health payload carries replicas).
 Polls ``/stats`` and ``/healthz`` every refresh and drains ``/events``
 with a sequence cursor (so no alert is missed between frames), then
 redraws a full-screen ANSI view: engine throughput and queue, per-backend
-latency quantiles, cache hit rate, per-worker plane rows (queue depth,
-warm keys, alive), breaker states, and a scrolling row of the most recent
-alert events.  Pure stdlib; when `Textual <https://textual.textualize.io>`_
-happens to be importable and stdout is a TTY the same data renders into a
-``DataTable`` app instead (the ``Dacs`` idiom from gridworks-scada) — but
-nothing requires it.
+latency quantiles, cache hit rate, breaker states, and a scrolling row of
+the most recent alert events.  Pure stdlib; when
+`Textual <https://textual.textualize.io>`_ happens to be importable and
+stdout is a TTY the same data renders into a ``DataTable`` app instead
+(the ``Dacs`` idiom from gridworks-scada) — but nothing requires it.
 
 :func:`render_dashboard` is a pure function of the fetched snapshots so
 tests can assert on the frame without a server or a terminal.
@@ -63,15 +62,6 @@ def _fmt(value: Any, digits: int = 1) -> str:
 
 def _describe_alert(event: Mapping[str, Any]) -> str:
     kind = event.get("kind", "?")
-    if kind == "worker_dead":
-        slot = event.get("slot", -1)
-        where = f"slot {slot}" if slot is not None and slot >= 0 else "rollup"
-        return f"worker dead ({where}, exit={event.get('exit_code')})"
-    if kind == "worker_retry":
-        return (
-            f"retry slot {event.get('slot')} attempt {event.get('attempts')}"
-            f" [{event.get('reason', '')}]"
-        )
     if kind == "breaker_transition":
         return (
             f"breaker {event.get('backend')}:"
@@ -145,25 +135,6 @@ def render_dashboard(
             f" {summary.get('samples_dropped', 0):>8}"
         )
         lines.append(_paint(row, _RED, color) if errors else row)
-
-    plane = session.get("plane") or {}
-    if plane:
-        dead = plane.get("workers_dead", 0)
-        head = (
-            f"plane[{plane.get('kind')}]: workers={plane.get('workers')}"
-            f" dead={dead} retried={plane.get('retried', 0)}"
-        )
-        lines.append(_paint(head, _RED, color) if dead else head)
-        lines.append(_paint("  slot  alive  tasks  queue  warm_keys", _DIM, color))
-        for slot, worker in enumerate(plane.get("per_worker") or []):
-            alive = worker.get("alive", True)
-            row = (
-                f"  {slot:>4}  {'yes' if alive else 'NO ':<5}"
-                f" {worker.get('tasks', 0):>6}"
-                f" {worker.get('queue_depth', 0):>6}"
-                f" {worker.get('warm_keys', 0):>10}"
-            )
-            lines.append(row if alive else _paint(row, _RED, color))
 
     reliability = session.get("reliability") or {}
     breakers = reliability.get("breakers") or {}

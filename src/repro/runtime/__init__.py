@@ -1,49 +1,20 @@
-"""Unified multi-core execution plane.
+"""Inline task runner and fault injection.
 
-One abstraction — :class:`~repro.runtime.plane.ExecutionPlane` — decides
-*who runs the solve*: inline on the calling thread
-(:class:`~repro.runtime.plane.SerialPlane`, the bitwise-identical default),
-on a pool of threads (:class:`~repro.runtime.plane.ThreadPlane`), or on
-spawned worker processes that keep warm per-process solver state
-(:class:`~repro.runtime.plane.ProcessPlane`).  Dataset generation, the API
-session's ``solve_batch`` and the serving engine all submit their batched
-solver work through this one interface, so multi-core scaling lands in
-every layer at once (``repro-thermal generate/serve --exec processes``).
-
-:mod:`repro.runtime.tasks` holds the picklable task functions and
-warm-state recipes those layers submit.  :mod:`repro.runtime.faults` makes
-the runtime's failure modes injectable (``serve --chaos``) so the retry,
-shed and fallback paths are tested deterministically, and tasks carry
-deadlines the planes enforce (:class:`~repro.runtime.plane.DeadlineExceeded`).
+:class:`~repro.runtime.plane.SerialPlane` runs dataset generation's batches
+on the calling thread against warm per-key solver state, and
+:mod:`repro.runtime.tasks` holds the task functions and state recipes it
+runs.  :mod:`repro.runtime.faults` makes backend failures injectable
+(``serve --chaos``) so the circuit breaker and the fallback chain are
+tested deterministically.
 """
 
-from repro.runtime.faults import BackendFault, FaultPlan, InjectedFault, WorkerFault
-from repro.runtime.plane import (
-    DEFAULT_STATE_CAPACITY,
-    PLANE_KINDS,
-    DeadlineExceeded,
-    ExecutionPlane,
-    PlaneTask,
-    PlaneTimeout,
-    ProcessPlane,
-    SerialPlane,
-    ThreadPlane,
-    create_plane,
-)
+from repro.runtime.faults import BackendFault, FaultPlan, InjectedFault
+from repro.runtime.plane import PlaneTask, SerialPlane
 
 __all__ = [
-    "DEFAULT_STATE_CAPACITY",
-    "PLANE_KINDS",
     "BackendFault",
-    "DeadlineExceeded",
-    "ExecutionPlane",
     "FaultPlan",
     "InjectedFault",
     "PlaneTask",
-    "PlaneTimeout",
-    "ProcessPlane",
     "SerialPlane",
-    "ThreadPlane",
-    "WorkerFault",
-    "create_plane",
 ]

@@ -1,31 +1,20 @@
-"""Deterministic fault injection for the execution and serving planes.
+"""Deterministic fault injection for the session's backends.
 
 Recovery paths that only ever run during real outages are recovery paths
-nobody has tested.  This module makes the failure modes of the runtime
-injectable so the retry/shed/fallback machinery is exercised on purpose:
-
-* **worker faults** — kill plane worker *k* after it has completed *m*
-  tasks, or silently drop one of its result messages (exercises the
-  dead-worker retry and the straggler resubmission in
-  :class:`~repro.runtime.plane.ProcessPlane`);
-* **backend faults** — raise :class:`InjectedFault` from the first *n*
-  solve calls of a named backend, or delay them by a fixed number of
-  seconds (exercises the session's circuit breaker and fallback chain).
+nobody has tested.  This module makes backend failures injectable so the
+breaker and fallback machinery is exercised on purpose: raise
+:class:`InjectedFault` from the first *n* solve calls of a named backend,
+or delay them by a fixed number of seconds.
 
 A :class:`FaultPlan` is parsed from the compact spec grammar the CLI's
 ``serve --chaos`` flag accepts::
 
-    kill-worker:<slot>@<m>       worker <slot> dies on receiving task m+1
-    drop-result:<slot>@<k>       worker <slot> drops its k-th result
-    fail-backend:<name>@<n>      first n solves of <name> raise InjectedFault
+    fail-backend:<name>@<n>          first n solves of <name> raise InjectedFault
     delay-backend:<name>:<sec>@<n>   first n solves of <name> sleep <sec>s
 
-Directives are comma-separated: ``kill-worker:0@5,fail-backend:fvm@3``.
-Worker directives are shipped picklable to the spawned workers (each worker
-counts its own tasks, so the plan is deterministic under key-affinity
-routing); backend directives are evaluated in the parent session under a
-lock, so "the first n solves" is well-defined even with concurrent
-callers.
+Directives are comma-separated: ``fail-backend:fvm@3,delay-backend:fvm:0.1@5``.
+They are evaluated in the session under a lock, so "the first n solves" is
+well-defined even with concurrent callers.
 """
 
 from __future__ import annotations
@@ -42,30 +31,6 @@ class InjectedFault(RuntimeError):
     A distinct type so tests (and the circuit breaker's stats) can tell an
     injected failure from a genuine solver error.
     """
-
-
-@dataclass(frozen=True)
-class WorkerFault:
-    """Faults of one plane worker slot (picklable, shipped to the worker).
-
-    Attributes
-    ----------
-    slot:
-        Worker index the fault applies to.
-    kill_after:
-        Die (``os._exit(1)``) upon *receiving* task ``kill_after + 1`` —
-        the first ``kill_after`` tasks complete normally and exactly one
-        task is lost, which the plane must recover by retrying it on a
-        healthy worker.  ``None`` disables.
-    drop_results:
-        1-based ordinals of computed results to silently discard instead
-        of shipping back — the task "succeeds" on the worker but the
-        parent never hears, which only a lease timeout can recover.
-    """
-
-    slot: int
-    kill_after: Optional[int] = None
-    drop_results: Tuple[int, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -104,21 +69,17 @@ class FaultPlan:
     """An immutable set of fault directives plus injection bookkeeping.
 
     Build one from the spec grammar with :meth:`parse` (what ``serve
-    --chaos`` does) or directly from directive objects in tests.  The same
-    plan instance is threaded to both the :class:`ProcessPlane` (worker
-    directives travel to the spawned workers) and the
-    :class:`~repro.api.session.ThermalSession` (backend directives fire in
-    :meth:`on_backend_solve`); :meth:`stats` reports what actually fired so
+    --chaos`` does) or directly from directive objects in tests.  The
+    :class:`~repro.api.session.ThermalSession` fires its directives in
+    :meth:`on_backend_solve`; :meth:`stats` reports what actually fired so
     chaos runs can assert counters against the plan exactly.
     """
 
     def __init__(
         self,
-        worker_faults: Tuple[WorkerFault, ...] = (),
         backend_faults: Tuple[BackendFault, ...] = (),
         spec: Optional[str] = None,
     ):
-        self.worker_faults = tuple(worker_faults)
         self.backend_faults = tuple(backend_faults)
         self.spec = spec
         self._lock = threading.Lock()
@@ -130,7 +91,6 @@ class FaultPlan:
     @classmethod
     def parse(cls, spec: str) -> "FaultPlan":
         """Parse the comma-separated ``--chaos`` spec grammar (see module doc)."""
-        worker_faults: Dict[int, Dict[str, Any]] = {}
         backend_faults: List[BackendFault] = []
         for raw in str(spec).split(","):
             directive = raw.strip()
@@ -151,14 +111,7 @@ class FaultPlan:
                 ) from None
             if count < 0:
                 raise ValueError(f"bad chaos directive '{directive}': count must be >= 0")
-            if kind == "kill-worker":
-                slot = _parse_slot(directive, target)
-                worker_faults.setdefault(slot, {})["kill_after"] = count
-            elif kind == "drop-result":
-                slot = _parse_slot(directive, target)
-                drops = worker_faults.setdefault(slot, {}).setdefault("drop_results", [])
-                drops.append(count)
-            elif kind == "fail-backend":
+            if kind == "fail-backend":
                 backend_faults.append(BackendFault(backend=target, fail_first=count))
             elif kind == "delay-backend":
                 name, _, seconds_text = target.partition(":")
@@ -180,32 +133,11 @@ class FaultPlan:
             else:
                 raise ValueError(
                     f"unknown chaos directive kind '{kind}' in '{directive}'; "
-                    "known: kill-worker, drop-result, fail-backend, delay-backend"
+                    "known: fail-backend, delay-backend"
                 )
-        merged = _merge_backend_faults(backend_faults)
-        workers = tuple(
-            WorkerFault(
-                slot=slot,
-                kill_after=parts.get("kill_after"),
-                drop_results=tuple(sorted(parts.get("drop_results", ()))),
-            )
-            for slot, parts in sorted(worker_faults.items())
-        )
-        return cls(worker_faults=workers, backend_faults=merged, spec=str(spec))
+        return cls(backend_faults=_merge_backend_faults(backend_faults), spec=str(spec))
 
     # ------------------------------------------------------------------
-    def worker_fault(self, slot: int) -> Optional[WorkerFault]:
-        """The (picklable) fault directive of worker ``slot``, if any."""
-        for fault in self.worker_faults:
-            if fault.slot == slot:
-                return fault
-        return None
-
-    @property
-    def has_worker_faults(self) -> bool:
-        """Whether any directive targets plane workers (needs a process plane)."""
-        return bool(self.worker_faults)
-
     def on_backend_solve(self, backend: str) -> None:
         """Injection point called by the session before each backend solve.
 
@@ -245,32 +177,7 @@ class FaultPlan:
                 }
                 for name, state in self._backend_state.items()
             }
-        return {
-            "spec": self.spec,
-            "worker_faults": [
-                {
-                    "slot": fault.slot,
-                    "kill_after": fault.kill_after,
-                    "drop_results": list(fault.drop_results),
-                }
-                for fault in self.worker_faults
-            ],
-            "backends": backends,
-        }
-
-
-def _parse_slot(directive: str, target: str) -> int:
-    """Parse a worker-slot operand, with the directive echoed in errors."""
-    try:
-        slot = int(target)
-    except ValueError:
-        raise ValueError(
-            f"bad chaos directive '{directive}': worker slot '{target}' "
-            "is not an integer"
-        ) from None
-    if slot < 0:
-        raise ValueError(f"bad chaos directive '{directive}': slot must be >= 0")
-    return slot
+        return {"spec": self.spec, "backends": backends}
 
 
 def _merge_backend_faults(faults: List[BackendFault]) -> Tuple[BackendFault, ...]:

@@ -19,8 +19,8 @@ stopped engine refuses new and waiting requests with :class:`EngineStopped`
 (503); backend failures
 trip per-backend circuit breakers in the session, which (with fallback
 enabled) answers from the next backend in the chain, provenance-stamped
-``degraded``.  ``repro-thermal serve --chaos`` injects worker kills, dropped
-results and backend failures to drill exactly these paths.
+``degraded``.  ``repro-thermal serve --chaos`` injects backend failures and
+delays to drill exactly these paths.
 """
 
 from repro.serving.backends import (

@@ -14,9 +14,7 @@ operator model is driven by one thread at a time (:class:`~repro.api.pool.LRUPoo
 builds a missing key outside its own lock), and two clients' operator
 forwards never interleave on the GIL and stretch each other.  One process
 therefore solves one request at a time; more cores mean more replicas behind
-the fleet router.  With an execution plane (``repro-thermal serve --exec
-processes``) the backend call runs on a warm worker process, still one task
-at a time.
+the fleet router.
 
 ``max_queue`` bounds the requests waiting for the lock; beyond it
 :meth:`~MicroBatchEngine.solve` fails fast with :class:`QueueFullError` (the
@@ -34,11 +32,11 @@ from typing import Any, Dict, Mapping, Optional
 
 import numpy as np
 
+from repro.api.session import DeadlineExceeded
 from repro.obs.bus import EventBus, publish_all
 from repro.obs.events import QueueSaturated, RequestDone
 from repro.obs.metrics import LatencyReservoir
 from repro.obs.trace import build_trace, new_trace_id
-from repro.runtime.plane import DeadlineExceeded
 from repro.serving.backends import Backend
 from repro.serving.request import ThermalRequest, ThermalResult
 
@@ -193,7 +191,7 @@ class MicroBatchEngine:
 
         Raises :class:`KeyError` for a backend this engine does not serve,
         :class:`QueueFullError` when ``max_queue`` requests are already
-        waiting, :class:`~repro.runtime.plane.DeadlineExceeded` when the
+        waiting, :class:`~repro.api.session.DeadlineExceeded` when the
         request's deadline passed before it could be solved (counted as
         shed, never solved), :class:`TimeoutError` when the solve lock was
         not free within ``timeout`` seconds (``None`` waits forever) and

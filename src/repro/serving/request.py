@@ -116,7 +116,7 @@ def _validate_deadline_ms(deadline_ms: Any) -> Optional[float]:
     """Turn a relative ``deadline_ms`` budget into an absolute deadline.
 
     Returns ``time.monotonic() + deadline_ms / 1000`` — the clock every
-    deadline consumer (engine, planes, session) compares against — or
+    deadline consumer (engine, session) compares against — or
     ``None`` when no budget was given.
     """
     if deadline_ms is None:

@@ -26,14 +26,10 @@ Endpoints
   ``event: result`` frame with the ordinary blocking answer.  A request
   whose ``deadline_ms`` budget expires mid-stream is terminated with a
   typed ``event: error`` frame and counted as shed.
-* ``POST /warm_up`` — pre-factorize solver state for a set of group keys
+* ``POST /warm_up`` — pre-build solver state for a set of group keys
   (``{"keys": [{"chip": ..., "resolution": ..., "backend": ...}]}``)
   before traffic arrives; the fleet router replays a rejoining replica's
   key slice through this before re-admitting it.
-* ``POST /generate`` — solve one shard of a distributed dataset-generation
-  job (``{"spec": {...}, "batch_size": N, "shard": {"index": i, "count":
-  n}}``) and answer the ``.npz`` shard bytes; see
-  :mod:`repro.cluster.fleetgen`.
 * ``GET /chips`` — built-in benchmark chips and their block names.
 * ``GET /models`` — operator surrogates loaded into the model registry.
 * ``GET /healthz`` — liveness probe (uptime, sampler liveness, last alert).
@@ -75,12 +71,11 @@ from typing import Any, Dict, List, Optional
 
 from repro import __version__
 from repro.api.breaker import CircuitOpenError
-from repro.api.session import ThermalSession
+from repro.api.session import DeadlineExceeded, ThermalSession
 from repro.chip.designs import get_chip, list_chips
 from repro.data.power import error_message
 from repro.obs.promexport import render_prometheus
 from repro.obs.telemetry import Telemetry
-from repro.runtime.plane import DeadlineExceeded
 from repro.serving.backends import OperatorBackend
 from repro.serving.engine import EngineStopped, MicroBatchEngine, QueueFullError
 from repro.serving.request import ThermalRequest, TransientRequest, validate_warm_up_key
@@ -385,8 +380,6 @@ class _Handler(BaseHTTPRequestHandler):
             self._post_solve_transient()
         elif path == "/warm_up":
             self._post_warm_up()
-        elif path == "/generate":
-            self._post_generate()
         else:
             self.close_connection = True  # body never read — see _send_json
             self._send_error_json(404, f"unknown path '{self.path}'")
@@ -463,31 +456,6 @@ class _Handler(BaseHTTPRequestHandler):
             self._send_error_json(400, str(error))
         except Exception as error:  # noqa: BLE001
             self._send_error_json(500, f"warm-up failed: {error}")
-
-    def _post_generate(self) -> None:
-        payload = self._read_json_body()
-        if payload is None:
-            return
-        service = self.server.service
-        if service.session is None:
-            self._send_error_json(
-                503, "this deployment has no session; generation is disabled"
-            )
-            return
-        try:
-            blob = service.generate_shard(payload)
-        except (KeyError, TypeError, ValueError) as error:
-            self._send_error_json(400, error_message(error))
-            return
-        except Exception as error:  # noqa: BLE001
-            self._send_error_json(500, f"shard generation failed: {error}")
-            return
-        self.send_response(200)
-        self.send_header("Content-Type", "application/octet-stream")
-        self.send_header("Content-Length", str(len(blob)))
-        self.end_headers()
-        self.wfile.write(blob)
-        self._log_access(200)
 
     def _post_solve_transient(self) -> None:
         payload = self._read_json_body()
@@ -642,8 +610,8 @@ class ThermalServer:
             ),
             None,
         )
-        # Telemetry plane: one bus shared by the engine, the session (cache +
-        # breakers + plane) and the watchdog.  The engine may arrive with a
+        # Telemetry: one bus shared by the engine, the session (cache +
+        # breakers) and the watchdog.  The engine may arrive with a
         # bus already attached (tests do this); it then becomes the server's.
         self.telemetry = (
             telemetry
@@ -820,62 +788,22 @@ class ThermalServer:
 
         Each key must pass :func:`~repro.serving.request.validate_warm_up_key`;
         the first bad key raises :class:`ValueError` naming it (HTTP 400)
-        before anything is built.  Delegates to
-        :meth:`ThermalSession.warm_up` with a bounded timeout so one
-        poisoned key cannot park a handler thread forever.
+        before anything is built.  Delegates to :meth:`ThermalSession.warm_up`.
         """
         for key in keys:
             validate_warm_up_key(key)
-        return self.session.warm_up(keys, timeout=SOLVE_TIMEOUT_S)
-
-    def generate_shard(self, payload: Dict[str, Any]) -> bytes:
-        """``POST /generate``: solve one distributed-generation shard.
-
-        Body: ``{"spec": {...DatasetSpec fields...}, "batch_size": N,
-        "shard": {"index": i, "count": n}}``.  Runs the shard's batches on
-        the session's execution plane (inline when none is configured) and
-        returns the ``.npz`` shard bytes.
-        """
-        # Imported here, not at module level: the cluster package imports
-        # the serving request models, and serving must stay importable
-        # without the cluster subsystem loaded.
-        from repro.cluster.fleetgen import generate_shard, spec_from_payload
-
-        if not isinstance(payload, dict):
-            raise ValueError("request body must be a JSON object")
-        spec = spec_from_payload(payload["spec"])
-        shard = payload.get("shard") or {}
-        if not isinstance(shard, dict):
-            raise ValueError("'shard' must be an object with 'index' and 'count'")
-        shard_index = int(shard.get("index", 0))
-        shard_count = int(shard.get("count", 1))
-        batch_size = int(payload.get("batch_size", 32))
-        chip = self.session.get_chip(spec.chip_name)
-        return generate_shard(
-            spec,
-            shard_index,
-            shard_count,
-            batch_size=batch_size,
-            chip=chip,
-            plane=self.session.plane,
-        )
+        return self.session.warm_up(keys)
 
     # ------------------------------------------------------------------
     def health(self) -> Dict[str, Any]:
         """Liveness payload of ``GET /healthz``.
 
-        ``status`` is ``"ok"`` while every breaker is closed and every plane
-        worker lives, ``"degraded"`` otherwise — degraded still answers
-        (fallback chains and retries keep requests flowing), but operators
-        should look; ``open_breakers`` and ``plane_workers_dead`` say where.
+        ``status`` is ``"ok"`` while every breaker is closed, ``"degraded"``
+        otherwise — degraded still answers (fallback chains keep requests
+        flowing), but operators should look; ``open_breakers`` says where.
         """
-        open_breakers: list = []
-        workers_dead = 0
-        if self.session is not None:
-            open_breakers = self.session.open_breakers()
-            if self.session.plane is not None:
-                workers_dead = int(self.session.plane.stats().get("workers_dead", 0))
-        degraded = bool(open_breakers) or workers_dead > 0
+        open_breakers = self.session.open_breakers() if self.session is not None else []
+        degraded = bool(open_breakers)
         uptime = round(time.time() - self._started_at, 3)
         body: Dict[str, Any] = {
             "status": "degraded" if degraded else "ok",
@@ -891,7 +819,6 @@ class ThermalServer:
         body.update(self.telemetry.health())
         if degraded:
             body["open_breakers"] = open_breakers
-            body["plane_workers_dead"] = workers_dead
         return body
 
     def describe_chips(self) -> list:
@@ -955,7 +882,6 @@ class ThermalServer:
         latencies = [b.get("latency_ms") or {} for b in backends.values()]
         session = stats.get("session") or {}
         cache = session.get("result_cache") or {}
-        plane = session.get("plane") or {}
         reliability = session.get("reliability") or {}
         events = stats.get("events") or {}
         open_breakers = reliability.get("open_breakers") or []
@@ -979,11 +905,6 @@ class ThermalServer:
         }
         if self.engine.max_queue is not None:
             sample["max_queue"] = self.engine.max_queue
-        if plane:
-            workers = plane.get("workers", 0)
-            dead = plane.get("workers_dead", 0)
-            sample["workers_alive"] = max(workers - dead, 0)
-            sample["workers_dead"] = dead
         return sample
 
     # ------------------------------------------------------------------

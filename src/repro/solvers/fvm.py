@@ -181,8 +181,8 @@ class FVMSolver:
     geometry:
         An optional pre-built :class:`~repro.solvers.voxelize.GridGeometry`
         to adopt instead of voxelising ``chip`` lazily — callers that share
-        one geometry across solvers (the multifidelity dataset pair, plane
-        workers handed a coarsened geometry) pass it here.  Must describe
+        one geometry across solvers (the multifidelity dataset pair, whose
+        low fidelity is a coarsened geometry) pass it here.  Must describe
         the same chip at exactly ``nx`` x ``ny``.
     """
 

@@ -410,94 +410,3 @@ class TestCompatReexports:
         assert repro.ThermalSolution is ThermalSolution
         assert callable(repro.get_chip) and callable(repro.build_operator)
         assert repro.FVMSolver is FVMSolver
-
-
-class TestSessionExecutionPlane:
-    """solve_batch / generate_dataset dispatch through a configured plane."""
-
-    def test_thread_plane_batch_matches_inline(self):
-        from repro.runtime import ThreadPlane
-
-        powers = [20.0 + index for index in range(6)]
-        inline = ThermalSession().solve_batch(
-            "chip1", powers, resolution=RES, include_maps=True, use_cache=False
-        )
-        with ThreadPlane(workers=2) as plane:
-            planar = ThermalSession(plane=plane).solve_batch(
-                "chip1", powers, resolution=RES, include_maps=True, use_cache=False
-            )
-            stats = plane.stats()
-        for a, b in zip(inline, planar):
-            assert (a.max_K, a.min_K, a.mean_K) == (b.max_K, b.min_K, b.mean_K)
-            for name in a.layer_maps:
-                assert np.array_equal(a.layer_maps[name], b.layer_maps[name])
-        # 6 misses >= 2 * 2 workers -> the batch was split across workers.
-        assert stats["tasks"] == 2
-        assert [w["tasks"] for w in stats["per_worker"]] == [1, 1]
-
-    def test_small_batches_travel_whole(self):
-        from repro.runtime import ThreadPlane
-
-        with ThreadPlane(workers=2) as plane:
-            session = ThermalSession(plane=plane)
-            session.solve("chip1", total_power_W=25.0, resolution=RES, use_cache=False)
-            assert plane.stats()["tasks"] == 1
-
-    def test_cache_hits_skip_the_plane(self):
-        from repro.runtime import SerialPlane
-
-        plane = SerialPlane()
-        session = ThermalSession(plane=plane)
-        first = session.solve("chip1", total_power_W=30.0, resolution=RES)
-        again = session.solve("chip1", total_power_W=30.0, resolution=RES)
-        assert again.cached and not first.cached
-        assert plane.stats()["tasks"] == 1
-
-    def test_operator_backend_stays_inline(self, session):
-        from repro.runtime import SerialPlane
-
-        _register_tiny_operator(session)
-        plane = SerialPlane()
-        session.plane = plane
-        solution = session.solve(
-            "chip1", total_power_W=30.0, resolution=RES, backend="operator",
-            use_cache=False,
-        )
-        session.plane = None
-        assert solution.backend == "operator"
-        assert plane.stats()["tasks"] == 0
-
-    def test_per_call_plane_overrides_session(self):
-        from repro.runtime import SerialPlane
-
-        plane = SerialPlane()
-        ThermalSession().solve_batch(
-            "chip1", [22.0], resolution=RES, use_cache=False, plane=plane
-        )
-        assert plane.stats()["tasks"] == 1
-
-    def test_generate_dataset_uses_session_plane(self):
-        from repro.runtime import SerialPlane
-
-        plane = SerialPlane()
-        session = ThermalSession(plane=plane)
-        baseline = ThermalSession().generate_dataset(
-            "chip1", resolution=RES, num_samples=4, seed=9, batch_size=2
-        )
-        dataset = session.generate_dataset(
-            "chip1", resolution=RES, num_samples=4, seed=9, batch_size=2
-        )
-        assert plane.stats()["tasks"] == 2
-        np.testing.assert_array_equal(dataset.inputs, baseline.inputs)
-        np.testing.assert_array_equal(dataset.targets, baseline.targets)
-
-    def test_stats_surface_plane_counters(self):
-        from repro.runtime import SerialPlane
-
-        assert ThermalSession().stats()["plane"] is None
-        session = ThermalSession(plane=SerialPlane())
-        session.solve("chip1", total_power_W=28.0, resolution=RES, use_cache=False)
-        plane_stats = session.stats()["plane"]
-        assert plane_stats["kind"] == "serial"
-        assert plane_stats["tasks"] == 1
-        assert plane_stats["per_worker"][0]["warm_keys"] == 1

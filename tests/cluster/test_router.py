@@ -83,6 +83,13 @@ class TestAdmission:
         status, body, _ = _post(router.url + "/nothing", {"x": 1})
         assert status == 404
 
+    def test_generate_is_404_and_contacts_no_replica(self, router, stub_replicas):
+        status, body, _ = _post(router.url + "/generate", {"shard": {"index": 0}})
+        assert status == 404
+        assert "unknown path" in body["error"]
+        for stub in stub_replicas:
+            assert stub.post_count("/generate") == 0
+
 
 class TestPlacement:
     def test_same_key_lands_on_the_same_replica(self, router):

@@ -65,14 +65,29 @@ class TestConvLayers:
         assert out.shape == (2, 6, 8, 8)
 
     def test_pointwise_equivalent_to_1x1_conv(self, rng):
-        x = rng.standard_normal((2, 3, 5, 5))
-        pointwise = PointwiseConv2d(3, 4, rng=np.random.default_rng(0))
-        conv = Conv2d(3, 4, kernel_size=1, rng=np.random.default_rng(1))
-        conv.weight.data = pointwise.weight.data.reshape(4, 3, 1, 1).copy()
-        conv.bias.data = pointwise.bias.data.copy()
-        np.testing.assert_allclose(
-            pointwise(Tensor(x)).data, conv(Tensor(x)).data, rtol=1e-4, atol=1e-5
-        )
+        """Output and all three gradients match a 1x1 ``Conv2d``, in both
+        precisions, and the weight gradient keeps the stored (Cout, Cin)
+        shape."""
+        x64 = rng.standard_normal((2, 3, 5, 5))
+        upstream64 = rng.standard_normal((2, 4, 5, 5))
+        for dtype, rtol in ((np.float64, 1e-12), (np.float32, 1e-5)):
+            pointwise = PointwiseConv2d(3, 4, rng=np.random.default_rng(0)).astype(dtype)
+            conv = Conv2d(3, 4, kernel_size=1, rng=np.random.default_rng(1)).astype(dtype)
+            conv.weight.data = pointwise.weight.data.reshape(4, 3, 1, 1).copy()
+            conv.bias.data = pointwise.bias.data.copy()
+            results = []
+            for layer in (pointwise, conv):
+                x = Tensor(x64.astype(dtype), requires_grad=True)
+                out = layer(x)
+                out.backward(upstream64.astype(dtype))
+                results.append((out.data, x.grad, layer.weight.grad, layer.bias.grad))
+            (out_p, gx_p, gw_p, gb_p), (out_c, gx_c, gw_c, gb_c) = results
+            assert out_p.dtype == gx_p.dtype == gw_p.dtype == gb_p.dtype == dtype
+            assert gw_p.shape == (4, 3)
+            np.testing.assert_allclose(out_p, out_c, rtol=rtol, atol=rtol)
+            np.testing.assert_allclose(gx_p, gx_c, rtol=rtol, atol=rtol)
+            np.testing.assert_allclose(gw_p, gw_c.reshape(4, 3), rtol=rtol, atol=rtol)
+            np.testing.assert_allclose(gb_p, gb_c, rtol=rtol, atol=rtol)
 
     def test_pointwise_channel_mismatch(self, rng):
         with pytest.raises(ValueError):

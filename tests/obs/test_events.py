@@ -13,8 +13,6 @@ from repro.obs.events import (
     RequestDone,
     TelemetryEvent,
     ThroughputFlatlined,
-    WorkerDead,
-    WorkerRetry,
     event_from_json,
 )
 
@@ -23,8 +21,6 @@ class TestCatalog:
     def test_registry_covers_every_subclass(self):
         expected = {
             "request_done": RequestDone,
-            "worker_dead": WorkerDead,
-            "worker_retry": WorkerRetry,
             "breaker_transition": BreakerTransition,
             "queue_saturated": QueueSaturated,
             "throughput_flatlined": ThroughputFlatlined,
@@ -35,10 +31,13 @@ class TestCatalog:
     def test_alert_kinds_are_registered_kinds(self):
         assert ALERT_KINDS <= set(EVENT_KINDS)
         assert "request_done" not in ALERT_KINDS
-        assert "worker_dead" in ALERT_KINDS
+        assert "breaker_transition" in ALERT_KINDS
+        assert ALERT_KINDS == {
+            "breaker_transition", "queue_saturated", "throughput_flatlined",
+        }
 
     def test_is_alert_property_matches_alert_kinds(self):
-        assert WorkerDead(slot=0).is_alert
+        assert BreakerTransition(backend="fvm", from_state="closed", to_state="open").is_alert
         assert QueueSaturated(depth=8, max_queue=8).is_alert
         assert not RequestDone(request_id="r1").is_alert
         assert not CacheEviction(cause="ttl", key="k").is_alert
@@ -57,10 +56,6 @@ class TestValidation:
         with pytest.raises(ValueError, match="cause"):
             CacheEviction(cause="cosmic-rays", key="k")
 
-    def test_worker_retry_requires_positive_attempts(self):
-        with pytest.raises(ValueError):
-            WorkerRetry(slot=0, attempts=0)
-
 
 class TestWireFormat:
     def test_to_json_carries_kind_and_every_field(self):
@@ -74,22 +69,22 @@ class TestWireFormat:
         assert field_names <= set(body)
 
     def test_round_trip_preserves_payload(self):
-        original = WorkerRetry(slot=2, attempts=3, state_key="fvm/chip1/16",
-                               reason="worker died")
+        original = BreakerTransition(backend="transient", from_state="open",
+                                     to_state="half_open", consecutive_failures=3)
         original.seq = 17
         original.ts = 123.5
-        original.source = "plane"
+        original.source = "session"
         restored = event_from_json(original.to_json())
-        assert isinstance(restored, WorkerRetry)
+        assert isinstance(restored, BreakerTransition)
         assert restored == original
-        assert (restored.seq, restored.ts, restored.source) == (17, 123.5, "plane")
+        assert (restored.seq, restored.ts, restored.source) == (17, 123.5, "session")
 
     def test_from_json_ignores_unknown_fields(self):
-        body = WorkerDead(slot=1, exit_code=-9).to_json()
+        body = BreakerTransition(backend="fvm", from_state="closed", to_state="open").to_json()
         body["added_in_a_future_version"] = True
         restored = event_from_json(body)
-        assert isinstance(restored, WorkerDead)
-        assert restored.slot == 1
+        assert isinstance(restored, BreakerTransition)
+        assert restored.backend == "fvm"
 
     def test_from_json_rejects_unknown_kind(self):
         with pytest.raises(ValueError, match="unknown"):

@@ -63,11 +63,11 @@ class TestMetricsStore:
     def test_rollup_turns_counters_into_deltas_and_rps(self):
         store = MetricsStore(capacity=16)
         store.add({"requests_total": 100, "shed_total": 1, "queue_depth": 0,
-                   "p99_ms": 5.0, "workers_alive": 4}, ts=0.0)
+                   "p99_ms": 5.0}, ts=0.0)
         store.add({"requests_total": 130, "shed_total": 1, "queue_depth": 7,
-                   "p99_ms": 6.0, "workers_alive": 3}, ts=10.0)
+                   "p99_ms": 6.0}, ts=10.0)
         store.add({"requests_total": 160, "shed_total": 4, "queue_depth": 2,
-                   "p99_ms": 8.0, "workers_alive": 4}, ts=20.0)
+                   "p99_ms": 8.0}, ts=20.0)
         rollup = store.rollup(window_s=60.0)
         assert rollup["samples"] == 3
         assert rollup["requests"] == 60.0
@@ -75,7 +75,6 @@ class TestMetricsStore:
         assert rollup["rps"] == 3.0  # 60 requests over a 20 s span
         assert rollup["p99_ms"] == 8.0  # latest value, already an aggregate
         assert rollup["queue_depth"] == 2.0 and rollup["queue_depth_max"] == 7.0
-        assert rollup["workers_alive"] == 4.0 and rollup["workers_alive_min"] == 3.0
 
     def test_rollup_of_empty_store(self):
         assert MetricsStore().rollup() == {"window_s": 60.0, "samples": 0}
@@ -122,15 +121,6 @@ class TestWatchdog:
         assert dog.observe({"queue_depth": 100}) == []  # unbounded queue: no rule
         [event] = dog.observe({"queue_depth": 100, "max_queue": 100})
         assert event.kind == "queue_saturated"
-
-    def test_worker_death_fires_on_count_increase(self):
-        dog = Watchdog()
-        assert dog.observe({"workers_dead": 0}) == []
-        [event] = dog.observe({"workers_dead": 1})
-        assert event.kind == "worker_dead" and event.slot == -1
-        assert dog.observe({"workers_dead": 1}) == []
-        [again] = dog.observe({"workers_dead": 2})
-        assert again.kind == "worker_dead"
 
     def test_flatline_fires_after_idle_threshold_on_fake_clock(self):
         clock = FakeClock()

@@ -2,25 +2,14 @@
 
 import pytest
 
-from repro.runtime.faults import BackendFault, FaultPlan, InjectedFault, WorkerFault
+from repro.runtime.faults import BackendFault, FaultPlan, InjectedFault
 
 
 class TestParseGrammar:
-    def test_kill_worker(self):
-        plan = FaultPlan.parse("kill-worker:0@5")
-        assert plan.worker_faults == (WorkerFault(slot=0, kill_after=5),)
-        assert plan.backend_faults == ()
-        assert plan.has_worker_faults
-        assert plan.spec == "kill-worker:0@5"
-
-    def test_drop_result(self):
-        plan = FaultPlan.parse("drop-result:1@3")
-        assert plan.worker_faults == (WorkerFault(slot=1, drop_results=(3,)),)
-
     def test_fail_backend(self):
         plan = FaultPlan.parse("fail-backend:fvm@3")
         assert plan.backend_faults == (BackendFault(backend="fvm", fail_first=3),)
-        assert not plan.has_worker_faults
+        assert plan.spec == "fail-backend:fvm@3"
 
     def test_delay_backend(self):
         plan = FaultPlan.parse("delay-backend:hotspot:0.5@2")
@@ -30,19 +19,14 @@ class TestParseGrammar:
         assert fault.delay_first == 2
 
     def test_combined_spec(self):
-        plan = FaultPlan.parse("kill-worker:0@5, fail-backend:transient@3")
-        assert plan.worker_fault(0) == WorkerFault(slot=0, kill_after=5)
-        assert plan.worker_fault(1) is None
-        assert plan.backend_faults == (BackendFault(backend="transient", fail_first=3),)
+        plan = FaultPlan.parse("delay-backend:fvm:0.2@1, fail-backend:transient@3")
+        assert plan.backend_faults == (
+            BackendFault(backend="fvm", delay_s=0.2, delay_first=1),
+            BackendFault(backend="transient", fail_first=3),
+        )
 
     def test_directives_on_one_target_merge(self):
-        plan = FaultPlan.parse(
-            "drop-result:0@1,drop-result:0@4,kill-worker:0@9,"
-            "fail-backend:fvm@2,delay-backend:fvm:0.1@5"
-        )
-        assert plan.worker_faults == (
-            WorkerFault(slot=0, kill_after=9, drop_results=(1, 4)),
-        )
+        plan = FaultPlan.parse("fail-backend:fvm@2,delay-backend:fvm:0.1@5")
         (fault,) = plan.backend_faults
         assert (fault.fail_first, fault.delay_s, fault.delay_first) == (2, 0.1, 5)
 
@@ -51,10 +35,14 @@ class TestParseGrammar:
         [
             "kill-worker:0",          # no @count
             "kill-worker@5",          # no target
-            "kill-worker:zero@5",     # non-integer slot
-            "kill-worker:-1@5",       # negative slot
+            "kill-worker:zero@5",     # unknown kind (worker directives are gone)
+            "kill-worker:-1@5",       # unknown kind
             "kill-worker:0@five",     # non-integer count
             "kill-worker:0@-1",       # negative count
+            "kill-worker:0@5",        # unknown kind
+            "drop-result:0@1",        # unknown kind
+            "fail-backend:fvm@five",  # non-integer count
+            "fail-backend:fvm@-1",    # negative count
             "delay-backend:fvm@3",    # missing seconds operand
             "delay-backend:fvm:fast@3",
             "explode-host:0@1",       # unknown kind
@@ -63,6 +51,11 @@ class TestParseGrammar:
     def test_bad_directives_raise_value_error(self, bad):
         with pytest.raises(ValueError):
             FaultPlan.parse(bad)
+
+    @pytest.mark.parametrize("removed", ["kill-worker:0@5", "drop-result:0@1"])
+    def test_worker_directives_name_the_backend_kinds(self, removed):
+        with pytest.raises(ValueError, match="known: fail-backend, delay-backend"):
+            FaultPlan.parse(removed)
 
     def test_empty_segments_are_ignored(self):
         plan = FaultPlan.parse("fail-backend:fvm@1,,")
@@ -90,8 +83,11 @@ class TestBackendInjection:
         plan.on_backend_solve("fvm")
         assert plan.stats()["backends"]["fvm"]["injected_delays"] == 1
 
-    def test_stats_shape_includes_worker_directives(self):
-        plan = FaultPlan.parse("kill-worker:1@4,drop-result:1@2")
-        assert plan.stats()["worker_faults"] == [
-            {"slot": 1, "kill_after": 4, "drop_results": [2]}
-        ]
+    def test_stats_shape(self):
+        plan = FaultPlan.parse("fail-backend:fvm@1")
+        assert plan.stats() == {
+            "spec": "fail-backend:fvm@1",
+            "backends": {
+                "fvm": {"calls": 0, "injected_failures": 0, "injected_delays": 0}
+            },
+        }

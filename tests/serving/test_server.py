@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 from repro.chip.designs import get_chip
-from repro.cluster.fleetgen import spec_to_payload
 from repro.data.generation import DatasetSpec, generate_dataset
 from repro.operators.factory import build_operator, save_operator
 from repro.serving import server as server_module
@@ -402,30 +401,7 @@ class TestWarmUpAndGenerate:
         assert status == 400
         assert "warm-up key 1" in body["error"]
 
-    def test_generate_spec_must_be_an_object(self, server):
-        status, body = _post(server.url + "/generate", {"spec": "x"})
-        assert status == 400
-        assert "'spec' must be a JSON object" in body["error"]
-
-    def test_generate_needs_at_least_one_sample(self, server):
-        spec = spec_to_payload(DatasetSpec(chip_name="chip1", resolution=8, num_samples=2))
-        status, body = _post(
-            server.url + "/generate", {"spec": {**spec, "num_samples": -3}}
-        )
-        assert status == 400
-        assert "num_samples" in body["error"]
-
-    def test_generate_bounds_the_resolution(self, server):
-        spec = spec_to_payload(DatasetSpec(chip_name="chip1", resolution=8, num_samples=2))
-        for resolution in (2, 257):
-            status, body = _post(
-                server.url + "/generate", {"spec": {**spec, "resolution": resolution}}
-            )
-            assert status == 400, resolution
-            assert "resolution must be in" in body["error"]
-
-    def test_generate_shard_must_be_an_object(self, server):
-        spec = spec_to_payload(DatasetSpec(chip_name="chip1", resolution=8, num_samples=2))
-        status, body = _post(server.url + "/generate", {"spec": spec, "shard": "x"})
-        assert status == 400
-        assert "'shard' must be an object" in body["error"]
+    def test_generate_is_404(self, server):
+        status, body = _post(server.url + "/generate", {"spec": {"chip_name": "chip1"}})
+        assert status == 404
+        assert "unknown path" in body["error"]

@@ -1,12 +1,10 @@
-"""SSE protocol conformance for streaming ``/solve_transient`` (+ chaos).
+"""SSE protocol conformance for streaming ``/solve_transient``.
 
 Covers the wire contract end to end against a real socket: frame grammar
 (``id:`` / ``event:`` / ``data:``), keepalive comments, ``Last-Event-ID``
 resume mid-trace (the resumed stream is the exact complement of what was
-seen), client disconnects releasing the integration slot, deadlines
-expiring mid-stream becoming typed shed frames, and — with a chaos
-fault plan armed — a ProcessPlane worker SIGKILLed under a ``/solve``
-never producing a silent hang.
+seen), client disconnects releasing the integration slot, and deadlines
+expiring mid-stream becoming typed shed frames.
 """
 
 import json
@@ -18,9 +16,6 @@ import urllib.request
 import pytest
 
 from repro.api.session import ThermalSession
-from repro.runtime.faults import FaultPlan
-from repro.runtime.plane import ProcessPlane, _stable_slot
-from repro.runtime.tasks import BackendSpec, backend_state_key
 from repro.serving.backends import build_backends
 from repro.serving.engine import MicroBatchEngine
 from repro.serving.server import ThermalServer
@@ -242,60 +237,3 @@ class TestDeadlineMidStream:
         body = dict(TRACE, deadline_ms=120_000)
         _, text = _post_raw(server.url + "/solve_transient?mode=stream", body)
         assert _parse_sse(text)[-1][1] == "result"
-
-
-def _slot0_resolution(chip_name="chip1", workers=2):
-    """A resolution whose fvm warm-state key routes to plane slot 0."""
-    from repro.chip.designs import get_chip
-
-    chip = get_chip(chip_name)
-    for resolution in range(RES, RES + 16):
-        spec = BackendSpec(chip=chip, resolution=resolution, backend="fvm")
-        if _stable_slot(backend_state_key(spec), workers) == 0:
-            return resolution
-    raise AssertionError("no resolution maps to slot 0 — routing changed?")
-
-
-class TestChaosStreaming:
-    def test_worker_sigkill_mid_stream_never_hangs(self):
-        """The chaos drill: kill the owning worker under a blocking
-        ``/solve``.  The answer must arrive before the request deadline —
-        either a 200 bitwise-identical to a serial solve (the plane retried
-        on a healthy worker) or a 5xx — never a silent hang."""
-        plan = FaultPlan.parse("kill-worker:0@0")
-        resolution = _slot0_resolution(workers=2)
-        plane = ProcessPlane(workers=2, faults=plan)
-        session = ThermalSession(plane=plane)
-        engine = MicroBatchEngine(build_backends(session=session))
-        body = {
-            "chip": "chip1", "total_power": 31.0, "resolution": resolution,
-            "deadline_ms": 60_000,
-        }
-        try:
-            with ThermalServer(engine, port=0, session=session) as server:
-                request = urllib.request.Request(
-                    server.url + "/solve", data=json.dumps(body).encode("utf-8"),
-                    method="POST", headers={"Content-Type": "application/json"},
-                )
-                # The client gives up at the request deadline: a hang fails.
-                try:
-                    with urllib.request.urlopen(
-                        request, timeout=body["deadline_ms"] / 1e3
-                    ) as response:
-                        status, answer = response.status, json.loads(response.read())
-                except urllib.error.HTTPError as error:
-                    status, answer = error.code, json.loads(error.read())
-                if status == 200:
-                    # The plane retried the killed task on the healthy
-                    # worker; the answer must match a serial solve bitwise.
-                    serial = ThermalSession()
-                    reference = serial.solve(
-                        "chip1", total_power_W=31.0,
-                        resolution=resolution, backend="fvm",
-                    )
-                    assert answer["max_K"] == round(reference.max_K, 6)
-                    assert answer["mean_K"] == round(reference.mean_K, 6)
-                else:
-                    assert status in (500, 503, 504), answer
-        finally:
-            plane.close()

@@ -43,6 +43,24 @@ class TestParser:
         assert excinfo.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["generate", "--output", "x.npz", "--exec", "processes"],
+            ["generate", "--output", "x.npz", "--exec-workers", "2"],
+            ["generate", "--output", "x.npz", "--fleet", "http://x"],
+            ["generate", "--output", "x.npz", "--shards", "2"],
+            ["serve", "--exec", "processes"],
+            ["serve", "--exec-workers", "2"],
+        ],
+        ids=lambda argv: f"{argv[0]}{argv[-2]}",
+    )
+    def test_plane_and_fleet_flags_are_gone(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(argv)
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
 
 class TestCommands:
     def test_chips_lists_all_designs(self, capsys):

@@ -3,7 +3,7 @@
 A ``pydocstyle``-flavoured guard without the dependency: every public module,
 class, function, method and property in :mod:`repro.api`,
 :mod:`repro.serving` and :mod:`repro.runtime` must carry a non-empty
-docstring.  The facade, the service and the execution planes are the
+docstring.  The facade, the service and the runtime are the
 surfaces other people program against; an undocumented symbol there is a
 bug the same way a missing validation is.
 """
