@@ -81,6 +81,7 @@ from repro.operators.factory import (
 )
 from repro.operators.gar import GARRegressor
 from repro.runtime.faults import FaultPlan
+from repro.runtime.plane import SerialPlane
 from repro.solvers.hotspot import HotSpotModel
 from repro.solvers.transient import PowerTrace
 from repro.training.trainer import Trainer, TrainingConfig, TrainingHistory
@@ -330,6 +331,11 @@ class ThermalSession:
             name: LRUPool(pool_size) for name in ("fvm", "hotspot", "transient")
         }
         self.models = models if models is not None else ModelRegistry(self.get_chip)
+        # One plane for every generate_dataset call: its warm-solver LRU
+        # keeps each (chip, resolution) basis across datasets.  The plane is
+        # not thread-safe, so generation runs under its own lock.
+        self._generation_plane = SerialPlane()
+        self._generation_lock = threading.Lock()
         if result_cache is not None and (
             result_cache_size != DEFAULT_RESULT_CACHE_SIZE
             or result_cache_max_bytes != DEFAULT_RESULT_CACHE_BYTES
@@ -896,7 +902,10 @@ class ThermalSession:
         Runs the prepare-once / solve-many FVM pipeline; ``spec_options``
         forwards the remaining
         :class:`~repro.data.generation.DatasetSpec` fields (``core_bias``,
-        ``idle_probability``, ``total_power_range_W``).
+        ``idle_probability``, ``total_power_range_W``).  Every call goes
+        through the session's one generation plane, so a later dataset on
+        the same chip and resolution reuses its block basis: it neither
+        voxelises nor factorises again.  Concurrent calls run one at a time.
         """
         chip_stack = self._resolve_chip(chip)
         spec = DatasetSpec(
@@ -907,12 +916,14 @@ class ThermalSession:
             cells_per_layer=self.cells_per_layer,
             **spec_options,
         )
-        return _generate_dataset(
-            spec,
-            chip=chip_stack,
-            verbose=verbose,
-            batch_size=batch_size,
-        )
+        with self._generation_lock:
+            return _generate_dataset(
+                spec,
+                chip=chip_stack,
+                verbose=verbose,
+                batch_size=batch_size,
+                plane=self._generation_plane,
+            )
 
     def generate_multifidelity_pair(
         self,

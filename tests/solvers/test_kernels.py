@@ -3,6 +3,10 @@
 * direct CSC assembly is **bitwise** equal to the COO reference assembly;
 * :func:`~repro.solvers.factorize` is sparse LU, and its factor keeps the
   bound ``SuperLU.solve`` whose stored entries size each back-substitution;
+* it factorises the SPD system symmetrically (minimum-degree ordering on
+  ``A^T + A``, diagonal pivots): at most 60 % of a default COLAMD
+  ``splu``'s fill, residuals of 1e-12 or better, and block bases within
+  1e-12 relative of COLAMD-built ones;
 * the factor is transient: ``prepare()`` and ``block_basis()`` leave none
   resident, only ``solve()`` keeps one;
 * the backward-Euler system is factorised the same way and stays CSC;
@@ -11,8 +15,12 @@
 """
 
 import numpy as np
+import pytest
+from scipy import sparse
 from scipy.sparse import linalg as sparse_linalg
 
+from repro.chip.designs import get_chip
+from repro.solvers import fvm as fvm_module
 from repro.solvers import (
     FVMSolver,
     SOLVER_VERSION,
@@ -38,7 +46,49 @@ class TestFactorizationSelection:
         assert np.abs(matrix @ factor.solve(rhs) - rhs).max() < 1e-9
 
     def test_solver_version_bumped_for_kernel_tier(self):
-        assert SOLVER_VERSION == "4"
+        assert SOLVER_VERSION == "5"
+
+
+def _colamd_factorize(matrix):
+    """SuperLU's defaults: COLAMD column ordering and partial pivoting."""
+    return SPDFactor(sparse_linalg.splu(matrix).solve)
+
+
+def _relative_residual(matrix, factor):
+    rhs = np.random.default_rng(0).standard_normal(matrix.shape[0])
+    return np.linalg.norm(matrix @ factor.solve(rhs) - rhs) / np.linalg.norm(rhs)
+
+
+class TestSymmetricOrdering:
+    """``factorize`` treats the conduction system as the SPD matrix it is."""
+
+    def test_fill_is_at_most_60_percent_of_colamd(self):
+        matrix = FVMSolver(get_chip("chip2"), nx=32).prepare().matrix
+        symmetric = factorize(matrix)._solve.__self__.nnz
+        colamd = sparse_linalg.splu(matrix).nnz
+        assert symmetric <= 0.6 * colamd  # measured 0.45
+
+    def test_steady_residual_at_res_48(self):
+        matrix = FVMSolver(get_chip("chip2"), nx=48).prepare().matrix
+        assert _relative_residual(matrix, factorize(matrix)) <= 1e-12
+
+    def test_backward_euler_residual(self):
+        chip = get_chip("chip2")
+        solver = TransientFVMSolver(chip, nx=32)
+        dt_s = 0.002
+        solver.solve(_uniform_assignment(chip, 40.0), duration_s=dt_s, dt_s=dt_s)
+        system = sparse.diags(solver._capacity / dt_s) + solver._steady.prepare().matrix
+        assert _relative_residual(system, solver._factor_cache[1]) <= 1e-12
+
+    @pytest.mark.parametrize("chip_name", ["chip1", "chip2", "chip3"])
+    def test_basis_matches_colamd_built_basis(self, monkeypatch, chip_name):
+        chip = get_chip(chip_name)
+        basis = FVMSolver(chip, nx=32).block_basis()
+        monkeypatch.setattr(fvm_module, "factorize", _colamd_factorize)
+        reference = FVMSolver(chip, nx=32).block_basis()
+        for ours, theirs in ((basis.fields, reference.fields),
+                             (basis.layer_maps, reference.layer_maps)):
+            assert np.abs(ours - theirs).max() <= 1e-12 * np.abs(theirs).max()
 
 
 class TestCSCAssembly:

@@ -25,8 +25,7 @@ from repro.chip.stack import ChipStack
 from repro.data.generation import DatasetSpec, generate_dataset
 from repro.data.power import PowerSampler
 from repro.runtime.plane import SerialPlane
-from repro.solvers import FVMSolver, factor as factor_module
-from repro.solvers import fvm as fvm_module
+from repro.solvers import FVMSolver
 
 BENCH_CHIPS = ("chip1", "chip2", "chip3")
 
@@ -184,42 +183,24 @@ class TestBatchInvariance:
         assert np.array_equal(maps, np.concatenate([solver.solve_layer_maps(p) for p in splits]))
 
 
-def _spy_on_factorisation(monkeypatch):
-    """Count every ``factorize`` and ``SPDFactor.solve`` call from now on."""
-    calls = {"factorize": 0, "backsub": 0}
-    original_factorize = factor_module.factorize
-    original_solve = factor_module.SPDFactor.solve
-
-    def counting_factorize(matrix):
-        calls["factorize"] += 1
-        return original_factorize(matrix)
-
-    def counting_solve(self, rhs):
-        calls["backsub"] += 1
-        return original_solve(self, rhs)
-
-    monkeypatch.setattr(factor_module, "factorize", counting_factorize)
-    monkeypatch.setattr(fvm_module, "factorize", counting_factorize)
-    monkeypatch.setattr(factor_module.SPDFactor, "solve", counting_solve)
-    return calls
-
-
 class TestWarmPath:
-    def test_basis_build_is_one_factorisation_and_one_back_substitution(self, monkeypatch):
-        calls = _spy_on_factorisation(monkeypatch)
+    def test_basis_build_is_one_factorisation_and_one_back_substitution(
+        self, count_factorisations
+    ):
+        calls = count_factorisations()
         solver = FVMSolver(get_chip("chip1"), nx=12)
         solver.block_basis()
         assert calls == {"factorize": 1, "backsub": 1}
         assert solver.prepare().factor is None
 
-    def test_warm_calls_neither_factorise_nor_back_substitute(self, monkeypatch):
+    def test_warm_calls_neither_factorise_nor_back_substitute(self, count_factorisations):
         chip = get_chip("chip2")
         solver = FVMSolver(chip, nx=12)
         solver.block_basis()
         plane = SerialPlane()
         generate_dataset(DatasetSpec("chip2", 12, 4, seed=1), plane=plane)
 
-        calls = _spy_on_factorisation(monkeypatch)
+        calls = count_factorisations()
         cases = _cases(chip, 8)
         solver.solve_batch(cases)
         solver.solve_layer_maps(cases)
