@@ -941,20 +941,24 @@ class ThermalSession:
         is voxelised once at the high resolution and the low-fidelity
         geometry is derived by
         :meth:`~repro.solvers.voxelize.GridGeometry.coarsen`, sharing the
-        vertical layout and floorplan rasters across the pair.
+        vertical layout and floorplan rasters across the pair.  Both datasets
+        go through the session's generation plane, as in
+        :meth:`generate_dataset`, so a repeated pair factorises nothing.
         """
         chip_stack = self._resolve_chip(chip)
-        return _generate_multifidelity_pair(
-            chip_stack.name,
-            low_resolution,
-            high_resolution,
-            num_low,
-            num_high,
-            seed=seed,
-            cells_per_layer=self.cells_per_layer,
-            batch_size=batch_size,
-            chip=chip_stack,
-        )
+        with self._generation_lock:
+            return _generate_multifidelity_pair(
+                chip_stack.name,
+                low_resolution,
+                high_resolution,
+                num_low,
+                num_high,
+                seed=seed,
+                cells_per_layer=self.cells_per_layer,
+                batch_size=batch_size,
+                chip=chip_stack,
+                plane=self._generation_plane,
+            )
 
     # ------------------------------------------------------------------
     # Training and evaluation

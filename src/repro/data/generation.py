@@ -160,6 +160,7 @@ def generate_multifidelity_pair(
     cells_per_layer: int = 2,
     batch_size: int = DEFAULT_BATCH_SIZE,
     chip: Optional[ChipStack] = None,
+    plane: Optional[SerialPlane] = None,
 ) -> Tuple[ThermalDataset, ThermalDataset]:
     """Generate the low-fidelity / high-fidelity dataset pair for transfer learning.
 
@@ -175,6 +176,10 @@ def generate_multifidelity_pair(
     :meth:`~repro.solvers.voxelize.GridGeometry.coarsen` — the two
     geometries then share their vertical layout and floorplan rasters, and
     the datasets are bitwise-identical to building both independently.
+
+    ``plane`` answers both datasets, as in :func:`generate_dataset`, so a
+    plane that already holds a fidelity's basis does not factorise that
+    geometry again.  ``None`` builds a private plane per dataset.
     """
     if low_resolution >= high_resolution:
         raise ValueError("low_resolution must be strictly smaller than high_resolution")
@@ -195,6 +200,7 @@ def generate_multifidelity_pair(
         ),
         chip=chip,
         batch_size=batch_size,
+        plane=plane,
         geometry=low_geometry,
     )
     high = generate_dataset(
@@ -207,6 +213,7 @@ def generate_multifidelity_pair(
         ),
         chip=chip,
         batch_size=batch_size,
+        plane=plane,
         geometry=high_geometry,
     )
     return low, high

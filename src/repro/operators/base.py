@@ -92,14 +92,20 @@ class OperatorModel(Module):
 
     # ------------------------------------------------------------------
     def predict(self, inputs: np.ndarray, batch_size: int = 8) -> np.ndarray:
-        """Inference helper: run the model over a (N, C, H, W) NumPy array."""
+        """Inference helper: run the model over a (N, C, H, W) NumPy array.
+
+        Runs in eval mode and float32, then restores the caller's mode.
+        """
+        was_training = self.training
         self.eval()
         outputs = []
-        with no_grad():
-            for start in range(0, len(inputs), batch_size):
-                chunk = Tensor(inputs[start:start + batch_size].astype(np.float32))
-                outputs.append(self.forward(chunk).data)
-        self.train()
+        try:
+            with no_grad():
+                for start in range(0, len(inputs), batch_size):
+                    chunk = Tensor(inputs[start:start + batch_size].astype(np.float32))
+                    outputs.append(self.forward(chunk).data)
+        finally:
+            self.train(was_training)
         return np.concatenate(outputs, axis=0)
 
     def __repr__(self) -> str:

@@ -17,10 +17,11 @@ import numpy as np
 
 from repro.autodiff import functional as F
 from repro.autodiff.conv import bilinear_resize
-from repro.autodiff.tensor import Tensor, no_grad
+from repro.autodiff.tensor import Tensor
 from repro.nn.linear import MLP
 from repro.nn.module import Module, Parameter
 from repro.nn import init
+from repro.operators.base import OperatorModel
 
 
 class DeepOHeatModel(Module):
@@ -93,16 +94,9 @@ class DeepOHeatModel(Module):
         return values + self.bias.reshape(1, self.out_channels, 1, 1)
 
     # ------------------------------------------------------------------
-    def predict(self, inputs: np.ndarray, batch_size: int = 8) -> np.ndarray:
-        """Inference helper matching :meth:`OperatorModel.predict`."""
-        self.eval()
-        outputs = []
-        with no_grad():
-            for start in range(0, len(inputs), batch_size):
-                chunk = Tensor(inputs[start:start + batch_size].astype(np.float32))
-                outputs.append(self.forward(chunk).data)
-        self.train()
-        return np.concatenate(outputs, axis=0)
+    #: The FNO family's inference helper: eval mode, float32, the caller's
+    #: mode restored.
+    predict = OperatorModel.predict
 
     def __repr__(self) -> str:
         return (

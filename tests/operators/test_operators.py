@@ -117,6 +117,20 @@ class TestFNOFamily:
         np.testing.assert_allclose(batched, full, rtol=1e-5)
 
 
+@pytest.mark.parametrize("training", [True, False], ids=["train", "eval"])
+@pytest.mark.parametrize("name", ["fno", "sau_fno", "deepoheat"])
+def test_predict_restores_the_callers_mode(name, training, rng):
+    model = build_operator(
+        name, 1, 1,
+        dict(_TINY, unet_base_channels=4, unet_levels=1, attention_dim=4, latent_dim=8,
+             sensor_resolution=4),
+        rng,
+    )
+    model.train(training)
+    model.predict(rng.standard_normal((1, 1, 8, 8)).astype(np.float32))
+    assert all(module.training is training for module in model.modules())
+
+
 class TestDeepOHeat:
     def test_forward_shape(self, rng):
         model = DeepOHeatModel(2, 3, sensor_resolution=8, latent_dim=16,
