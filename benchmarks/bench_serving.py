@@ -7,28 +7,16 @@ concurrent load, for the exact (fvm) and learned (operator) backends:
   a time) versus the per-request baseline without the serving subsystem (a
   fresh solver per request — the cost model a naive one-shot CLI
   deployment would pay), with the acceptance bar of >= 5x;
-* closed-loop p50/p95/p99 latency alongside requests/sec with a fleet of
+* closed-loop p50/p95/p99 latency alongside requests/sec with a pool of
   synchronous clients, the numbers a load balancer in front of
   ``repro-thermal serve`` would see;
 * deadline shedding under a synthetic backlog of concurrent callers;
 * the telemetry overhead datapoint: the same fvm workload with the full
   observability pipeline live (event bus + subscriber + metrics sampler)
   versus telemetry disabled, with the acceptance bar that the pipeline
-  costs < 3% of throughput;
-* the fleet-router datapoint: the same closed-loop fvm load direct against
-  one CLI replica, through the router fronting that replica (acceptance:
-  the proxy hop costs < 15% of throughput), and through the router
-  fronting two replica processes (acceptance on multi-core hosts: >= 1.5x
-  the single-replica routed throughput — the replicas are separate
-  processes, so the fleet is how one host uses more than one core; see
-  docs/CLUSTER.md).
+  costs < 3% of throughput.
 """
 
-import os
-import re
-import select
-import subprocess
-import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
 
@@ -155,7 +143,7 @@ def test_serving_fvm_microbatch_throughput(benchmark):
 def _closed_loop(engine, backend, clients=CLIENTS, per_client=4):
     """Each client thread issues sequential requests; returns engine stats."""
     def client(index):
-        # Per-client offsets keep every power map unique across the fleet —
+        # Per-client offsets keep every power map unique across the clients —
         # see _requests on why duplicates must not reach the benchmark.
         for request in _requests(per_client, backend=backend,
                                  offset=1 + index * per_client):
@@ -324,173 +312,6 @@ def test_serving_telemetry_overhead(benchmark):
     if not benchmark.disabled:
         assert overhead < 0.03, (
             f"telemetry pipeline costs {overhead:.1%} of throughput (bar: 3%)"
-        )
-
-
-#: Fleet-router workload (see test_serving_router_scaling): a closed-loop
-#: fvm load over four group keys, half owned by each replica when two are
-#: up, so the routed fleet genuinely splits the work.
-ROUTER_REQUESTS = 48
-ROUTER_CLIENTS = 8
-ROUTER_RESOLUTION = 24
-#: Rounds per configuration; like TELEMETRY_ROUNDS, each configuration
-#: takes its best round so one background hiccup on a shared box does not
-#: decide the direct-vs-routed comparison.
-ROUTER_ROUNDS = 3
-
-
-def _boot_cli(argv):
-    """One real ``repro-thermal`` subprocess; returns (process, url)."""
-    process = subprocess.Popen(
-        [sys.executable, "-m", "repro.cli", *argv],
-        stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
-    )
-    ready, _, _ = select.select([process.stdout], [], [], 60)
-    assert ready, f"{argv[0]} printed nothing within 60s"
-    match = re.search(r"listening on (http://\S+)", process.stdout.readline())
-    assert match, f"{argv[0]} did not announce its URL"
-    return process, match.group(1)
-
-
-def _router_keys(member_names):
-    """Four (chip, resolution, backend) keys, two owned by each member."""
-    from repro.cluster.hashing import owner
-
-    per_owner = {name: [] for name in member_names}
-    for resolution in range(ROUTER_RESOLUTION, ROUTER_RESOLUTION + 40, 2):
-        for chip in ("chip1", "chip2", "chip3"):
-            key = (chip, resolution, "fvm")
-            name = owner(key, member_names)
-            if len(per_owner[name]) < 2:
-                per_owner[name].append(key)
-        if all(len(keys) >= 2 for keys in per_owner.values()):
-            return [key for keys in per_owner.values() for key in keys]
-    raise AssertionError("candidate keys did not cover both replicas")
-
-
-def _solve_via(client, key, power):
-    chip, resolution, backend = key
-    response = client.post_json("/solve", {
-        "chip": chip, "resolution": resolution, "backend": backend,
-        "total_power": power,
-    })
-    assert response.status == 200, response.body[:400]
-    answer = response.json()
-    assert answer["max_K"] > 300.0, answer
-    return answer
-
-
-def _router_round(base_url, keys, offset):
-    """Closed-loop round against ``base_url``; returns requests/sec.
-
-    The load generator holds persistent keep-alive connections (via the
-    cluster's own pooled :class:`ReplicaClient`, what a production load
-    balancer would do) so the round measures serving, not per-request TCP
-    setup and handler-thread spawn.  Every request gets a unique power so
-    nothing is answered by the replicas' result caches, and the keys
-    rotate per request so every group key (hence, routed, every replica)
-    stays busy.
-    """
-    from repro.cluster.proxy import ReplicaClient
-
-    per_client = ROUTER_REQUESTS // ROUTER_CLIENTS
-    http = ReplicaClient(base_url)
-
-    def client(index):
-        for position in range(per_client):
-            serial = index * per_client + position
-            _solve_via(http, keys[serial % len(keys)],
-                       40.0 + 0.01 * (offset + serial))
-
-    try:
-        start = time.perf_counter()
-        with ThreadPoolExecutor(max_workers=ROUTER_CLIENTS) as pool:
-            list(pool.map(client, range(ROUTER_CLIENTS)))
-        return ROUTER_REQUESTS / (time.perf_counter() - start)
-    finally:
-        http.close()
-
-
-def test_serving_router_scaling(benchmark):
-    """Acceptance (multi-core hosts): fronting one replica with the fleet
-    router costs < 15% of direct throughput (the proxy is one local HTTP
-    hop), and two replica processes behind the router deliver >= 1.5x the
-    single-replica routed throughput (each replica is its own process, so
-    the fleet sidesteps the GIL entirely)."""
-    processes = []
-    throughput = {}
-
-    def best_of(base_url, keys, offset):
-        return max(
-            _router_round(base_url, keys, offset=offset + 100 * round_index)
-            for round_index in range(ROUTER_ROUNDS)
-        )
-
-    def routed_best(replica_urls, keys, offset):
-        # The router through the real CLI, in its own process like
-        # production: colocated with the load generator it would measure
-        # GIL convoying between client and handler threads, not the hop.
-        router, router_url = _boot_cli([
-            "route",
-            *(arg for url in replica_urls for arg in ("--replica", url)),
-            "--port", "0", "--probe-interval", "30",
-        ])
-        try:
-            return best_of(router_url, keys, offset=offset)
-        finally:
-            router.kill()
-            router.wait(timeout=10)
-
-    try:
-        process_a, url_a = _boot_cli(["serve", "--port", "0"])
-        processes.append(process_a)
-        process_b, url_b = _boot_cli(["serve", "--port", "0"])
-        processes.append(process_b)
-        names = [url.split("//", 1)[1].rstrip("/") for url in (url_a, url_b)]
-        keys = _router_keys(names)
-
-        def run_curve():
-            from repro.cluster.proxy import ReplicaClient
-
-            # Warm every key's pooled factorisation on both replicas so all
-            # three rounds measure steady-state serving.
-            for url in (url_a, url_b):
-                warm = ReplicaClient(url)
-                for key in keys:
-                    _solve_via(warm, key, 39.0)
-                warm.close()
-            throughput["direct"] = best_of(url_a, keys, offset=0)
-            throughput["routed_1"] = routed_best([url_a], keys, offset=1000)
-            throughput["routed_2"] = routed_best([url_a, url_b], keys,
-                                                 offset=2000)
-            return throughput
-
-        benchmark.pedantic(run_curve, rounds=1, iterations=1, warmup_rounds=0)
-    finally:
-        for process in processes:
-            process.kill()
-            process.wait(timeout=10)
-
-    overhead = 1.0 - throughput["routed_1"] / throughput["direct"]
-    scaling = throughput["routed_2"] / throughput["routed_1"]
-    benchmark.extra_info["rps_direct"] = throughput["direct"]
-    benchmark.extra_info["rps_routed_1_replica"] = throughput["routed_1"]
-    benchmark.extra_info["rps_routed_2_replicas"] = throughput["routed_2"]
-    benchmark.extra_info["proxy_overhead_fraction"] = overhead
-    benchmark.extra_info["speedup_2_replicas"] = scaling
-    # Timing assertions are meaningless in --benchmark-disable smoke runs on
-    # loaded machines, so they only gate real benchmark runs.  Both bars
-    # additionally need a second core: on a single core the router process
-    # time-shares with the replica, so its per-request proxy work (~1-2 ms
-    # of pure Python against a ~13 ms solve) is strictly additive and the
-    # measurement is CPU contention, not the hop; same for the second
-    # replica, which has no core to scale onto.
-    if not benchmark.disabled and (os.cpu_count() or 1) >= 2:
-        assert overhead < 0.15, (
-            f"router proxy hop costs {overhead:.1%} of throughput (bar: 15%)"
-        )
-        assert scaling >= 1.5, (
-            f"2 replicas deliver only {scaling:.2f}x one routed replica"
         )
 
 

@@ -16,8 +16,7 @@
 # bench_serving.py records the serving acceptance numbers: served fvm
 # requests/sec vs the per-request cold-solver baseline (>= 5x), closed-loop
 # p50/p95/p99 latency for the fvm and operator backends, deadline shedding
-# under a backlog of concurrent callers, the telemetry overhead (< 3%) and
-# the fleet-router hop (< 15%).
+# under a backlog of concurrent callers and the telemetry overhead (< 3%).
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -40,9 +39,7 @@ if [[ "${1:-}" == "--smoke" ]]; then
     echo "== smoke: serve --chaos (fvm breaker opened, every answer degraded, incident on /events + /healthz + /metrics + watch) =="
     python benchmarks/smoke_serving.py --chaos fail-backend:fvm@3 --fallback \
         --breaker-threshold 3 --sample-interval 0.2
-    echo "== smoke: fleet (2 replicas + router, SIGKILL one, zero failed requests, degraded->ok) =="
-    python benchmarks/smoke_fleet.py
-    echo "== smoke: streaming (streamed /solve_transient, replica and router, first segment beats blocking, resume) =="
+    echo "== smoke: streaming (streamed /solve_transient, first segment beats blocking, resume) =="
     python benchmarks/smoke_streaming.py
     echo "== smoke: benchmark bodies (no timing repetitions) =="
     python -m pytest \

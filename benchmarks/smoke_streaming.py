@@ -1,18 +1,15 @@
 """Streaming smoke check: streamed transient answers through the real CLI
-server and the real CLI fleet router.
+server.
 
 Launched by ``benchmarks/run_benchmarks.sh --smoke``.  Boots one
-``repro-thermal serve`` replica, then a second replica and a
-``repro-thermal route`` router in front of both, and drives streaming
+``repro-thermal serve`` process and drives streaming
 ``POST /solve_transient`` end to end over actual sockets: per-step
 ``segment`` frames with the step index as the resume cursor, the
 ``result`` frame matching the blocking transient answer, time-to-first-
 segment beating the blocking call's total latency, and a ``Last-Event-ID``
-resume returning exactly the complement.  The same drill runs **through
-the router**, which must proxy the frames (``X-Repro-Replica`` stamped,
-first segment still faster than a blocking trace through the same router).
+resume returning exactly the complement.
 
-Everything shuts down with SIGINT and must exit 0.
+The server shuts down with SIGINT and must exit 0.
 """
 
 import http.client
@@ -83,7 +80,7 @@ def _parse_sse(text):
 
 
 def _stream_timed(url, body, headers=None):
-    """POST expecting SSE; returns (frames, first_frame_s, total_s, headers).
+    """POST expecting SSE; returns (frames, first_frame_s, total_s).
 
     ``first_frame_s`` is the wall clock from just before the request bytes
     go out until the first complete *data* frame (comments don't count) has
@@ -116,21 +113,20 @@ def _stream_timed(url, body, headers=None):
                 if b"\n\n" in buffer[buffer.index(b"data:"):]:
                     first_frame_s = time.perf_counter() - started
         total_s = time.perf_counter() - started
-        response_headers = dict(response.getheaders())
     finally:
         connection.close()
     assert first_frame_s is not None, "stream ended without a data frame"
-    return _parse_sse(buffer.decode("utf-8")), first_frame_s, total_s, response_headers
+    return _parse_sse(buffer.decode("utf-8")), first_frame_s, total_s
 
 
-def _drive(url, label, expect_replica_header=False):
-    """The full streaming drill against one base URL (replica or router)."""
+def _drive(url):
+    """The full streaming drill against one server's base URL."""
     transient_blocking, transient_blocking_s = _post_timed(
         url + "/solve_transient", TRANSIENT
     )
     assert transient_blocking["backend"] == "transient", transient_blocking
 
-    frames, first_segment_s, _, headers = _stream_timed(
+    frames, first_segment_s, _ = _stream_timed(
         url + "/solve_transient?mode=stream", TRANSIENT
     )
     kinds = [kind for _, kind, _ in frames]
@@ -142,15 +138,13 @@ def _drive(url, label, expect_replica_header=False):
     streamed_result = frames[-1][2]
     assert streamed_result["history"]["peak_K"] == \
         transient_blocking["history"]["peak_K"], "streamed history diverged"
-    if expect_replica_header:
-        assert headers.get("X-Repro-Replica"), headers
     assert first_segment_s < transient_blocking_s, (
-        f"{label}: first segment took {first_segment_s * 1e3:.1f} ms, "
+        f"first segment took {first_segment_s * 1e3:.1f} ms, "
         f"slower than the {transient_blocking_s * 1e3:.1f} ms blocking trace"
     )
 
     # Resume from mid-trace: exactly the complement comes back.
-    frames, _, _, _ = _stream_timed(
+    frames, _, _ = _stream_timed(
         url + "/solve_transient?mode=stream", TRANSIENT,
         headers={"Last-Event-ID": str(steps - 2)},
     )
@@ -158,47 +152,24 @@ def _drive(url, label, expect_replica_header=False):
     assert resumed == [steps - 1, steps], resumed
     assert frames[-1][1] == "result"
 
-    print(f"  {label}: first transient segment {first_segment_s * 1e3:.1f} ms "
+    print(f"  first transient segment {first_segment_s * 1e3:.1f} ms "
           f"vs blocking {transient_blocking_s * 1e3:.1f} ms")
 
 
-def _shutdown(process, what):
-    process.send_signal(signal.SIGINT)
-    returncode = process.wait(timeout=STARTUP_TIMEOUT_S)
-    assert returncode == 0, f"{what} exited {returncode} on SIGINT"
-
-
 def main() -> int:
-    serve_args = ["serve", "--port", "0", "--max-queue", "64"]
-    replica_one = _spawn(serve_args)
-    replica_two = None
-    router = None
+    server = _spawn(["serve", "--port", "0", "--max-queue", "64"])
     try:
-        url_one = _boot_url(replica_one)
-        _drive(url_one, "replica")
-
-        replica_two = _spawn(serve_args)
-        url_two = _boot_url(replica_two)
-        router = _spawn([
-            "route", "--port", "0",
-            "--replica", url_one, "--replica", url_two,
-        ])
-        router_url = _boot_url(router)
-        _drive(router_url, "router", expect_replica_header=True)
-
-        _shutdown(router, "router")
-        router = None
-        _shutdown(replica_two, "replica two")
-        replica_two = None
-        _shutdown(replica_one, "replica one")
+        _drive(_boot_url(server))
+        server.send_signal(signal.SIGINT)
+        returncode = server.wait(timeout=STARTUP_TIMEOUT_S)
+        assert returncode == 0, f"serve exited {returncode} on SIGINT"
         print("streaming smoke ok: streamed transient first segment beat the "
-              "blocking trace on the replica and through the router")
+              "blocking trace")
         return 0
     finally:
-        for process in (router, replica_two, replica_one):
-            if process is not None and process.poll() is None:
-                process.kill()
-                process.wait(timeout=10)
+        if server.poll() is None:
+            server.kill()
+            server.wait(timeout=10)
 
 
 if __name__ == "__main__":

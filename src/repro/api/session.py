@@ -861,9 +861,8 @@ class ThermalSession:
         prepared adapter (geometry and block basis).  Returns
         ``{"warmed": [labels...], "errors": {label: message}}``.
 
-        This is the session half of the fleet warm-up protocol: a replica
-        answering ``POST /warm_up`` calls this so a (re)joining node
-        pre-builds its key slice before the router admits traffic.
+        A server answering ``POST /warm_up`` calls this, so it can build
+        the bases of the keys it expects before their first requests.
         """
         warmed: List[str] = []
         errors: Dict[str, str] = {}

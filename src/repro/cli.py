@@ -4,7 +4,7 @@ A thin layer over :class:`repro.api.ThermalSession` — every subcommand maps
 onto one session call, so the CLI, the HTTP service, the evaluation harness
 and the Python API all answer through the same backends, pools and caches.
 
-Eight sub-commands cover the everyday workflow without writing Python:
+Seven sub-commands cover the everyday workflow without writing Python:
 
 * ``repro-thermal chips`` — list the benchmark chips and their structure.
 * ``repro-thermal generate`` — create a dataset with the FVM solver.
@@ -16,9 +16,6 @@ Eight sub-commands cover the everyday workflow without writing Python:
 * ``repro-thermal serve`` — run the thermal inference service: a JSON HTTP
   API answering concurrent power-map queries through the session backends,
   one solve at a time.
-* ``repro-thermal route`` — run the fleet router in front of N ``serve``
-  replicas: health-checked membership, shard-aware placement, draining
-  and warm-up re-admission (see ``docs/CLUSTER.md``).
 * ``repro-thermal report`` — run every experiment harness and write a
   markdown report of the regenerated tables; with ``--serve-history URL``
   it instead dumps a running service's rolled-up telemetry time series as
@@ -40,7 +37,6 @@ Examples
     repro-thermal solve --chip chip2 --total-power 80 --resolution 40
     repro-thermal solve --chip chip1 --backend operator --model sau_fno.npz --total-power 60
     repro-thermal serve --port 8471 --model sau_fno.npz
-    repro-thermal route --replica http://127.0.0.1:8471 --replica http://127.0.0.1:8472
     repro-thermal report --output repro_report.md --scale tiny
     repro-thermal watch http://127.0.0.1:8471
     repro-thermal report --serve-history http://127.0.0.1:8471 --format csv
@@ -164,27 +160,6 @@ def build_parser() -> argparse.ArgumentParser:
                        metavar="SECONDS",
                        help="telemetry sampler period feeding /metrics/history "
                             "and the watchdog (default: 1.0)")
-
-    route = subparsers.add_parser(
-        "route", help="run the fleet router in front of N serve replicas"
-    )
-    route.add_argument("--replica", action="append", default=[], dest="replicas",
-                       metavar="URL",
-                       help="replica base URL, e.g. http://127.0.0.1:8471 "
-                            "(repeatable)")
-    route.add_argument("--replicas-file", default=None, metavar="PATH",
-                       help="file with one replica URL per line ('#' comments "
-                            "allowed); combined with any --replica flags")
-    route.add_argument("--host", default="127.0.0.1")
-    route.add_argument("--port", type=int, default=8470,
-                       help="TCP port (0 picks a free port)")
-    route.add_argument("--probe-interval", type=float, default=1.0,
-                       metavar="SECONDS",
-                       help="period of the replica /healthz prober (default: 1.0)")
-    route.add_argument("--failure-threshold", type=int, default=2, metavar="N",
-                       help="consecutive probe failures that drain a replica "
-                            "(default: 2; traffic errors drain immediately)")
-    route.add_argument("--verbose", action="store_true", help="log HTTP requests")
 
     report = subparsers.add_parser(
         "report", help="run every experiment harness and write a markdown report"
@@ -434,67 +409,6 @@ def _cmd_serve(args) -> int:
     return 0
 
 
-def _read_replicas_file(path: str) -> List[str]:
-    """Read one replica URL per line; blank lines and ``#`` comments skipped."""
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            lines = handle.readlines()
-    except FileNotFoundError:
-        raise ValueError(f"replicas file '{path}' does not exist")
-    urls = []
-    for line in lines:
-        stripped = line.split("#", 1)[0].strip()
-        if stripped:
-            urls.append(stripped)
-    return urls
-
-
-def _cmd_route(args) -> int:
-    from repro.cluster.router import FleetRouter
-
-    replicas = list(args.replicas)
-    if args.replicas_file:
-        replicas.extend(_read_replicas_file(args.replicas_file))
-    if not replicas:
-        raise ValueError("no replicas: pass --replica URL (repeatable) "
-                         "and/or --replicas-file PATH")
-    if args.probe_interval <= 0:
-        raise ValueError("--probe-interval must be positive")
-    if args.failure_threshold < 1:
-        raise ValueError("--failure-threshold must be >= 1")
-    router = FleetRouter(
-        replicas,
-        host=args.host,
-        port=args.port,
-        probe_interval_s=args.probe_interval,
-        failure_threshold=args.failure_threshold,
-        verbose=args.verbose,
-    )
-    print(f"fleet router listening on {router.url}", flush=True)
-    print(f"  replicas: {', '.join(replicas)}")
-    print(f"  probing /healthz every {args.probe_interval:g}s · "
-          f"drain after {args.failure_threshold} failures · "
-          "warm-up before re-admission", flush=True)
-    print("  endpoints: POST /solve /solve_transient /warm_up · "
-          "GET /chips /models /healthz /stats /events /metrics", flush=True)
-    print("  streaming: streamed transients are proxied frame-by-frame to their "
-          "owning replica", flush=True)
-    try:
-        router.serve_forever()
-    except KeyboardInterrupt:
-        print("\nshutting down")
-        # Mirror _cmd_serve: close deterministically, then exit hard so
-        # lingering keep-alive daemon threads cannot corrupt the exit status.
-        router.close()
-        sys.stdout.flush()
-        sys.stderr.flush()
-        import os
-        os._exit(0)
-    finally:
-        router.close()
-    return 0
-
-
 def _cmd_report(args) -> int:
     if args.serve_history:
         return _report_serve_history(args)
@@ -566,7 +480,6 @@ _COMMANDS = {
     "train": _cmd_train,
     "solve": _cmd_solve,
     "serve": _cmd_serve,
-    "route": _cmd_route,
     "report": _cmd_report,
     "watch": _cmd_watch,
 }

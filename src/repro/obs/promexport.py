@@ -84,9 +84,9 @@ def render_prometheus(stats: Mapping[str, Any], uptime_s: Optional[float] = None
         "Requests answered by the engine.",
         "counter",
     )
-    # Per-(chip, resolution, backend) breakdown of the same counter — the
-    # group granularity the fleet router shards on.  The unlabelled sample
-    # above stays the all-groups total.
+    # Per-(chip, resolution, backend) breakdown of the same counter — one
+    # series per pooled solver key.  The unlabelled sample above stays the
+    # all-groups total.
     for group in stats.get("groups") or ():
         labels = [
             ("chip", group.get("chip")),

@@ -1,13 +1,8 @@
 """``repro-thermal watch <url>`` — a live terminal dashboard for one server.
 
-The URL may be a single ``repro-thermal serve`` instance or a
-``repro-thermal route`` fleet router — the router serves merged ``/stats``
-and fleet ``/healthz`` surfaces and proxies ``/events``, so the same
-dashboard watches a whole fleet through one URL (with an extra membership
-block when the health payload carries replicas).
-
-Polls ``/stats`` and ``/healthz`` every refresh and drains ``/events``
-with a sequence cursor (so no alert is missed between frames), then
+The URL is a running ``repro-thermal serve`` instance.  Polls ``/stats``
+and ``/healthz`` every refresh and drains ``/events`` with a sequence
+cursor (so no alert is missed between frames), then
 redraws a full-screen ANSI view: engine throughput and queue, per-backend
 latency quantiles, cache hit rate, breaker states, and a scrolling row of
 the most recent alert events.  Pure stdlib; when
@@ -94,22 +89,6 @@ def render_dashboard(
         + _paint(str(status), status_code, color)
         + f"  uptime={_fmt(health.get('uptime_s', health.get('uptime_seconds')))}s"
     )
-
-    # Pointed at a fleet router, /healthz carries membership: summarize it
-    # so one dashboard watches the whole fleet through one URL.
-    replicas = health.get("replicas")
-    if replicas:
-        fleet_head = (
-            f"fleet: {health.get('healthy_count', 0)}/{health.get('member_count', 0)}"
-            f" healthy  drains={health.get('drains', 0)}"
-            f"  recoveries={health.get('recoveries', 0)}"
-        )
-        degraded = health.get("healthy_count", 0) < health.get("member_count", 0)
-        lines.append(_paint(fleet_head, _YELLOW, color) if degraded else fleet_head)
-        for replica in replicas:
-            state = replica.get("state", "?")
-            row = f"  {replica.get('name', '?'):<22} {state}"
-            lines.append(row if state == "healthy" else _paint(row, _RED, color))
 
     session = stats.get("session") or {}
     cache = session.get("result_cache") or {}

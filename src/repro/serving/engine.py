@@ -13,8 +13,8 @@ invariants the serving stack relies on: each pooled adapter and each
 operator model is driven by one thread at a time (:class:`~repro.api.pool.LRUPool`
 builds a missing key outside its own lock), and two clients' operator
 forwards never interleave on the GIL and stretch each other.  One process
-therefore solves one request at a time; more cores mean more replicas behind
-the fleet router.
+therefore solves one request at a time; inside a solve, only SAU-FNO's
+softmax attention runs on more than one core.
 
 ``max_queue`` bounds the requests waiting for the lock; beyond it
 :meth:`~MicroBatchEngine.solve` fails fast with :class:`QueueFullError` (the
@@ -140,9 +140,9 @@ class MicroBatchEngine:
         self._solve_lock = threading.Lock()  # one backend call at a time
         self._lock = threading.Lock()  # counters + waiting count + lifecycle
         self._counters: Dict[str, _BackendCounters] = {}
-        # Per-(chip, resolution, backend) request counters — the group
-        # granularity the fleet router shards on, exported as labelled
-        # `repro_requests_total` series on /metrics.
+        # Per-(chip, resolution, backend) request counters — one per pooled
+        # solver key, exported as labelled `repro_requests_total` series on
+        # /metrics.
         self._group_counts: Dict[tuple, Dict[str, int]] = {}
         self._waiting = 0  # admitted requests not yet holding the solve lock
         self._rejected = 0

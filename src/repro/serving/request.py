@@ -8,9 +8,6 @@ answered with the full quasi-steady trace.  Validation happens at
 construction time (through the ``create`` / ``from_payload`` classmethods)
 so by the time a request reaches the serving engine or the transient
 endpoint it is guaranteed solvable — the engine only admits and solves.
-
-The fleet router places requests by :attr:`ThermalRequest.group_key`, so
-each replica's solver pools see a stable slice of the key space.
 """
 
 from __future__ import annotations
@@ -167,19 +164,6 @@ class ThermalRequest:
         if self.deadline is None:
             return False
         return (time.monotonic() if now is None else now) >= self.deadline
-
-    @property
-    def group_key(self) -> Tuple[str, int, str, bool]:
-        """Group key ``(chip, resolution, backend, include_maps)``.
-
-        The fleet router places a request by its first three fields;
-        ``include_maps`` keeps a batch handed to
-        :meth:`~repro.serving.backends.SessionBackend.solve_batch`
-        homogeneous in detail level — the session result cache keys answers
-        by detail, and a mixed batch would cache half of it under the wrong
-        key.
-        """
-        return (self.chip, self.resolution, self.backend, self.include_maps)
 
     @property
     def total_power_W(self) -> float:

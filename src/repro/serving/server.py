@@ -28,8 +28,8 @@ Endpoints
   typed ``event: error`` frame and counted as shed.
 * ``POST /warm_up`` — pre-build solver state for a set of group keys
   (``{"keys": [{"chip": ..., "resolution": ..., "backend": ...}]}``)
-  before traffic arrives; the fleet router replays a rejoining replica's
-  key slice through this before re-admitting it.
+  before traffic arrives, so the first requests for those keys do not
+  pay for building the block basis or factorisation.
 * ``GET /chips`` — built-in benchmark chips and their block names.
 * ``GET /models`` — operator surrogates loaded into the model registry.
 * ``GET /healthz`` — liveness probe (uptime, sampler liveness, last alert).
@@ -135,10 +135,11 @@ def _error_frame_payload(error: BaseException) -> Dict[str, Any]:
 class _HTTPServer(ThreadingHTTPServer):
     """Threading HTTP server with a listen backlog fit for bursty clients.
 
-    A pooled client (the fleet router, a closed-loop load generator) opens
-    its keep-alive connections in one burst; with the stdlib backlog of 5
-    the accept queue overflows, the kernel drops the excess SYNs, and each
-    dropped one costs that client a full 1 s retransmit timeout.
+    A pooled keep-alive client (a closed-loop load generator such as
+    perfbench's) opens its connections in one burst; with the stdlib
+    backlog of 5 the accept queue overflows, the kernel drops the excess
+    SYNs, and each dropped one costs that client a full 1 s retransmit
+    timeout.
     """
 
     request_queue_size = 128
@@ -151,8 +152,7 @@ class _Handler(BaseHTTPRequestHandler):
     server_version = f"repro-thermal/{__version__}"
     # Headers and body go out as separate small writes; without TCP_NODELAY,
     # Nagle holds the body behind the peer's delayed ACK (~40 ms) on every
-    # reused keep-alive connection — fatal for the fleet router's pooled
-    # proxy hops.
+    # reused keep-alive connection — fatal for any pooled keep-alive client.
     disable_nagle_algorithm = True
 
     # ------------------------------------------------------------------
@@ -809,9 +809,8 @@ class ThermalServer:
             "status": "degraded" if degraded else "ok",
             "version": __version__,
             "uptime_seconds": uptime,
-            # `uptime_s` duplicates `uptime_seconds` under the field name the
-            # multi-node router contract specifies; both are kept so existing
-            # probes and the new contract agree.
+            # `uptime_s` duplicates `uptime_seconds` under the shorter name
+            # `watch` reads; both are kept so existing probes keep working.
             "uptime_s": uptime,
             "backends": sorted(self.engine.backends),
             "engine_running": self.engine.is_running,

@@ -1,17 +1,19 @@
 """Doc examples are tests: the documentation cannot drift from the code.
 
-Three layers of enforcement:
+Four layers of enforcement:
 
 * every ```` ```python ```` block in ``docs/SERVING.md``,
-  ``docs/ARCHITECTURE.md``, ``docs/OBSERVABILITY.md`` and
-  ``docs/CLUSTER.md`` is **executed** (they are written at tiny
-  resolutions so this is cheap);
+  ``docs/ARCHITECTURE.md`` and ``docs/OBSERVABILITY.md`` is **executed**
+  (they are written at tiny resolutions so this is cheap);
 * every ```` ```python ```` block in ``docs/API.md`` and ``README.md`` is
   **compiled** (some of those snippets train models or bind ports, so they
   are syntax-checked rather than run);
 * every dotted ``repro...`` name mentioned in ``docs/API.md`` — including
   each "old → new" mapping row — must **import/resolve**, so the reference
-  can never point at a renamed symbol.
+  can never point at a renamed symbol;
+* every relative Markdown link in ``README.md`` and ``docs/*.md`` must
+  name an existing file, so a deleted or moved document leaves no dangling
+  link behind.
 """
 
 import re
@@ -52,11 +54,6 @@ def test_architecture_md_examples_run(source):
 @pytest.mark.parametrize("source", _block_params(DOCS / "OBSERVABILITY.md"))
 def test_observability_md_examples_run(source):
     exec(compile(source, "docs/OBSERVABILITY.md", "exec"), {"__name__": "__doc_example__"})
-
-
-@pytest.mark.parametrize("source", _block_params(DOCS / "CLUSTER.md"))
-def test_cluster_md_examples_run(source):
-    exec(compile(source, "docs/CLUSTER.md", "exec"), {"__name__": "__doc_example__"})
 
 
 @pytest.mark.parametrize("source", _block_params(DOCS / "API.md"))
@@ -116,3 +113,28 @@ def test_mapping_table_names_are_covered():
     assert {"repro.api.pool.LRUPool", "repro.api.registry.ModelRegistry"} <= names
     for dotted in sorted(names):
         assert _resolve(dotted), f"mapping table references unresolvable '{dotted}'"
+
+
+# ----------------------------------------------------------------------
+# Relative links must land on a file.
+# ----------------------------------------------------------------------
+_LINK = re.compile(r"\]\(([^)\s]+)\)")
+
+
+def _relative_links(path: Path):
+    for target in _LINK.findall(path.read_text(encoding="utf-8")):
+        if re.match(r"[a-z][a-z0-9+.-]*:", target) or target.startswith("#"):
+            continue  # absolute URL, mailto: or an in-page anchor
+        yield target
+
+
+def test_relative_markdown_links_resolve():
+    pages = [REPO_ROOT / "README.md", *sorted(DOCS.glob("*.md"))]
+    links = [(page, target) for page in pages for target in _relative_links(page)]
+    assert links, "no relative links found — wrong pattern?"
+    dangling = [
+        f"{page.relative_to(REPO_ROOT)}: {target}"
+        for page, target in links
+        if not (page.parent / target.split("#", 1)[0]).exists()
+    ]
+    assert not dangling, "relative links to missing files:\n  " + "\n  ".join(dangling)

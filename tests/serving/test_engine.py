@@ -40,7 +40,7 @@ class TestThermalRequest:
         assert request.chip == "chip1"
         assert request.resolution == 16
         assert abs(request.total_power_W - 40.0) < 1e-9
-        assert request.group_key == ("chip1", 16, "fvm", False)
+        assert request.backend == "fvm" and request.include_maps is False
 
     def test_unknown_chip_and_backend_rejected(self):
         with pytest.raises(KeyError):

@@ -61,6 +61,12 @@ class TestParser:
         assert excinfo.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
 
+    def test_route_command_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["route", "--replica", "http://127.0.0.1:8471"])
+        assert excinfo.value.code == 2
+        assert "invalid choice: 'route'" in capsys.readouterr().err
+
 
 class TestCommands:
     def test_chips_lists_all_designs(self, capsys):

@@ -15,12 +15,11 @@ import pkgutil
 import pytest
 
 import repro.api
-import repro.cluster
 import repro.obs
 import repro.runtime
 import repro.serving
 
-PACKAGES = (repro.api, repro.serving, repro.runtime, repro.obs, repro.cluster)
+PACKAGES = (repro.api, repro.serving, repro.runtime, repro.obs)
 
 
 def _iter_modules():
@@ -85,8 +84,6 @@ def test_audited_packages_are_the_expected_ones():
     assert "repro.runtime.tasks" in names
     assert "repro.obs.bus" in names
     assert "repro.obs.metrics" in names
-    assert "repro.cluster.router" in names
-    assert "repro.cluster.membership" in names
 
 
 def test_every_public_symbol_has_a_docstring():

@@ -78,6 +78,36 @@ class TestTrainer:
         with pytest.raises(RuntimeError):
             trainer.predict(np.zeros((1, 1, 8, 8)))
 
+    @pytest.mark.parametrize("training", [True, False], ids=["train", "eval"])
+    def test_predict_and_validation_loss_restore_the_callers_mode(self, training):
+        dataset = _synthetic_dataset(8)
+        model = FNO2d(1, 1, num_layers=1, **_TINY_MODEL)
+        trainer = Trainer(model, TrainingConfig(epochs=1, batch_size=4))
+        trainer.fit(dataset)
+        model.train(training)
+        trainer.predict(dataset.inputs)
+        assert model.training is training
+        trainer.validation_loss(dataset)
+        assert model.training is training
+
+    def test_predict_answers_float32_within_its_bound(self):
+        """Float32 normalisers keep a float32 answer within the docstring's
+        6e-5 K of the float64-normaliser answer."""
+        dataset = _synthetic_dataset(12)
+        model = FNO2d(1, 1, num_layers=1, **_TINY_MODEL)
+        trainer = Trainer(model, TrainingConfig(epochs=4, batch_size=4, learning_rate=3e-3))
+        trainer.fit(dataset)
+        prediction = trainer.predict(dataset.inputs.astype(np.float32))
+        assert prediction.dtype == np.float32
+
+        normalized = trainer.input_normalizer.transform(dataset.inputs).astype(np.float32)
+        model.eval()
+        with no_grad():
+            outputs = [model(Tensor(normalized[i:i + 4])).data for i in range(0, 12, 4)]
+        reference = trainer.output_normalizer.inverse_transform(np.concatenate(outputs))
+        assert reference.dtype == np.float64
+        assert np.max(np.abs(prediction - reference)) <= 6e-5
+
     def test_evaluate_returns_metric_bundle(self):
         dataset = _synthetic_dataset(12)
         model = FNO2d(1, 1, num_layers=1, **_TINY_MODEL)
