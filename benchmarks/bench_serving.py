@@ -190,7 +190,7 @@ def test_serving_deadline_shedding(benchmark):
     Sheds requests whose budget was spent waiting; never a solved one.
     """
     session = ThermalSession()
-    # Warm the pooled factorisation so both rounds measure steady-state
+    # Warm the pooled block basis so both rounds measure steady-state
     # queue drain, not the first-hit prepare cost.
     session.solve("chip1", 40.0, resolution=RESOLUTION)
     outcome = {}
@@ -286,7 +286,7 @@ def test_serving_telemetry_overhead(benchmark):
     served fvm throughput versus the same engine with telemetry
     disabled.  Rounds alternate off/on so drift hits both configurations."""
     session = ThermalSession()
-    # Warm the pooled factorisation once: both configurations must measure
+    # Warm the pooled block basis once: both configurations must measure
     # steady-state serving, not the first-hit prepare cost.
     session.solve("chip1", 39.5, resolution=RESOLUTION)
     rps = {False: [], True: []}
@@ -320,7 +320,7 @@ def test_serving_closed_loop_latency(benchmark, backend, trained_model_path):
     """Closed-loop load (16 clients): requests/sec and p50/p95/p99 per backend."""
     engine = MicroBatchEngine(build_backends(model_paths=[trained_model_path]))
     with engine:
-        # Warm the pooled factorisation / model once so the benchmark sees
+        # Warm the pooled block basis / model once so the benchmark sees
         # steady-state serving, not the first-hit prepare cost.
         engine.solve(_requests(1, backend=backend)[0], timeout=300)
         stats = benchmark.pedantic(

@@ -3,7 +3,8 @@
 Not a paper table by itself, but the cost model behind them: FVM assembly and
 solve at the two Table II resolutions — cold (per-case factorisation, the
 seed pipeline's cost model), warm (cached factorisation) and batched (one
-product per case against the block basis) —, the symmetric factorisation
+product per case against the block basis) —, the separable block basis
+against the sparse factorisation it replaced, the symmetric factorisation
 against SuperLU's default ordering, the HotSpot network solve, one forward
 pass of each operator family, the
 forward + backward of the three autodiff kernels that dominate a SAU-FNO
@@ -40,6 +41,7 @@ from repro.optim import Adam
 from repro.solvers.factor import factorize
 from repro.solvers.fvm import FVMSolver
 from repro.solvers.hotspot import HotSpotModel
+from repro.solvers.separable import SeparableConduction
 
 
 @pytest.fixture(scope="module")
@@ -148,9 +150,59 @@ def test_factorize_symmetric_ordering_win(benchmark):
     assert fill_ratio <= 0.6
 
 
+def test_separable_basis_win(benchmark):
+    """The block bases of the six ``serve`` geometries (chips 1-3 at
+    resolutions 32 and 48) built two ways from the same geometries and 1 W
+    sources: the separable solve (:class:`SeparableConduction`: set-up plus
+    one stacked solve), and the sparse path it replaced (assembly,
+    ``factorize`` and one stacked back-substitution).  Best-of-3 each way,
+    alternating.  Always asserts agreement within 1e-12 relative; in timed
+    runs also >= 10x faster (measured 913 -> 13 ms, 71x, on a 2-vCPU host)."""
+    systems = []
+    for chip_name in ("chip1", "chip2", "chip3"):
+        for resolution in (32, 48):
+            solver = FVMSolver(get_chip(chip_name), nx=resolution, cells_per_layer=2)
+            geometry = solver.geometry
+            volumes = SeparableConduction(geometry).cell_volumes
+            sources = np.stack(
+                [geometry.rasterize_power({name: 1.0}) for name in solver.chip.flat_block_names()]
+            ) * volumes
+            systems.append((solver, geometry, sources))
+
+    def separable():
+        return [SeparableConduction(geometry).solve(sources).reshape(len(sources), -1)
+                for _, geometry, sources in systems]
+
+    def sparse_lu():
+        bases = []
+        for solver, geometry, sources in systems:
+            matrix = solver._assemble_system(geometry)[0]
+            bases.append(factorize(matrix).solve(sources.reshape(len(sources), -1).T).T)
+        return bases
+
+    rounds = 1 if benchmark.disabled else 3
+    separable_seconds, sparse_lu_seconds = [], []
+    for _ in range(rounds):
+        start = time.perf_counter()
+        ours = separable()
+        separable_seconds.append(time.perf_counter() - start)
+        start = time.perf_counter()
+        reference = sparse_lu()
+        sparse_lu_seconds.append(time.perf_counter() - start)
+    for fields, expected in zip(ours, reference):
+        assert np.abs(fields - expected).max() <= 1e-12 * np.abs(expected).max()
+    benchmark.pedantic(separable, rounds=rounds, iterations=1)
+    speedup = min(sparse_lu_seconds) / min(separable_seconds)
+    benchmark.extra_info["separable_seconds"] = min(separable_seconds)
+    benchmark.extra_info["sparse_lu_seconds"] = min(sparse_lu_seconds)
+    benchmark.extra_info["separable_speedup"] = speedup
+    if not benchmark.disabled:
+        assert speedup >= 10.0, f"separable bases only {speedup:.1f}x the sparse path"
+
+
 def test_dataset_generation_cached_vs_cold(benchmark, chip_and_case):
     """The acceptance measurement: chip1, resolution 48, 64 samples through
-    the batched cached-factorisation pipeline, with the cold per-case cost
+    the batched block-basis pipeline, with the cold per-case cost
     (seed behaviour: fresh voxelisation + assembly + factorisation each
     solve) measured alongside.  ``extra_info['amortized_speedup']`` records
     the ratio; the refactor targets >= 5x."""
@@ -186,7 +238,6 @@ def test_dataset_generation_cached_vs_cold(benchmark, chip_and_case):
     assert cold_per_case / generation_per_case >= 5.0
     # Sanity: the batched path reproduces the cold solver's physics.
     warm_solver = FVMSolver(chip, nx=48, cells_per_layer=2)
-    warm_solver.prepare()
     batched_field = warm_solver.solve_batch([case.assignment])[0]
     assert abs(batched_field.max_K - cold_field.max_K) < 1e-6
 

@@ -4,7 +4,7 @@ Demonstrates the paper's data-efficiency recipe: pre-train SAU-FNO on many
 cheap low-resolution FVM simulations, then fine-tune on a handful of
 expensive high-resolution simulations with a 10x smaller learning rate, and
 compare against training from scratch on the high-resolution data alone.
-Dataset generation runs through the session facade (one cached factorisation
+Dataset generation runs through the session facade (one cached block basis
 per fidelity); the transfer pipeline itself is the dedicated
 :class:`~repro.training.TransferLearningTrainer`.
 

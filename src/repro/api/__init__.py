@@ -3,7 +3,7 @@
 * :class:`~repro.api.backends.ThermalBackend` — the protocol every engine
   (exact FVM, compact HotSpot, transient, learned operator) is adapted to.
 * :class:`~repro.api.session.ThermalSession` — the facade owning the
-  cross-cutting state (chip registry, solver/factorisation pools, loaded
+  cross-cutting state (chip registry, solver pools, loaded
   models, result cache) behind the CLI, the serving subsystem, the
   evaluation harness and the examples.
 * :class:`~repro.api.solution.ThermalSolution` — the one result type,

@@ -96,7 +96,7 @@ class FVMBackendAdapter:
     """Exact steady-state answers from the finite-volume field solver.
 
     Wraps one prepared :class:`~repro.solvers.fvm.FVMSolver` (cached
-    geometry + assembled matrix + exact block basis) for one
+    geometry + exact block basis) for one
     ``(chip, resolution)``.  Every answer, single or batched, comes from
     :meth:`~repro.solvers.fvm.FVMSolver.solve_batch`: one product per case
     against the basis, so a case's answer never depends on its batch and

@@ -1,7 +1,7 @@
 """Shared caching primitives of the thermal API.
 
 :class:`LRUPool` keeps expensive per-key resources (prepared solver
-backends: geometry + assembled matrix + exact block basis, factorised
+backends: geometry + exact block basis, factorised
 compact networks) resident with LRU eviction.  :class:`ResultCache` memoises whole
 :class:`~repro.api.solution.ThermalSolution` answers keyed by the query that
 produced them, bounded three ways: entry count, total payload bytes and an
@@ -37,11 +37,11 @@ DEFAULT_RESULT_CACHE_BYTES = 128 * 1024 * 1024
 class LRUPool:
     """A small thread-safe LRU cache of expensive per-key resources.
 
-    Used for prepared solver backends (geometry + assembled matrix + block
-    basis) and HotSpot networks.  ``get`` builds missing entries with the
-    supplied factory and evicts the least-recently-used entry beyond
-    ``capacity``.  Hit/miss/eviction counters feed the service ``/stats``
-    endpoint.
+    Used for prepared solver backends (geometry + block basis, or a
+    transient solver and its factor) and HotSpot networks.  ``get`` builds
+    missing entries with the supplied factory and evicts the
+    least-recently-used entry beyond ``capacity``.  Hit/miss/eviction
+    counters feed the service ``/stats`` endpoint.
     """
 
     def __init__(self, capacity: int = DEFAULT_POOL_SIZE):
@@ -62,8 +62,9 @@ class LRUPool:
                 self.hits += 1
                 return self._entries[key]
             self.misses += 1
-        # Build outside the lock: factorising a big grid can take hundreds of
-        # milliseconds and must not stall readers of other keys.
+        # Build outside the lock: a build (a block basis, or a transient or
+        # HotSpot factorisation, which can take hundreds of milliseconds on a
+        # big grid) must not stall readers of other keys.
         entry = build()
         with self._lock:
             self._entries[key] = entry

@@ -615,7 +615,7 @@ class ThermalSession:
 
         Cached answers are returned immediately; only the misses reach the
         backend, together, so a warm cache turns a batch into one dictionary
-        pass and the cold remainder still amortises the factorisation.
+        pass and the cold remainder still reaches the backend in one call.
 
         ``deadline`` (absolute ``time.monotonic()`` seconds) is checked
         before each solve attempt; expired work raises
@@ -904,7 +904,7 @@ class ThermalSession:
         ``idle_probability``, ``total_power_range_W``).  Every call goes
         through the session's one generation plane, so a later dataset on
         the same chip and resolution reuses its block basis: it neither
-        voxelises nor factorises again.  Concurrent calls run one at a time.
+        voxelises nor builds a basis again.  Concurrent calls run one at a time.
         """
         chip_stack = self._resolve_chip(chip)
         spec = DatasetSpec(
@@ -942,7 +942,7 @@ class ThermalSession:
         :meth:`~repro.solvers.voxelize.GridGeometry.coarsen`, sharing the
         vertical layout and floorplan rasters across the pair.  Both datasets
         go through the session's generation plane, as in
-        :meth:`generate_dataset`, so a repeated pair factorises nothing.
+        :meth:`generate_dataset`, so a repeated pair builds no basis.
         """
         chip_stack = self._resolve_chip(chip)
         with self._generation_lock:

@@ -155,9 +155,9 @@ class ChipStack:
         and any change that affects the discretisation — dimensions,
         layers, materials, floorplans, cooling — must change the
         fingerprint.  The session uses it to decide when re-registering a
-        chip name must invalidate pooled factorisations, and dataset
+        chip name must invalidate pooled solvers, and dataset
         generation embeds a digest of it in warm-state keys so two different
-        designs sharing a name never share a factorisation.
+        designs sharing a name never share a block basis.
         """
         parts = [
             self.name,

@@ -15,8 +15,9 @@ batches, and each batch runs inline as a task of a
 solver and its basis between batches and between datasets sharing the
 plane.  Every case is answered by its own product, so the targets are
 bitwise-identical whatever the batch size.  This is where the paper's cost
-asymmetry lives (thousands of PDE solves per dataset): one factorisation
-per geometry, then no back-substitution at all.
+asymmetry lives (thousands of PDE solves per dataset): one exact
+separable solve per geometry builds the basis, and nothing is factorised
+or back-substituted.
 """
 
 from __future__ import annotations
@@ -178,8 +179,8 @@ def generate_multifidelity_pair(
     the datasets are bitwise-identical to building both independently.
 
     ``plane`` answers both datasets, as in :func:`generate_dataset`, so a
-    plane that already holds a fidelity's basis does not factorise that
-    geometry again.  ``None`` builds a private plane per dataset.
+    plane that already holds a fidelity's basis does not build it again.
+    ``None`` builds a private plane per dataset.
     """
     if low_resolution >= high_resolution:
         raise ValueError("low_resolution must be strictly smaller than high_resolution")

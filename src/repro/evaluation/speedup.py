@@ -77,7 +77,7 @@ def run_speedup_study(
 
     # The FVM cases run through the batched prepare-once path, so the
     # reported per-case time is the amortised cost a data-generation run
-    # actually pays (factorisation shared across the batch).
+    # actually pays (one block basis shared across the batch).
     fvm_timer = Timer("fvm")
     fvm_timer.time(solver.solve_batch, [case.assignment for case in cases])
     fvm_seconds_per_case = fvm_timer.total / max(len(cases), 1)

@@ -102,7 +102,7 @@ def run_table4(
             "Ours": {"max": [], "min": [], "seconds": []},
         }
         # Both field solvers run their cases as one batch against a single
-        # cached factorisation; solve_seconds is the amortised per-case cost.
+        # block basis; solve_seconds is the amortised per-case cost.
         assignments = [case.assignment for case in cases]
         reference_fields = reference_solver.solve_batch(assignments)
         standard_fields = standard_solver.solve_batch(assignments)

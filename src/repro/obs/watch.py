@@ -87,7 +87,7 @@ def render_dashboard(
         _paint("repro-thermal watch", _BOLD, color)
         + f"  {url}  status="
         + _paint(str(status), status_code, color)
-        + f"  uptime={_fmt(health.get('uptime_s', health.get('uptime_seconds')))}s"
+        + f"  uptime={_fmt(health.get('uptime_seconds'))}s"
     )
 
     session = stats.get("session") or {}

@@ -1,8 +1,8 @@
 """Task functions and warm-state recipes of dataset generation.
 
 :func:`build_fvm_solver` builds the warm state: a prepared
-:class:`~repro.solvers.fvm.FVMSolver` (cached geometry, assembled matrix
-and exact block basis; the factorisation that built the basis is dropped).
+:class:`~repro.solvers.fvm.FVMSolver` (cached geometry and exact block
+basis, built by one separable solve with no matrix and no factorisation).
 :func:`generate_batch` answers one batch of power cases from that basis and
 returns the training targets.  :func:`repro.data.generation.generate_dataset`
 submits one :class:`~repro.runtime.plane.PlaneTask` per batch to a

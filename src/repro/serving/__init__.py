@@ -4,7 +4,7 @@ The subsystem turns the repository's solvers and trained operator surrogates
 into a long-running service:
 
 * :mod:`repro.serving.request` — validated request/response model.
-* :mod:`repro.serving.backends` — exact (FVM, pooled LRU factorisations),
+* :mod:`repro.serving.backends` — exact (FVM, pooled LRU block bases),
   learned (operator surrogate) and compact (HotSpot) execution backends.
 * :mod:`repro.serving.engine` — the request engine: answers each request on
   its caller's thread under one solve lock and rejects work beyond a

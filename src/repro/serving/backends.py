@@ -1,7 +1,7 @@
 """Serving backends: thin request/response adapters over a ThermalSession.
 
 Since the :mod:`repro.api` facade exists, this module no longer constructs
-solvers, pools factorisations or loads models itself — all of that is
+solvers, pools block bases or loads models itself — all of that is
 cross-cutting state owned by one :class:`~repro.api.session.ThermalSession`
 shared by every backend of a deployment.  What remains here is the serving
 shape of the problem: take validated
@@ -163,7 +163,7 @@ def build_backends(
     """Assemble the standard backend set of a service deployment.
 
     All backends share one :class:`~repro.api.session.ThermalSession` (the
-    given one, or a fresh one), so factorisation pools, loaded models and
+    given one, or a fresh one), so solver pools, loaded models and
     the result cache are deployment-wide.  ``model_paths`` are operator
     weight files saved through :func:`~repro.operators.factory.save_operator`;
     the ``operator`` backend is present even when empty so requests for it

@@ -32,7 +32,7 @@ KNOWN_BACKENDS = BACKEND_NAMES
 
 #: Grid-resolution bounds accepted by the service.  The lower bound keeps
 #: block rasterisation meaningful; the upper bound caps the memory of one
-#: cached factorisation.
+#: pooled solver (a block basis, or a transient factor).
 MIN_RESOLUTION = 4
 MAX_RESOLUTION = 256
 

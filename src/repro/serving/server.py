@@ -804,14 +804,10 @@ class ThermalServer:
         """
         open_breakers = self.session.open_breakers() if self.session is not None else []
         degraded = bool(open_breakers)
-        uptime = round(time.time() - self._started_at, 3)
         body: Dict[str, Any] = {
             "status": "degraded" if degraded else "ok",
             "version": __version__,
-            "uptime_seconds": uptime,
-            # `uptime_s` duplicates `uptime_seconds` under the shorter name
-            # `watch` reads; both are kept so existing probes keep working.
-            "uptime_s": uptime,
+            "uptime_seconds": round(time.time() - self._started_at, 3),
             "backends": sorted(self.engine.backends),
             "engine_running": self.engine.is_running,
         }

@@ -11,6 +11,12 @@ factorises them as what they are: sparse LU via
 :func:`scipy.sparse.linalg.splu` in SuperLU's symmetric mode, with a
 symmetric minimum-degree ordering and diagonal pivots — Cholesky in LU
 form — wrapped in an :class:`SPDFactor`.
+
+Two callers remain: :meth:`~repro.solvers.fvm.FVMSolver.solve`, the
+single-case reference the block basis is checked against, and the
+transient solver's backward-Euler factor.  The block basis itself comes
+from the exact separable solve in :mod:`repro.solvers.separable`, which
+factorises nothing.
 """
 
 from __future__ import annotations

@@ -26,15 +26,19 @@ solves on one chip/grid):
 * *Block basis* (once per solver, :meth:`FVMSolver.block_basis`): power
   enters only as per-block uniform densities, so every steady answer is
   exactly ``T = T_amb + sum_b P_b g_b`` where ``g_b`` is block ``b``'s 1 W
-  response.  One sparse LU factorisation back-substitutes all the ``g_b``
-  in one stacked pass and is then dropped.  The zero-power field needs no
-  solve: every row of the matrix sums to its boundary conductance, so
+  response.  Every plane of the geometry has one conductivity, so the
+  conduction operator is separable: the ``g_b`` come from one exact
+  separable solve (:class:`~repro.solvers.separable.SeparableConduction`:
+  cosine modes in-plane, one tridiagonal system per mode in ``z``), with
+  no matrix assembled and nothing factorised.  The zero-power field needs
+  no solve: every row of the matrix sums to its boundary conductance, so
   ``T_amb`` satisfies the power-free system.
 * *Solve* (per power case): :meth:`FVMSolver.solve_batch` and
   :meth:`FVMSolver.solve_layer_maps` answer each case with one small
   product against the basis.  :meth:`FVMSolver.solve` stays on direct
-  back-substitution against its own lazily built factorisation — the
-  independent reference the basis is checked against.
+  back-substitution against a sparse factorisation of the assembled
+  matrix, built on first use — the independent reference the basis is
+  checked against.
 """
 
 from __future__ import annotations
@@ -48,6 +52,7 @@ from scipy import sparse
 
 from repro.chip.stack import ChipStack
 from repro.solvers.factor import SPDFactor, factorize
+from repro.solvers.separable import SeparableConduction
 from repro.solvers.voxelize import GridGeometry, VoxelGrid, build_geometry
 
 #: Bumped whenever the solver pipeline changes in a way that can alter (even
@@ -59,7 +64,11 @@ from repro.solvers.voxelize import GridGeometry, VoxelGrid, build_geometry
 #: ordering on ``A^T + A``, diagonal pivots; see
 #: :func:`~repro.solvers.factor.factorize`).  Basis, ``solve_batch`` and
 #: ``solve`` answers move by at most 1e-12 relative (measured 8.4e-14).
-SOLVER_VERSION = "5"
+#: "6": the basis comes from the exact separable solve
+#: (:class:`~repro.solvers.separable.SeparableConduction`) instead of a
+#: sparse factorisation.  Basis, ``solve_batch`` and layer-map answers move
+#: by at most 1e-12 relative (measured ≤ 1.6e-13); ``solve`` is unchanged.
+SOLVER_VERSION = "6"
 
 
 @dataclass
@@ -132,8 +141,8 @@ class _PreparedSystem:
     ``rhs_boundary`` capture everything that is independent of the power
     assignment; ``cell_volumes`` converts a volumetric heat source into the
     RHS source term.  ``factor`` is the SPD factorisation of ``matrix``,
-    built only by :meth:`FVMSolver.solve` (the block basis factorises
-    transiently and keeps nothing).
+    built only by :meth:`FVMSolver.solve` (the block basis needs neither
+    the matrix nor a factor).
     """
 
     matrix: sparse.csc_matrix
@@ -244,29 +253,31 @@ class FVMSolver:
     def block_basis(self) -> _BlockBasis:
         """The exact per-block superposition basis, built once and cached.
 
-        Every block's 1 W source ``s_b`` becomes one column of a stacked
-        right-hand side, and one back-substitution answers them all.  The
-        factorisation is then dropped: only the basis stays resident.
+        Every block's 1 W source ``s_b`` becomes one right-hand side of a
+        single exact separable solve
+        (:class:`~repro.solvers.separable.SeparableConduction`), which
+        assembles no matrix and factorises nothing; only the basis stays
+        resident.
+
+        Raises
+        ------
+        ValueError
+            If a z-plane of the geometry has a laterally varying
+            conductivity (no geometry :func:`build_geometry` makes has one).
         """
         if self._basis is None:
-            prepared = self.prepare()
             geometry = self.geometry
+            system = SeparableConduction(geometry)
             names = tuple(self.chip.flat_block_names())
             rows = {
                 name: row for row, name in enumerate(names) if self._is_resolved(name)
             }
             fields = np.zeros((len(names), geometry.cell_count))
             if rows:
-                volumes = prepared.cell_volumes
                 sources = np.stack(
-                    [
-                        (geometry.rasterize_power({name: 1.0}) * volumes).ravel()
-                        for name in rows
-                    ],
-                    axis=1,
-                )
-                factor = prepared.factor or factorize(prepared.matrix)
-                fields[list(rows.values())] = factor.solve(sources).T
+                    [geometry.rasterize_power({name: 1.0}) for name in rows]
+                ) * system.cell_volumes
+                fields[list(rows.values())] = system.solve(sources).reshape(len(rows), -1)
             cubes = fields.reshape(len(names), geometry.nz, geometry.ny, geometry.nx)
             layer_maps = np.stack(
                 [

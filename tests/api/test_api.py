@@ -335,26 +335,26 @@ class TestSessionGeneration:
     """Every generate_dataset and generate_multifidelity_pair call shares
     the session's one plane."""
 
-    def test_second_same_geometry_dataset_does_not_factorise(self, count_factorisations):
+    def test_second_same_geometry_dataset_does_not_factorise(self, count_solver_calls):
         session = ThermalSession()
         session.generate_dataset("chip2", resolution=12, num_samples=4, seed=1)
-        calls = count_factorisations()
+        calls = count_solver_calls()
         second = session.generate_dataset("chip2", resolution=12, num_samples=8, seed=2)
-        assert calls == {"factorize": 0, "backsub": 0}
+        assert calls == {"factorize": 0, "backsub": 0, "separable": 0}
         assert_same_dataset(second, generate_dataset(DatasetSpec("chip2", 12, 8, seed=2)))
 
-    def test_repeated_multifidelity_pair_does_not_factorise(self, count_factorisations):
+    def test_repeated_multifidelity_pair_does_not_factorise(self, count_solver_calls):
         session = ThermalSession()
         session.generate_multifidelity_pair("chip1", 12, 24, 6, 3, seed=4)
-        calls = count_factorisations()
+        calls = count_solver_calls()
         low, high = session.generate_multifidelity_pair("chip1", 12, 24, 6, 3, seed=4)
-        assert calls == {"factorize": 0, "backsub": 0}
+        assert calls == {"factorize": 0, "backsub": 0, "separable": 0}
         reference_low, reference_high = generate_multifidelity_pair("chip1", 12, 24, 6, 3, seed=4)
         assert_same_dataset(low, reference_low)
         assert_same_dataset(high, reference_high)
 
     @pytest.mark.parametrize("owner", ["session", "dataset_cache"])
-    def test_concurrent_calls_build_the_basis_once(self, owner, tmp_path, count_factorisations):
+    def test_concurrent_calls_build_the_basis_once(self, owner, tmp_path, count_solver_calls):
         """More threads than cores, switching often: the plane's lock lets
         exactly one of them build the shared basis."""
         if owner == "session":
@@ -368,7 +368,7 @@ class TestSessionGeneration:
         else:
             generate = DatasetCache(str(tmp_path)).get
         specs = [DatasetSpec("chip1", 12, 6, seed=seed) for seed in range(6)]
-        calls = count_factorisations()
+        calls = count_solver_calls()
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -377,7 +377,7 @@ class TestSessionGeneration:
                 datasets = [future.result(timeout=120) for future in futures]
         finally:
             sys.setswitchinterval(interval)
-        assert calls == {"factorize": 1, "backsub": 1}
+        assert calls == {"factorize": 0, "backsub": 0, "separable": 1}
         for spec, dataset in zip(specs, datasets):
             assert_same_dataset(dataset, generate_dataset(spec))
 

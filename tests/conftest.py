@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from repro.data.dataset import ThermalDataset
 from repro.data.generation import DatasetSpec, generate_dataset
 from repro.solvers import factor as factor_module
 from repro.solvers import fvm as fvm_module
+from repro.solvers import separable as separable_module
 
 
 def numerical_gradient(fn, array: np.ndarray, eps: float = 1e-5) -> np.ndarray:
@@ -109,26 +112,39 @@ def tiny_dataset() -> ThermalDataset:
 
 
 @pytest.fixture
-def count_factorisations(monkeypatch):
-    """``start()`` counts every ``factorize`` and ``SPDFactor.solve`` call
-    from then on, in the ``{"factorize": n, "backsub": n}`` dict it returns."""
+def count_solver_calls(monkeypatch):
+    """``start()`` counts every ``factorize`` call, ``SPDFactor.solve`` call
+    and ``SeparableConduction`` build from then on, in the
+    ``{"factorize": n, "backsub": n, "separable": n}`` dict it returns.
+    Counts are taken under a lock, so concurrent callers lose none."""
 
     def start():
-        calls = {"factorize": 0, "backsub": 0}
+        calls = {"factorize": 0, "backsub": 0, "separable": 0}
+        lock = threading.Lock()
         original_factorize = factor_module.factorize
         original_solve = factor_module.SPDFactor.solve
+        original_init = separable_module.SeparableConduction.__init__
+
+        def count(kind):
+            with lock:
+                calls[kind] += 1
 
         def counting_factorize(matrix):
-            calls["factorize"] += 1
+            count("factorize")
             return original_factorize(matrix)
 
         def counting_solve(self, rhs):
-            calls["backsub"] += 1
+            count("backsub")
             return original_solve(self, rhs)
+
+        def counting_init(self, geometry):
+            count("separable")
+            original_init(self, geometry)
 
         monkeypatch.setattr(factor_module, "factorize", counting_factorize)
         monkeypatch.setattr(fvm_module, "factorize", counting_factorize)
         monkeypatch.setattr(factor_module.SPDFactor, "solve", counting_solve)
+        monkeypatch.setattr(separable_module.SeparableConduction, "__init__", counting_init)
         return calls
 
     return start

@@ -200,7 +200,7 @@ class TestGeneration:
         assert fine.cache_key() != spec.cache_key()
         # Pinned: datasets cached under this key format must keep hitting.
         assert DatasetSpec("chip1", 32, 8).cache_key() == (
-            "chip1_r32_n8_s0_c2_b3_i0.15_pdefault_v5"
+            "chip1_r32_n8_s0_c2_b3_i0.15_pdefault_v6"
         )
 
     def test_generate_dataset_batch_size_invariant(self):
@@ -222,12 +222,12 @@ class TestGeneration:
         np.testing.assert_allclose(first.inputs, second.inputs)
         assert cache.clear() == 1
 
-    def test_dataset_cache_misses_share_one_plane(self, tmp_path, count_factorisations):
+    def test_dataset_cache_misses_share_one_plane(self, tmp_path, count_solver_calls):
         cache = DatasetCache(str(tmp_path))
         cache.get(DatasetSpec("chip2", 12, 4, seed=1))
-        calls = count_factorisations()
+        calls = count_solver_calls()
         second = cache.get(DatasetSpec("chip2", 12, 8, seed=2))
-        assert calls == {"factorize": 0, "backsub": 0}
+        assert calls == {"factorize": 0, "backsub": 0, "separable": 0}
         assert_same_dataset(second, generate_dataset(DatasetSpec("chip2", 12, 8, seed=2)))
 
     def test_interrupted_save_leaves_no_cache_entry(self, tmp_path, monkeypatch):

@@ -203,7 +203,8 @@ class TestHealthEnrichment:
     def test_healthz_reports_sampler_uptime_and_last_alert(self, server):
         status, body = _get(server.url + "/healthz")
         assert status == 200
-        assert body["uptime_s"] > 0
+        assert body["uptime_seconds"] > 0
+        assert "uptime_s" not in body
         sampler = body["sampler"]
         assert sampler["alive"] is True
         assert sampler["ticks"] >= 1

@@ -5,10 +5,11 @@
   bound ``SuperLU.solve`` whose stored entries size each back-substitution;
 * it factorises the SPD system symmetrically (minimum-degree ordering on
   ``A^T + A``, diagonal pivots): at most 60 % of a default COLAMD
-  ``splu``'s fill, residuals of 1e-12 or better, and block bases within
-  1e-12 relative of COLAMD-built ones;
-* the factor is transient: ``prepare()`` and ``block_basis()`` leave none
-  resident, only ``solve()`` keeps one;
+  ``splu``'s fill and residuals of 1e-12 or better;
+* the separable block basis is within 1e-12 relative of one
+  back-substituted through a COLAMD factor of the assembled matrix;
+* ``prepare()`` and ``block_basis()`` leave no factor resident, only
+  ``solve()`` keeps one;
 * the backward-Euler system is factorised the same way and stays CSC;
 * a float64 ``solve_batch`` is batch-invariant bitwise and within 1e-9 K
   of per-case ``solve`` answers.
@@ -20,7 +21,6 @@ from scipy import sparse
 from scipy.sparse import linalg as sparse_linalg
 
 from repro.chip.designs import get_chip
-from repro.solvers import fvm as fvm_module
 from repro.solvers import (
     FVMSolver,
     SOLVER_VERSION,
@@ -46,7 +46,7 @@ class TestFactorizationSelection:
         assert np.abs(matrix @ factor.solve(rhs) - rhs).max() < 1e-9
 
     def test_solver_version_bumped_for_kernel_tier(self):
-        assert SOLVER_VERSION == "5"
+        assert SOLVER_VERSION == "6"
 
 
 def _colamd_factorize(matrix):
@@ -81,13 +81,24 @@ class TestSymmetricOrdering:
         assert _relative_residual(system, solver._factor_cache[1]) <= 1e-12
 
     @pytest.mark.parametrize("chip_name", ["chip1", "chip2", "chip3"])
-    def test_basis_matches_colamd_built_basis(self, monkeypatch, chip_name):
-        chip = get_chip(chip_name)
-        basis = FVMSolver(chip, nx=32).block_basis()
-        monkeypatch.setattr(fvm_module, "factorize", _colamd_factorize)
-        reference = FVMSolver(chip, nx=32).block_basis()
-        for ours, theirs in ((basis.fields, reference.fields),
-                             (basis.layer_maps, reference.layer_maps)):
+    def test_basis_matches_colamd_built_basis(self, chip_name):
+        solver = FVMSolver(get_chip(chip_name), nx=32)
+        basis = solver.block_basis()
+        prepared = solver.prepare()
+        sources = np.stack(
+            [(solver.geometry.rasterize_power({name: 1.0}) * prepared.cell_volumes).ravel()
+             for name in basis.names],
+            axis=1,
+        )
+        reference = _colamd_factorize(prepared.matrix).solve(sources).T
+        geometry = solver.geometry
+        cubes = reference.reshape(len(basis.names), geometry.nz, geometry.ny, geometry.nx)
+        reference_maps = np.stack(
+            [cubes[:, geometry.power_layer_slices[layer]].mean(axis=1)
+             for layer in solver.chip.power_layer_names],
+            axis=1,
+        ).reshape(len(basis.names), -1)
+        for ours, theirs in ((basis.fields, reference), (basis.layer_maps, reference_maps)):
             assert np.abs(ours - theirs).max() <= 1e-12 * np.abs(theirs).max()
 
 
