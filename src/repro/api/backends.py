@@ -285,45 +285,44 @@ class HotSpotBackendAdapter:
 # ----------------------------------------------------------------------
 # Transient backend
 # ----------------------------------------------------------------------
+#: Thermal time constants a quasi-steady ``solve`` integrates for: long
+#: enough to sit within a fraction of a kelvin of the steady answer.
+HORIZON_TIME_CONSTANTS = 8.0
+
+#: Backward-Euler steps per thermal time constant of a quasi-steady ``solve``.
+STEPS_PER_TIME_CONSTANT = 4
+
+
 class TransientBackendAdapter:
     """Time-integrating answers from the backward-Euler transient solver.
 
     For the protocol's steady question (``solve`` on a constant power case)
-    it integrates the constant trace for ``horizon_time_constants`` thermal
-    time constants — long enough to sit within a fraction of a kelvin of the
-    steady answer — and reports the final snapshot, with the integration
-    parameters recorded in the provenance.  :meth:`solve_trace` exposes the
-    full time-varying API for genuine transient workloads.
+    it integrates the constant trace for :data:`HORIZON_TIME_CONSTANTS`
+    thermal time constants in :data:`STEPS_PER_TIME_CONSTANT` steps each
+    and reports the final snapshot, with the integration parameters
+    recorded in the provenance.  :meth:`solve_trace` exposes the full
+    time-varying API for genuine transient workloads.
 
-    Solves are serialised through an internal lock: the underlying
-    :class:`TransientFVMSolver` keeps a dt-keyed backward-Euler
-    factorisation cache, and this adapter is pooled per
+    Each integration builds its own separable backward-Euler operator and
+    keeps nothing between calls; the adapter itself holds only the solver's
+    geometry and the lazily estimated time constant.  It is pooled per
     ``(chip, resolution)`` and reachable concurrently from engine workers
-    and the HTTP ``/solve_transient`` handler — an unguarded check-then-use
-    of that cache could back-substitute with the wrong factor.
+    and the HTTP ``/solve_transient`` handler, so an internal lock
+    serialises its integrations.
     """
 
     name = "transient"
 
-    def __init__(
-        self,
-        chip: ChipStack,
-        resolution: int,
-        cells_per_layer: int = 2,
-        horizon_time_constants: float = 8.0,
-        steps_per_time_constant: int = 4,
-    ):
-        if horizon_time_constants <= 0 or steps_per_time_constant < 1:
-            raise ValueError("the transient horizon and step density must be positive")
+    def __init__(self, chip: ChipStack, resolution: int, cells_per_layer: int = 2):
         self.chip = chip
         self.resolution = int(resolution)
         self.solver = TransientFVMSolver(
             chip, nx=self.resolution, cells_per_layer=cells_per_layer
         )
-        self.horizon_time_constants = horizon_time_constants
-        self.steps_per_time_constant = steps_per_time_constant
         self._time_constant: Optional[float] = None
-        # RLock, not Lock: solve() reads time_constant_s while holding it.
+        # Serialises the lazy time-constant build and whole traces (a
+        # streamed trace holds it for its lifetime).  RLock, not Lock:
+        # solve() reads time_constant_s while holding it.
         self._solver_lock = threading.RLock()
 
     @property
@@ -389,8 +388,8 @@ class TransientBackendAdapter:
         assignment = as_assignment(case)
         with self._solver_lock:
             tau = self.time_constant_s
-            dt_s = tau / self.steps_per_time_constant
-            duration_s = self.horizon_time_constants * tau
+            dt_s = tau / STEPS_PER_TIME_CONSTANT
+            duration_s = HORIZON_TIME_CONSTANTS * tau
             num_steps = int(round(duration_s / dt_s))
             result = self.solver.solve(
                 assignment, duration_s=duration_s, dt_s=dt_s,
@@ -417,9 +416,8 @@ class TransientBackendAdapter:
         include_values: bool = False,
     ) -> List[ThermalSolution]:
         """Integrate each case in turn (no stacked-RHS trick exists here)."""
-        # No stacked-RHS trick here (each case is a full time integration),
-        # but the geometry, conduction matrix and backward-Euler factor are
-        # shared across the batch through the underlying solver's caches.
+        # Each case is a full time integration; only the solver's geometry
+        # and the time constant are shared across the batch.
         return [
             self.solve(case, include_maps=include_maps, include_values=include_values)
             for case in cases
@@ -573,8 +571,8 @@ class TransientBackendAdapter:
             "backend": self.name,
             "chip": self.chip.name,
             "resolution": self.resolution,
-            "horizon_time_constants": self.horizon_time_constants,
-            "steps_per_time_constant": self.steps_per_time_constant,
+            "horizon_time_constants": HORIZON_TIME_CONSTANTS,
+            "steps_per_time_constant": STEPS_PER_TIME_CONSTANT,
         }
 
 

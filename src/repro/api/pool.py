@@ -38,7 +38,7 @@ class LRUPool:
     """A small thread-safe LRU cache of expensive per-key resources.
 
     Used for prepared solver backends (geometry + block basis, or a
-    transient solver and its factor) and HotSpot networks.  ``get`` builds
+    transient solver and its geometry) and HotSpot networks.  ``get`` builds
     missing entries with the supplied factory and evicts the
     least-recently-used entry beyond ``capacity``.  Hit/miss/eviction
     counters feed the service ``/stats`` endpoint.

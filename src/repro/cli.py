@@ -128,7 +128,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "unbounded)")
     serve.add_argument("--solver-cache-size", type=int, default=8,
                        help="prepared solvers (fvm block bases, transient "
-                            "factors) kept per backend (LRU)")
+                            "geometries) kept per backend (LRU)")
     serve.add_argument("--result-cache-size", type=int, default=1024,
                        help="memoised answers kept in the session result cache")
     serve.add_argument("--cache-ttl", type=float, default=None, metavar="SECONDS",

@@ -32,12 +32,12 @@ KNOWN_BACKENDS = BACKEND_NAMES
 
 #: Grid-resolution bounds accepted by the service.  The lower bound keeps
 #: block rasterisation meaningful; the upper bound caps the memory of one
-#: pooled solver (a block basis, or a transient factor).
+#: pooled solver (a block basis) and of one transient step.
 MIN_RESOLUTION = 4
 MAX_RESOLUTION = 256
 
 #: Upper bound on backward-Euler steps one ``/solve_transient`` request may
-#: ask for — each step is a full back-substitution, so an unbounded request
+#: ask for — each step is a full separable solve, so an unbounded request
 #: could occupy the service for minutes.
 MAX_TRANSIENT_STEPS = 20_000
 

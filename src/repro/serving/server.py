@@ -29,7 +29,7 @@ Endpoints
 * ``POST /warm_up`` — pre-build solver state for a set of group keys
   (``{"keys": [{"chip": ..., "resolution": ..., "backend": ...}]}``)
   before traffic arrives, so the first requests for those keys do not
-  pay for building the block basis or factorisation.
+  pay for building the block basis or the HotSpot network.
 * ``GET /chips`` — built-in benchmark chips and their block names.
 * ``GET /models`` — operator surrogates loaded into the model registry.
 * ``GET /healthz`` — liveness probe (uptime, sampler liveness, last alert).
@@ -90,8 +90,9 @@ SOLVE_TIMEOUT_S = 120.0
 RETRY_AFTER_S = 1
 
 #: Most ``/solve_transient`` requests admitted at once (running + waiting).
-#: A trace is up to 20k back-substitutions in the handler thread, so beyond
-#: this bound the endpoint answers 429 instead of stacking handler threads.
+#: A trace is up to 20k separable backward-Euler solves in the handler
+#: thread, so beyond this bound the endpoint answers 429 instead of
+#: stacking handler threads.
 TRANSIENT_MAX_PENDING = 4
 
 #: Default and maximum ``/events`` long-poll park time; a client asking for

@@ -1,22 +1,20 @@
 """SPD factorization of the conduction system.
 
-The steady conduction matrix (and the backward-Euler system ``C/dt + A``
-built on top of it) is symmetric positive definite: it is exactly
+The steady conduction matrix is symmetric positive definite: it is exactly
 symmetric (each face conductance appears once in each of its two cells'
 rows), every off-diagonal is a negative face conductance, every diagonal
 dominates its row, and the Robin boundary rows keep the system strictly
 definite — an irreducible, weakly diagonally dominant M-matrix.
-:func:`factorize` is the one place these systems are factorised, and it
-factorises them as what they are: sparse LU via
+:func:`factorize` is the one place it is factorised, and it factorises it
+as what it is: sparse LU via
 :func:`scipy.sparse.linalg.splu` in SuperLU's symmetric mode, with a
 symmetric minimum-degree ordering and diagonal pivots — Cholesky in LU
 form — wrapped in an :class:`SPDFactor`.
 
-Two callers remain: :meth:`~repro.solvers.fvm.FVMSolver.solve`, the
-single-case reference the block basis is checked against, and the
-transient solver's backward-Euler factor.  The block basis itself comes
-from the exact separable solve in :mod:`repro.solvers.separable`, which
-factorises nothing.
+One caller remains: :meth:`~repro.solvers.fvm.FVMSolver.solve`, the
+single-case reference the separable answers are checked against.  The
+block basis and every transient step come from the exact separable solve
+in :mod:`repro.solvers.separable`, which factorises nothing.
 """
 
 from __future__ import annotations
@@ -55,9 +53,8 @@ def factorize(matrix: sparse.spmatrix) -> SPDFactor:
     (2 vCPUs, BLAS on one thread).
     Block bases built either way agree to 1e-13 relative.
 
-    ``matrix`` should already be CSC (the assembly path produces CSC
-    directly); other formats are converted — paying the copy the CSC
-    assembly exists to avoid — so hot paths must hand CSC in.
+    ``matrix`` should already be CSC (the assembly produces it); other
+    formats are converted.
     """
     csc = matrix if sparse.issparse(matrix) and matrix.format == "csc" else matrix.tocsc()
     lu = sparse_linalg.splu(

@@ -17,12 +17,9 @@ The solver is organised around a **prepare-once / solve-many** split, the
 key cost structure behind the paper's data-generation step (thousands of
 solves on one chip/grid):
 
-* *Prepare* (once per solver): voxelize the chip geometry
-  (:func:`~repro.solvers.voxelize.build_geometry`) and assemble the sparse
-  conduction system **directly in CSC** (the 7-point stencil's column
-  structure is known in closed form, so no COO intermediate and no
-  ``tocsc()`` copy are ever built).  The matrix depends only on geometry;
-  power enters the discretisation solely through the right-hand side.
+* *Geometry* (once per solver): voxelize the chip
+  (:func:`~repro.solvers.voxelize.build_geometry`).  Power enters the
+  discretisation solely through the right-hand side.
 * *Block basis* (once per solver, :meth:`FVMSolver.block_basis`): power
   enters only as per-block uniform densities, so every steady answer is
   exactly ``T = T_amb + sum_b P_b g_b`` where ``g_b`` is block ``b``'s 1 W
@@ -35,10 +32,12 @@ solves on one chip/grid):
   ``T_amb`` satisfies the power-free system.
 * *Solve* (per power case): :meth:`FVMSolver.solve_batch` and
   :meth:`FVMSolver.solve_layer_maps` answer each case with one small
-  product against the basis.  :meth:`FVMSolver.solve` stays on direct
-  back-substitution against a sparse factorisation of the assembled
-  matrix, built on first use — the independent reference the basis is
-  checked against.
+  product against the basis.
+* *Reference* (:meth:`FVMSolver.solve`): :meth:`FVMSolver.prepare`
+  assembles the sparse conduction system from COO triplets, and ``solve``
+  back-substitutes against its factorisation, built on first use.  This is
+  the independent reference the separable answers are checked against;
+  no answer path assembles or factorises.
 """
 
 from __future__ import annotations
@@ -53,7 +52,7 @@ from scipy import sparse
 from repro.chip.stack import ChipStack
 from repro.solvers.factor import SPDFactor, factorize
 from repro.solvers.separable import SeparableConduction
-from repro.solvers.voxelize import GridGeometry, VoxelGrid, build_geometry
+from repro.solvers.voxelize import GridGeometry, build_geometry
 
 #: Bumped whenever the solver pipeline changes in a way that can alter (even
 #: in the last floating-point bits) the fields it produces.  Dataset cache
@@ -68,7 +67,13 @@ from repro.solvers.voxelize import GridGeometry, VoxelGrid, build_geometry
 #: (:class:`~repro.solvers.separable.SeparableConduction`) instead of a
 #: sparse factorisation.  Basis, ``solve_batch`` and layer-map answers move
 #: by at most 1e-12 relative (measured ≤ 1.6e-13); ``solve`` is unchanged.
-SOLVER_VERSION = "6"
+#: "7": transient steps come from the same separable solve, given the
+#: backward-Euler ``C_z/dt`` per plane and integrating the rise above
+#: ambient, instead of a SuperLU factor of the assembled ``C/dt + A``.
+#: Transient answers move by at most 1e-9 K (measured ≤ 6.7e-11 K on chips
+#: 1-3 × res 16-48); basis, ``solve_batch``, layer-map and ``solve`` answers
+#: are unchanged.
+SOLVER_VERSION = "7"
 
 
 @dataclass
@@ -80,7 +85,8 @@ class TemperatureField:
     chip:
         The simulated chip.
     grid:
-        The voxel grid the PDE was discretised on.
+        The solver's power-free geometry (cell layout, conductivities,
+        power-layer slices); no per-case heat source.
     values:
         Cell-centred temperatures in kelvin, shape ``(nz, ny, nx)``.
     solve_seconds:
@@ -89,7 +95,7 @@ class TemperatureField:
     """
 
     chip: ChipStack
-    grid: VoxelGrid
+    grid: GridGeometry
     values: np.ndarray
     solve_seconds: float
 
@@ -135,14 +141,14 @@ def _harmonic_mean(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 @dataclass
 class _PreparedSystem:
-    """Cached assembly products shared by every solve on one geometry.
+    """The assembled reference system of one geometry.
 
-    ``matrix`` (CSC, assembled directly in that format) and
-    ``rhs_boundary`` capture everything that is independent of the power
-    assignment; ``cell_volumes`` converts a volumetric heat source into the
-    RHS source term.  ``factor`` is the SPD factorisation of ``matrix``,
-    built only by :meth:`FVMSolver.solve` (the block basis needs neither
-    the matrix nor a factor).
+    ``matrix`` (canonical CSC) and ``rhs_boundary`` capture everything that
+    is independent of the power assignment; ``cell_volumes`` converts a
+    volumetric heat source into the RHS source term.  ``factor`` is the SPD
+    factorisation of ``matrix``, built only by :meth:`FVMSolver.solve`.
+    Nothing else reads this: the block basis and the transient steps come
+    from the separable solve.
     """
 
     matrix: sparse.csc_matrix
@@ -242,7 +248,7 @@ class FVMSolver:
         return self._geometry
 
     def prepare(self) -> _PreparedSystem:
-        """Assemble the conduction system once (no factorisation)."""
+        """Assemble the reference conduction system once (no factorisation)."""
         if self._prepared is None:
             matrix, rhs_boundary, cell_volumes = self._assemble_system(self.geometry)
             self._prepared = _PreparedSystem(
@@ -344,9 +350,10 @@ class FVMSolver:
         rhs = prepared.rhs_boundary + (heat_source * prepared.cell_volumes).ravel()
         temperatures = prepared.factor.solve(rhs)
         elapsed = time.perf_counter() - start
-        grid = geometry.grid_with_source(heat_source)
         values = temperatures.reshape(geometry.nz, geometry.ny, geometry.nx)
-        return TemperatureField(chip=self.chip, grid=grid, values=values, solve_seconds=elapsed)
+        return TemperatureField(
+            chip=self.chip, grid=geometry, values=values, solve_seconds=elapsed
+        )
 
     def solve_batch(
         self, power_assignments: Sequence[Mapping[str, float]]
@@ -371,11 +378,11 @@ class FVMSolver:
         return [
             TemperatureField(
                 chip=self.chip,
-                grid=geometry.grid_for(assignment),
+                grid=geometry,
                 values=case_values.reshape(shape),
                 solve_seconds=per_case,
             )
-            for case_values, assignment in zip(values, power_assignments)
+            for case_values in values
         ]
 
     def solve_layer_maps(
@@ -396,130 +403,20 @@ class FVMSolver:
 
     # ------------------------------------------------------------------
     def _assemble_system(self, grid):
-        """Build the conduction system directly in CSC format.
+        """Assemble the conduction system from COO triplets.
 
-        ``grid`` may be a :class:`VoxelGrid` or a :class:`GridGeometry` —
-        only the geometric fields are read.  Returns ``(matrix,
-        rhs_boundary, cell_volumes)`` where ``matrix`` is a
-        :class:`scipy.sparse.csc_matrix` with sorted, duplicate-free
-        indices, ``rhs_boundary`` holds the ambient (Robin) terms and
+        ``grid`` is a :class:`GridGeometry` (a :class:`VoxelGrid` works too:
+        only the geometric fields are read).  Returns ``(matrix,
+        rhs_boundary, cell_volumes)`` where ``matrix`` is a canonical
+        :class:`scipy.sparse.csc_matrix` (sorted, duplicate-free indices),
+        ``rhs_boundary`` holds the ambient (Robin) terms and
         ``cell_volumes`` (shape ``(nz, 1, 1)`` broadcastable to the grid)
         converts a volumetric heat source into the RHS source term.
 
-        The 7-point stencil fixes each CSC column's structure in closed
-        form: by symmetry, column ``j`` holds rows ``j + offset`` for the
-        offsets ``(-nx*ny, -nx, -1, 0, +1, +nx, +nx*ny)`` whose neighbour
-        exists — already in increasing row order.  Laying the seven
-        conductance bands out in that order and compressing the invalid
-        slots yields the canonical CSC arrays directly, with no COO
-        triplets, no duplicate summation and no format conversion before
-        factorisation.  The arrays are bitwise-identical to the COO
-        reference assembly (:meth:`_assemble_system_coo`) converted via
-        ``tocsc()``; the equivalence suite asserts this.
-        """
-        nz, ny, nx = grid.nz, grid.ny, grid.nx
-        dx = self.chip.die_width_mm * 1e-3 / nx
-        dy = self.chip.die_height_mm * 1e-3 / ny
-        dz = grid.dz_mm * 1e-3
-        k = grid.conductivity
-
-        ambient = self.chip.cooling.ambient_K
-        top_htc = self.chip.cooling.effective_top_htc(self.chip.die_area_m2)
-        bottom_htc = self.chip.cooling.secondary_htc
-
-        n = nz * ny * nx
-        diag = np.zeros((nz, ny, nx))
-        rhs = np.zeros((nz, ny, nx))
-        # Seven stencil bands in increasing row-offset order; band 3 is the
-        # diagonal.  ``band_data`` holds the signed matrix entries, ``valid``
-        # marks the slots whose neighbour exists.
-        band_data = np.zeros((7, nz, ny, nx))
-        valid = np.zeros((7, nz, ny, nx), dtype=bool)
-        valid[3] = True
-
-        # x-direction faces
-        if nx > 1:
-            k_face = _harmonic_mean(k[:, :, :-1], k[:, :, 1:])
-            area = dy * dz[:, None, None]
-            conductance = k_face * area / dx
-            diag[:, :, :-1] += conductance
-            diag[:, :, 1:] += conductance
-            band_data[2, :, :, 1:] = -conductance
-            valid[2, :, :, 1:] = True
-            band_data[4, :, :, :-1] = -conductance
-            valid[4, :, :, :-1] = True
-
-        # y-direction faces
-        if ny > 1:
-            k_face = _harmonic_mean(k[:, :-1, :], k[:, 1:, :])
-            area = dx * dz[:, None, None]
-            conductance = k_face * area / dy
-            diag[:, :-1, :] += conductance
-            diag[:, 1:, :] += conductance
-            band_data[1, :, 1:, :] = -conductance
-            valid[1, :, 1:, :] = True
-            band_data[5, :, :-1, :] = -conductance
-            valid[5, :, :-1, :] = True
-
-        # z-direction faces: series conduction through the two half-cells.
-        if nz > 1:
-            k_lower = k[:-1]
-            k_upper = k[1:]
-            resist = (0.5 * dz[:-1])[:, None, None] / k_lower + (0.5 * dz[1:])[:, None, None] / k_upper
-            conductance = (dx * dy) / resist
-            diag[:-1] += conductance
-            diag[1:] += conductance
-            band_data[0, 1:] = -conductance
-            valid[0, 1:] = True
-            band_data[6, :-1] = -conductance
-            valid[6, :-1] = True
-
-        face_area = dx * dy
-        # Top surface: Robin boundary through spreader + sink.  The boundary
-        # conductance is the series combination of the half-cell conduction
-        # and the film coefficient.
-        k_top = k[-1]
-        half_resistance = (0.5 * dz[-1]) / k_top
-        film_resistance = 1.0 / top_htc
-        top_conductance = face_area / (half_resistance + film_resistance)
-        diag[-1] += top_conductance
-        rhs[-1] += top_conductance * ambient
-
-        # Bottom surface: weak package path.
-        if bottom_htc > 0:
-            k_bottom = k[0]
-            half_resistance = (0.5 * dz[0]) / k_bottom
-            film_resistance = 1.0 / bottom_htc
-            bottom_conductance = face_area / (half_resistance + film_resistance)
-            diag[0] += bottom_conductance
-            rhs[0] += bottom_conductance * ambient
-
-        cell_volumes = face_area * dz[:, None, None]
-        band_data[3] = diag
-
-        offsets = np.array([-nx * ny, -nx, -1, 0, 1, nx, nx * ny])
-        columns = np.arange(n)
-        row_of_band = columns[None, :] + offsets[:, None]  # (7, n)
-        # Column-major compression: transpose to (n, 7) so each column's
-        # band entries are contiguous (and, by construction, row-sorted).
-        per_column_valid = valid.reshape(7, n).T
-        flat_valid = per_column_valid.ravel()
-        indices = row_of_band.T.ravel()[flat_valid]
-        data = band_data.reshape(7, n).T.ravel()[flat_valid]
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(per_column_valid.sum(axis=1), out=indptr[1:])
-        matrix = sparse.csc_matrix((data, indices, indptr), shape=(n, n))
-        return matrix, rhs.ravel(), cell_volumes
-
-    def _assemble_system_coo(self, grid):
-        """Reference COO assembly (the historical path), kept as the
-        independent system the equivalence and residual tests and the
-        prepare-time benchmark compare against.
-
-        Builds the same system as :meth:`_assemble_system` through COO
-        triplets coalesced into CSR — the pre-CSC pipeline whose
-        ``tocsc()`` conversion the direct assembly eliminates.  Returns
-        ``(csr_matrix, rhs_boundary, cell_volumes)``.
+        Every face conductance is one triplet per direction, so nothing is
+        summed.  This is the reference the separable solve is checked
+        against: :meth:`solve` factorises it, and the residual oracles
+        multiply answers by it.  No answer path assembles it.
         """
         nz, ny, nx = grid.nz, grid.ny, grid.nx
         dx = self.chip.die_width_mm * 1e-3 / nx
@@ -608,5 +505,5 @@ class FVMSolver:
         rows = np.concatenate(rows)
         cols = np.concatenate(cols)
         vals = np.concatenate(vals)
-        matrix = sparse.csr_matrix((vals, (rows, cols)), shape=(n, n))
+        matrix = sparse.csc_matrix((vals, (rows, cols)), shape=(n, n))
         return matrix, rhs.ravel(), cell_volumes

@@ -1,4 +1,4 @@
-"""Exact separable solve of the steady conduction system.
+"""Exact separable solve of the conduction system, steady or backward Euler.
 
 :func:`~repro.solvers.voxelize.build_geometry` fills every vertical cell
 plane with one conductivity, the in-plane grid is uniform, the lateral
@@ -20,7 +20,10 @@ mode ``(k_y, k_x)``::
 
     (T_z + diag(c_x lambda_kx + c_y lambda_ky)) u = C_y^T s C_x
 
-(Hockney's fast Poisson method, J. ACM 12(1), 1965).  A solve is two GEMMs
+(Hockney's fast Poisson method, J. ACM 12(1), 1965).  Heat capacity is one
+number per plane too, so the backward-Euler operator ``C/dt + A`` of the
+transient solver has the same form with ``C_z/dt`` added to ``T_z``'s
+diagonal (the ``inertia`` argument).  A solve is two GEMMs
 into mode space, one forward and one backward Thomas sweep over ``z``
 (vectorised across every mode and right-hand side), and two GEMMs back.
 The solve is exact: it differs from sparse LU on the assembled matrix only
@@ -37,6 +40,8 @@ same structure through the Robin terms; ``DESIGN.md`` discusses both.
 """
 
 from __future__ import annotations
+
+from typing import Optional
 
 import numpy as np
 
@@ -58,12 +63,21 @@ def neumann_modes(n: int):
 
 
 class SeparableConduction:
-    """The steady conduction operator of one geometry, diagonalised in-plane.
+    """The conduction operator of one geometry, diagonalised in-plane.
 
     Built once per geometry: the per-plane face and Robin conductances (the
     formulas of ``FVMSolver._assemble_system``), the cosine modes in ``x``
     and ``y`` as dense matrices, and each mode's Thomas pivots.
     :meth:`solve` then answers any stack of right-hand sides.
+
+    Parameters
+    ----------
+    geometry:
+        The voxelised chip.
+    inertia:
+        Optional per-plane term added to every cell's diagonal, shape
+        ``(nz,)`` in W/K: the backward-Euler ``C_z / dt``, making the
+        operator ``C/dt + A`` instead of the steady ``A``.
 
     Raises
     ------
@@ -72,7 +86,7 @@ class SeparableConduction:
         not separable.
     """
 
-    def __init__(self, geometry: GridGeometry):
+    def __init__(self, geometry: GridGeometry, inertia: Optional[np.ndarray] = None):
         chip = geometry.chip
         nz, ny, nx = geometry.nz, geometry.ny, geometry.nx
         k = geometry.conductivity[:, 0, 0]
@@ -85,9 +99,7 @@ class SeparableConduction:
                 f"laterally varying conductivity; the separable solve needs one "
                 f"conductivity per plane"
             )
-        dx = chip.die_width_mm * 1e-3 / nx
-        dy = chip.die_height_mm * 1e-3 / ny
-        dz = geometry.dz_mm * 1e-3
+        dx, dy, dz = geometry.dx_m, geometry.dy_m, geometry.dz_m
         face_area = dx * dy
         #: Cell volumes, shape ``(nz, 1, 1)``: a volumetric heat source
         #: times these is the right-hand side :meth:`solve` takes.
@@ -107,6 +119,8 @@ class SeparableConduction:
         bottom_htc = chip.cooling.secondary_htc
         if bottom_htc > 0:
             diagonal[0] += face_area / ((0.5 * dz[0]) / k[0] + 1.0 / bottom_htc)
+        if inertia is not None:
+            diagonal += inertia
 
         self._cx, lambda_x = neumann_modes(nx)
         self._cy, lambda_y = neumann_modes(ny)
@@ -124,7 +138,8 @@ class SeparableConduction:
         self._pivots = pivots
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """Solve ``A u = rhs`` for a stack of right-hand sides.
+        """Solve ``A u = rhs`` (``(C/dt + A) u = rhs`` with ``inertia``) for
+        a stack of right-hand sides.
 
         ``rhs`` has shape ``(..., nz, ny, nx)``, in the cell order of the
         assembled system; the answer has the same shape.

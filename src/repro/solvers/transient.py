@@ -9,32 +9,36 @@ discretisation: the semi-discrete system
 
 (with ``A`` and ``b`` exactly the steady-state matrix and right-hand side and
 ``C`` the per-cell heat capacities from Table I) is integrated with the
-unconditionally stable backward-Euler scheme
+unconditionally stable backward-Euler scheme.  Every row of ``A`` sums to
+its boundary conductance, so ``A T_amb = b(0 W)`` and the rise above
+ambient ``u = T - T_amb`` obeys
 
-    (C/dt + A) T_{n+1} = C/dt * T_n + b_{n+1}.
+    (C/dt + A) u_{n+1} = C/dt * u_n + s_{n+1},
+
+where ``s`` is the heat source alone.  Heat capacity, like conductivity, is
+one number per cell plane, so ``C/dt + A`` is separable exactly as ``A`` is:
+each step is one :class:`~repro.solvers.separable.SeparableConduction`
+solve built with the per-plane ``C_z/dt``.  Nothing is assembled or
+factorised, and a new ``dt`` costs one such build (about a millisecond).
 
 Power traces may be time-varying (per-block power as a function of time),
-which is what a transient workload study needs.
-
-The solver shares the steady solver's prepare-once machinery: the voxelised
-geometry, the conduction matrix and the per-cell heat capacities are built
-once per solver instance, and each time step (or trace re-evaluation) only
-re-rasterises the power assignment onto the cached grid.
+which is what a transient workload study needs.  The voxelised geometry is
+built once per solver instance and shared with
+:meth:`TransientFVMSolver.steady_state`'s reference solver.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, List, Mapping, NamedTuple, Optional, Sequence, Union
+from typing import Callable, Iterator, List, Mapping, NamedTuple, Optional, Union
 
 import numpy as np
-from scipy import sparse
 
 from repro.chip.stack import ChipStack
-from repro.solvers.factor import factorize
 from repro.solvers.fvm import FVMSolver, TemperatureField
-from repro.solvers.voxelize import VoxelGrid, build_geometry
+from repro.solvers.separable import SeparableConduction
+from repro.solvers.voxelize import GridGeometry, build_geometry
 
 PowerTrace = Union[Mapping[str, float], Callable[[float], Mapping[str, float]]]
 
@@ -44,14 +48,14 @@ class TransientStep(NamedTuple):
 
     ``step`` is the backward-Euler step index (0 for the initial state),
     which doubles as the resumable cursor of the streaming
-    ``/solve_transient`` endpoint; ``grid`` is the (constant) voxel grid so
+    ``/solve_transient`` endpoint; ``grid`` is the solver's geometry so
     consumers can derive layer maps without re-voxelising.
     """
 
     step: int
     t_s: float
     snapshot: "np.ndarray"
-    grid: VoxelGrid
+    grid: GridGeometry
 
 
 @dataclass
@@ -65,13 +69,13 @@ class TransientResult:
     snapshots:
         Temperature fields, shape ``(num_steps + 1, nz, ny, nx)`` in kelvin.
     grid:
-        The voxel grid shared by every snapshot.
+        The geometry shared by every snapshot.
     solve_seconds:
         Wall-clock cost of the whole integration.
     """
 
     chip: ChipStack
-    grid: VoxelGrid
+    grid: GridGeometry
     times_s: np.ndarray
     snapshots: np.ndarray
     solve_seconds: float
@@ -105,10 +109,11 @@ class TransientFVMSolver:
     Parameters
     ----------
     chip, nx, ny, cells_per_layer:
-        Same meaning as for :class:`~repro.solvers.fvm.FVMSolver`.  The
-        backward-Euler system ``C/dt + A`` is factorised with the same SPD
-        kernel as the steady system (adding the positive diagonal ``C/dt``
-        only strengthens definiteness).
+        Same meaning as for :class:`~repro.solvers.fvm.FVMSolver`.  Each
+        integration solves ``C/dt + A`` separably (adding the positive
+        per-plane diagonal ``C_z/dt`` only strengthens definiteness), so
+        it raises :class:`ValueError` for a geometry whose conductivity
+        varies inside a plane, as the block basis does.
     """
 
     def __init__(
@@ -123,22 +128,19 @@ class TransientFVMSolver:
         self.ny = ny or nx
         self.cells_per_layer = cells_per_layer
         self._steady = FVMSolver(chip, nx=nx, ny=self.ny, cells_per_layer=cells_per_layer)
-        self._capacity: Optional[np.ndarray] = None
-        self._factor_cache = None  # (dt_s, SPDFactor) of the last Euler system
 
     # ------------------------------------------------------------------
-    def _capacity_vector(self, grid: VoxelGrid) -> np.ndarray:
-        """Per-cell heat capacity C = rho c_p * V in J/K."""
-        capacities = np.empty(grid.cell_count)
-        volumes = grid.dx_m * grid.dy_m * grid.dz_m
-        index = 0
-        for cell, layer_index in enumerate(grid.layer_of_cell):
-            layer = self.chip.layers[layer_index]
-            plane = layer.effective_material.volumetric_heat_capacity
-            cells_in_plane = grid.ny * grid.nx
-            capacities[index:index + cells_in_plane] = plane * volumes[cell]
-            index += cells_in_plane
-        return capacities
+    def _plane_capacity(self, geometry: GridGeometry) -> np.ndarray:
+        """Heat capacity ``rho c_p * V`` of one cell of each z-plane, in J/K."""
+        rho_cp = np.array([
+            self.chip.layers[layer].effective_material.volumetric_heat_capacity
+            for layer in geometry.layer_of_cell
+        ])
+        return rho_cp * (geometry.dx_m * geometry.dy_m * geometry.dz_m)
+
+    def _capacity_vector(self, geometry: GridGeometry) -> np.ndarray:
+        """Per-cell heat capacity C = rho c_p * V in J/K, in cell order."""
+        return np.repeat(self._plane_capacity(geometry), geometry.ny * geometry.nx)
 
     def _power_at(self, trace: PowerTrace, t: float) -> Mapping[str, float]:
         if callable(trace):
@@ -161,9 +163,8 @@ class TransientFVMSolver:
         ``/solve_transient`` endpoint (which forwards each snapshot as an
         SSE frame instead of buffering up to 20k steps).  The first yield is
         always the initial state at ``(step=0, t=0)``; afterwards every
-        ``store_every``-th step (plus the final one) is yielded.  The
-        arithmetic is byte-for-byte the pre-generator loop, so collected
-        results are bitwise-identical to the historical blocking path.
+        ``store_every``-th step (plus the final one) is yielded, each a
+        fresh array, so streamed and collected results are bitwise equal.
         """
         if duration_s <= 0 or dt_s <= 0:
             raise ValueError("duration and time step must be positive")
@@ -172,57 +173,35 @@ class TransientFVMSolver:
         if store_every < 1:
             raise ValueError("store_every must be >= 1")
 
-        initial_assignment = self._power_at(power_trace, 0.0)
-        # Reuse the steady solver's cached geometry and assembly; only the
-        # heat source depends on the trace.
-        prepared = self._steady.prepare()
         geometry = self._steady.geometry
-        grid = geometry.grid_for(initial_assignment)
-        matrix = prepared.matrix
-        rhs = prepared.rhs_boundary + (grid.heat_source * prepared.cell_volumes).ravel()
-        if self._capacity is None:
-            self._capacity = self._capacity_vector(grid)
-        capacity = self._capacity
-
-        num_steps = int(round(duration_s / dt_s))
+        shape = (geometry.nz, geometry.ny, geometry.nx)
         ambient = self.chip.cooling.ambient_K
         if initial_field is None:
-            state = np.full(grid.cell_count, ambient)
+            initial = np.full(shape, ambient)
+        elif initial_field.shape != shape:
+            raise ValueError("initial_field has the wrong shape")
         else:
-            if initial_field.shape != (grid.nz, grid.ny, grid.nx):
-                raise ValueError("initial_field has the wrong shape")
-            state = initial_field.reshape(-1).astype(np.float64).copy()
+            initial = initial_field.astype(np.float64)
+        rise = initial - ambient
 
-        # The backward-Euler system matrix depends only on dt, so repeated
-        # traces with the same step reuse one factorisation.  ``matrix`` is
-        # already CSC and diagonal + CSC stays CSC, so no format conversion
-        # happens before the factorisation.
-        if self._factor_cache is None or self._factor_cache[0] != dt_s:
-            system = sparse.diags(capacity / dt_s) + matrix
-            self._factor_cache = (dt_s, factorize(system))
-        factor = self._factor_cache[1].solve
+        inertia = self._plane_capacity(geometry) / dt_s  # C_z / dt per cell, W/K
+        system = SeparableConduction(geometry, inertia=inertia)
+        inertia = inertia[:, None, None]  # broadcast over each plane's cells
 
+        def source_at(t: float) -> np.ndarray:
+            return geometry.rasterize_power(self._power_at(power_trace, t)) * system.cell_volumes
+
+        source = source_at(0.0)
         time_varying = callable(power_trace)
-        volumes = (grid.dx_m * grid.dy_m * grid.dz_m[:, None, None])
-
-        yield TransientStep(
-            0, 0.0, state.reshape(grid.nz, grid.ny, grid.nx).copy(), grid
-        )
-        current_rhs = rhs
+        num_steps = int(round(duration_s / dt_s))
+        yield TransientStep(0, 0.0, initial, geometry)
         for step in range(1, num_steps + 1):
             t = step * dt_s
             if time_varying:
-                assignment = self._power_at(power_trace, t)
-                # Only the source term changes; boundary terms are power-free,
-                # so a cheap re-rasterisation on the cached geometry suffices.
-                step_source = geometry.rasterize_power(assignment)
-                source_change = (step_source - grid.heat_source) * volumes
-                current_rhs = rhs + source_change.ravel()
-            state = factor(capacity / dt_s * state + current_rhs)
+                source = source_at(t)
+            rise = system.solve(inertia * rise + source)
             if step % store_every == 0 or step == num_steps:
-                yield TransientStep(
-                    step, t, state.reshape(grid.nz, grid.ny, grid.nx).copy(), grid
-                )
+                yield TransientStep(step, t, ambient + rise, geometry)
 
     def solve(
         self,
@@ -250,7 +229,7 @@ class TransientFVMSolver:
         start = time.perf_counter()
         times: List[float] = []
         snapshots: List[np.ndarray] = []
-        grid: Optional[VoxelGrid] = None
+        grid: Optional[GridGeometry] = None
         for item in self.iter_steps(
             power_trace,
             duration_s,
@@ -280,7 +259,7 @@ class TransientFVMSolver:
         Used to pick sensible transient durations: the product of the total
         die heat capacity and the die-to-ambient resistance.
         """
-        grid = build_geometry(self.chip, nx=4, ny=4, cells_per_layer=1).grid_for({})
-        capacity = self._capacity_vector(grid).sum()
+        geometry = build_geometry(self.chip, nx=4, ny=4, cells_per_layer=1)
+        capacity = self._capacity_vector(geometry).sum()
         resistance = self.chip.cooling.top_resistance(self.chip.die_area_m2)
         return float(capacity * resistance)

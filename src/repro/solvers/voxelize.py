@@ -32,8 +32,34 @@ import numpy as np
 from repro.chip.stack import ChipStack
 
 
+class _GridLayout:
+    """Cell sizes of a structured grid, shared by :class:`VoxelGrid` and
+    :class:`GridGeometry` (both carry ``chip``, ``nx``, ``ny`` and
+    ``dz_mm``)."""
+
+    @property
+    def nz(self) -> int:
+        return len(self.dz_mm)
+
+    @property
+    def dx_m(self) -> float:
+        return self.chip.die_width_mm * 1e-3 / self.nx
+
+    @property
+    def dy_m(self) -> float:
+        return self.chip.die_height_mm * 1e-3 / self.ny
+
+    @property
+    def dz_m(self) -> np.ndarray:
+        return self.dz_mm * 1e-3
+
+    @property
+    def cell_count(self) -> int:
+        return self.nz * self.ny * self.nx
+
+
 @dataclass
-class VoxelGrid:
+class VoxelGrid(_GridLayout):
     """Cell-centred voxel representation of a chip stack.
 
     Attributes
@@ -65,26 +91,6 @@ class VoxelGrid:
     layer_of_cell: np.ndarray
     power_layer_slices: Dict[str, List[int]]
 
-    @property
-    def nz(self) -> int:
-        return len(self.dz_mm)
-
-    @property
-    def dx_m(self) -> float:
-        return self.chip.die_width_mm * 1e-3 / self.nx
-
-    @property
-    def dy_m(self) -> float:
-        return self.chip.die_height_mm * 1e-3 / self.ny
-
-    @property
-    def dz_m(self) -> np.ndarray:
-        return self.dz_mm * 1e-3
-
-    @property
-    def cell_count(self) -> int:
-        return self.nz * self.ny * self.nx
-
     def total_power_W(self) -> float:
         """Integral of the heat source over the die volume."""
         volumes = self.dx_m * self.dy_m * self.dz_m[:, None, None]
@@ -115,15 +121,16 @@ class _PowerLayerRaster:
 
 
 @dataclass
-class GridGeometry:
+class GridGeometry(_GridLayout):
     """The power-independent half of the voxelisation.
 
     Everything here — the vertical layout, the conductivity field and the
     per-power-layer floorplan rasters — depends only on the chip geometry
     and the grid resolution.  Building it is the expensive part of
-    :func:`voxelize`; once built, :meth:`grid_for` produces a full
-    :class:`VoxelGrid` for any power assignment with a cheap
-    heat-source-only pass.
+    :func:`voxelize`; once built, :meth:`rasterize_power` produces the heat
+    source of any power assignment with a cheap per-case pass.  Solver
+    answers carry the geometry itself as their ``grid``, with no per-case
+    heat source.
     """
 
     chip: ChipStack
@@ -134,14 +141,6 @@ class GridGeometry:
     layer_of_cell: np.ndarray
     power_layer_slices: Dict[str, List[int]]
     rasters: List[_PowerLayerRaster] = field(default_factory=list)
-
-    @property
-    def nz(self) -> int:
-        return len(self.dz_mm)
-
-    @property
-    def cell_count(self) -> int:
-        return self.nz * self.ny * self.nx
 
     # ------------------------------------------------------------------
     def rasterize_power(self, power_assignment: Mapping[str, float]) -> np.ndarray:
@@ -162,8 +161,8 @@ class GridGeometry:
                 heat_source[z] = volumetric
         return heat_source
 
-    def grid_with_source(self, heat_source: np.ndarray) -> VoxelGrid:
-        """Wrap an already-rasterised heat source in a full :class:`VoxelGrid`.
+    def grid_for(self, power_assignment: Mapping[str, float]) -> VoxelGrid:
+        """Build a full :class:`VoxelGrid` for one power assignment.
 
         The returned grid shares the cached conductivity/layout arrays with
         the geometry (treat them as read-only); only the heat source is per
@@ -175,14 +174,10 @@ class GridGeometry:
             ny=self.ny,
             dz_mm=self.dz_mm,
             conductivity=self.conductivity,
-            heat_source=heat_source,
+            heat_source=self.rasterize_power(power_assignment),
             layer_of_cell=self.layer_of_cell,
             power_layer_slices=self.power_layer_slices,
         )
-
-    def grid_for(self, power_assignment: Mapping[str, float]) -> VoxelGrid:
-        """Build a full :class:`VoxelGrid` for one power assignment."""
-        return self.grid_with_source(self.rasterize_power(power_assignment))
 
     def coarsen(self, factor: int) -> "GridGeometry":
         """A geometry for the same chip at ``1/factor`` the in-plane resolution.

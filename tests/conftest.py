@@ -137,9 +137,9 @@ def count_solver_calls(monkeypatch):
             count("backsub")
             return original_solve(self, rhs)
 
-        def counting_init(self, geometry):
+        def counting_init(self, geometry, inertia=None):
             count("separable")
-            original_init(self, geometry)
+            original_init(self, geometry, inertia)
 
         monkeypatch.setattr(factor_module, "factorize", counting_factorize)
         monkeypatch.setattr(fvm_module, "factorize", counting_factorize)

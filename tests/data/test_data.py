@@ -200,7 +200,7 @@ class TestGeneration:
         assert fine.cache_key() != spec.cache_key()
         # Pinned: datasets cached under this key format must keep hitting.
         assert DatasetSpec("chip1", 32, 8).cache_key() == (
-            "chip1_r32_n8_s0_c2_b3_i0.15_pdefault_v6"
+            "chip1_r32_n8_s0_c2_b3_i0.15_pdefault_v7"
         )
 
     def test_generate_dataset_batch_size_invariant(self):

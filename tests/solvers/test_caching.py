@@ -150,6 +150,9 @@ class TestTransientCaching:
         assert np.array_equal(reused.snapshots, fresh.snapshots)
 
     def test_dt_change_invalidates_factor_cache(self, tiny_chip):
+        """The name predates the separable steps and is kept so the test's
+        id stays stable: there is no factor cache any more, and a reused
+        solver's answer at a new ``dt`` must still be a fresh solver's."""
         solver = TransientFVMSolver(tiny_chip, nx=8, cells_per_layer=1)
         assignment = _uniform_assignment(tiny_chip, 15.0)
         coarse = solver.solve(assignment, duration_s=0.08, dt_s=0.04)

@@ -1,6 +1,6 @@
-"""The steady solver's one kernel path.
+"""The steady solver's reference kernel path.
 
-* direct CSC assembly is **bitwise** equal to the COO reference assembly;
+* the assembly is canonical CSC: sorted, duplicate-free indices;
 * :func:`~repro.solvers.factorize` is sparse LU, and its factor keeps the
   bound ``SuperLU.solve`` whose stored entries size each back-substitution;
 * it factorises the SPD system symmetrically (minimum-degree ordering on
@@ -10,24 +10,16 @@
   back-substituted through a COLAMD factor of the assembled matrix;
 * ``prepare()`` and ``block_basis()`` leave no factor resident, only
   ``solve()`` keeps one;
-* the backward-Euler system is factorised the same way and stays CSC;
 * a float64 ``solve_batch`` is batch-invariant bitwise and within 1e-9 K
   of per-case ``solve`` answers.
 """
 
 import numpy as np
 import pytest
-from scipy import sparse
 from scipy.sparse import linalg as sparse_linalg
 
 from repro.chip.designs import get_chip
-from repro.solvers import (
-    FVMSolver,
-    SOLVER_VERSION,
-    SPDFactor,
-    TransientFVMSolver,
-    factorize,
-)
+from repro.solvers import FVMSolver, SOLVER_VERSION, SPDFactor, factorize
 
 
 def _uniform_assignment(chip, total):
@@ -46,7 +38,7 @@ class TestFactorizationSelection:
         assert np.abs(matrix @ factor.solve(rhs) - rhs).max() < 1e-9
 
     def test_solver_version_bumped_for_kernel_tier(self):
-        assert SOLVER_VERSION == "6"
+        assert SOLVER_VERSION == "7"
 
 
 def _colamd_factorize(matrix):
@@ -72,14 +64,6 @@ class TestSymmetricOrdering:
         matrix = FVMSolver(get_chip("chip2"), nx=48).prepare().matrix
         assert _relative_residual(matrix, factorize(matrix)) <= 1e-12
 
-    def test_backward_euler_residual(self):
-        chip = get_chip("chip2")
-        solver = TransientFVMSolver(chip, nx=32)
-        dt_s = 0.002
-        solver.solve(_uniform_assignment(chip, 40.0), duration_s=dt_s, dt_s=dt_s)
-        system = sparse.diags(solver._capacity / dt_s) + solver._steady.prepare().matrix
-        assert _relative_residual(system, solver._factor_cache[1]) <= 1e-12
-
     @pytest.mark.parametrize("chip_name", ["chip1", "chip2", "chip3"])
     def test_basis_matches_colamd_built_basis(self, chip_name):
         solver = FVMSolver(get_chip(chip_name), nx=32)
@@ -103,19 +87,6 @@ class TestSymmetricOrdering:
 
 
 class TestCSCAssembly:
-    def test_bitwise_equal_to_coo_reference(self, tiny_chip):
-        solver = FVMSolver(tiny_chip, nx=10, cells_per_layer=2)
-        matrix, rhs, volumes = solver._assemble_system(solver.geometry)
-        legacy, legacy_rhs, legacy_volumes = solver._assemble_system_coo(solver.geometry)
-        legacy_csc = legacy.tocsc()
-        legacy_csc.sort_indices()
-        assert matrix.format == "csc"
-        assert np.array_equal(matrix.indptr, legacy_csc.indptr)
-        assert np.array_equal(matrix.indices, legacy_csc.indices)
-        assert np.array_equal(matrix.data, legacy_csc.data)
-        assert np.array_equal(rhs, legacy_rhs)
-        assert np.array_equal(volumes, legacy_volumes)
-
     def test_indices_sorted_and_duplicate_free(self, tiny_chip):
         solver = FVMSolver(tiny_chip, nx=6, cells_per_layer=1)
         matrix, _, _ = solver._assemble_system(solver.geometry)
@@ -133,20 +104,6 @@ class TestCSCAssembly:
         assert solver.prepare().factor is None
         solver.solve(_uniform_assignment(tiny_chip, 10.0))
         assert solver.prepare().factor is not None
-
-
-class TestKernelEquivalence:
-    def test_transient_euler_factor_uses_selected_kernel(self, tiny_chip):
-        solver = TransientFVMSolver(tiny_chip, nx=8)
-        solver.solve(_uniform_assignment(tiny_chip, 20.0), duration_s=0.01, dt_s=0.002)
-        euler = solver._factor_cache[1]
-        assert isinstance(euler, SPDFactor)
-        assert isinstance(euler._solve.__self__, sparse_linalg.SuperLU)
-
-    def test_transient_euler_matrix_stays_csc(self, tiny_chip):
-        solver = TransientFVMSolver(tiny_chip, nx=8)
-        list(solver.iter_steps(_uniform_assignment(tiny_chip, 10.0), 0.004, 0.002))
-        assert solver._steady.prepare().matrix.format == "csc"
 
 
 class TestFloat32Modes:

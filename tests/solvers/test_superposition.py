@@ -75,7 +75,7 @@ def sliver_chip():
 def _basis_and_coo_system(chip):
     solver = FVMSolver(chip, nx=12)
     basis = solver.block_basis()
-    matrix, _, volumes = solver._assemble_system_coo(solver.geometry)
+    matrix, _, volumes = solver._assemble_system(solver.geometry)
     return solver, basis, matrix, volumes
 
 

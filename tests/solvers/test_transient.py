@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+from scipy import sparse
 
-from repro.solvers import FVMSolver, TransientFVMSolver
+from repro.api.backends import TransientBackendAdapter
+from repro.chip.designs import get_chip
+from repro.solvers import FVMSolver, TransientFVMSolver, factorize
 
 
 def _uniform_assignment(chip, total):
@@ -102,3 +105,64 @@ class TestTransientSolver:
         coarse = solver.solve(assignment, duration_s=0.08, dt_s=0.02)
         fine = solver.solve(assignment, duration_s=0.08, dt_s=0.01)
         assert abs(coarse.max_K() - fine.max_K()) < 1.0
+
+
+def _assembled_backward_euler(solver, trace, duration_s, dt_s, initial_field):
+    """Reference integrator: SuperLU on the assembled ``C/dt + A``, in
+    absolute temperature, sharing no code with the separable steps."""
+    steady = FVMSolver(solver.chip, nx=solver.nx, cells_per_layer=solver.cells_per_layer)
+    geometry = steady.geometry
+    matrix, rhs_boundary, volumes = steady._assemble_system(geometry)
+    inertia = solver._capacity_vector(geometry) / dt_s
+    step = factorize(sparse.diags(inertia) + matrix)
+    state = initial_field.ravel().copy()
+    snapshots = [state]
+    for n in range(1, int(round(duration_s / dt_s)) + 1):
+        power = trace(n * dt_s) if callable(trace) else trace
+        source = (geometry.rasterize_power(power) * volumes).ravel()
+        state = step.solve(inertia * state + rhs_boundary + source)
+        snapshots.append(state)
+    return np.stack(snapshots).reshape(-1, geometry.nz, geometry.ny, geometry.nx)
+
+
+class TestSeparableSteps:
+    """Every backward-Euler step is one separable solve of ``C/dt + A``."""
+
+    @pytest.mark.parametrize("chip_name", ["chip1", "chip2", "chip3"])
+    def test_matches_an_assembled_sparse_lu_integrator(self, chip_name):
+        chip = get_chip(chip_name)
+        names = chip.flat_block_names()
+
+        def trace(t):
+            scale = 10.0 if t < 0.01 else 70.0
+            return {name: scale / len(names) for name in names}
+
+        solver = TransientFVMSolver(chip, nx=12)
+        shape = solver.solve({}, duration_s=0.002, dt_s=0.002).final.shape
+        initial = chip.cooling.ambient_K + 20.0 * np.random.default_rng(3).random(shape)
+        for power, start in ((trace, initial), (trace(1.0), np.full(shape, chip.cooling.ambient_K))):
+            ours = solver.solve(power, duration_s=0.02, dt_s=0.002, initial_field=start)
+            reference = _assembled_backward_euler(solver, power, 0.02, 0.002, start)
+            assert np.array_equal(ours.snapshots[0], start)
+            assert np.abs(ours.snapshots - reference).max() <= 1e-9
+
+    def test_blocking_and_streamed_traces_neither_factorise_nor_back_substitute(
+        self, tiny_chip, count_solver_calls
+    ):
+        adapter = TransientBackendAdapter(tiny_chip, 8, cells_per_layer=1)
+        assignment = _uniform_assignment(tiny_chip, 20.0)
+        calls = count_solver_calls()
+        blocking = adapter.solve_trace(assignment, duration_s=0.01, dt_s=0.002)
+        frames = list(adapter.stream_trace(assignment, duration_s=0.01, dt_s=0.002))
+        assert calls == {"factorize": 0, "backsub": 0, "separable": 2}
+        streamed = frames[-1][1]
+        assert streamed.max_K == blocking.max_K
+        assert np.array_equal(streamed.history["peak_K"], blocking.history["peak_K"])
+
+    def test_laterally_varying_plane_is_refused(self, tiny_chip):
+        solver = TransientFVMSolver(tiny_chip, nx=8)
+        geometry = solver._steady.geometry
+        geometry.conductivity = geometry.conductivity.copy()
+        geometry.conductivity[0, 3, 4] *= 2.0
+        with pytest.raises(ValueError, match="z-plane 0 .* laterally varying"):
+            solver.solve(_uniform_assignment(tiny_chip, 10.0), duration_s=0.004, dt_s=0.002)
