@@ -11,7 +11,7 @@ import numpy as np
 from repro.chip.designs import get_chip, list_chips
 from repro.evaluation import format_table, run_table1
 from repro.evaluation.table1 import check_against_paper
-from repro.solvers.voxelize import voxelize
+from repro.solvers.voxelize import build_geometry
 
 
 def test_table1_geometry(benchmark):
@@ -30,6 +30,12 @@ def test_table1_geometry(benchmark):
 def test_voxelization_throughput(benchmark):
     chip = get_chip("chip1")
     assignment = {name: 5.0 for name in chip.flat_block_names()}
-    grid = benchmark(lambda: voxelize(chip, assignment, nx=64, cells_per_layer=2))
-    assert grid.conductivity.shape[1:] == (64, 64)
-    assert np.isclose(grid.total_power_W(), 5.0 * len(assignment), rtol=1e-6)
+
+    def voxelize():
+        geometry = build_geometry(chip, nx=64, cells_per_layer=2)
+        return geometry, geometry.rasterize_power(assignment)
+
+    geometry, heat_source = benchmark(voxelize)
+    assert geometry.conductivity.shape[1:] == (64, 64)
+    volumes = geometry.dx_m * geometry.dy_m * geometry.dz_m[:, None, None]
+    assert np.isclose((heat_source * volumes).sum(), 5.0 * len(assignment), rtol=1e-6)

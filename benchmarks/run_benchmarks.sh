@@ -34,11 +34,8 @@ if [[ "${1:-}" == "--smoke" ]]; then
     trap 'rm -f "$SMOKE_DATASET"' EXIT
     python -m repro.cli generate --chip chip1 --resolution 12 --samples 8 \
         --batch-size 4 --output "$SMOKE_DATASET" > /dev/null
-    echo "== smoke: serve --max-queue 64 end-to-end (solve + transient + stats) =="
+    echo "== smoke: serve --max-queue 64 end-to-end (solve + transient + stats + events + metrics + watch) =="
     python benchmarks/smoke_serving.py
-    echo "== smoke: serve --chaos (fvm breaker opened, every answer degraded, incident on /events + /healthz + /metrics + watch) =="
-    python benchmarks/smoke_serving.py --chaos fail-backend:fvm@3 --fallback \
-        --breaker-threshold 3 --sample-interval 0.2
     echo "== smoke: streaming (streamed /solve_transient, first segment beats blocking, resume) =="
     python benchmarks/smoke_streaming.py
     echo "== smoke: benchmark bodies (no timing repetitions) =="

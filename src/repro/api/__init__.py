@@ -8,9 +8,6 @@
   evaluation harness and the examples.
 * :class:`~repro.api.solution.ThermalSolution` — the one result type,
   merging the historical ``TemperatureField`` / ``ThermalResult`` split.
-* :class:`~repro.api.breaker.CircuitBreaker` — per-backend failure gate the
-  session consults for graceful degradation (fallback chains, 503s instead
-  of repeated solver errors).
 """
 
 from repro.api.backends import (
@@ -22,7 +19,6 @@ from repro.api.backends import (
     TransientBackendAdapter,
     as_assignment,
 )
-from repro.api.breaker import CircuitBreaker, CircuitOpenError
 from repro.api.pool import DEFAULT_POOL_SIZE, LRUPool, ResultCache
 from repro.api.registry import ModelRegistry
 from repro.api.session import (
@@ -36,8 +32,6 @@ from repro.api.solution import ThermalSolution
 
 __all__ = [
     "BACKEND_NAMES",
-    "CircuitBreaker",
-    "CircuitOpenError",
     "DEFAULT_POOL_SIZE",
     "DEFAULT_RESOLUTION",
     "FVMBackendAdapter",

@@ -305,9 +305,10 @@ class TransientBackendAdapter:
 
     Each integration builds its own separable backward-Euler operator and
     keeps nothing between calls; the adapter itself holds only the solver's
-    geometry and the lazily estimated time constant.  It is pooled per
-    ``(chip, resolution)`` and reachable concurrently from engine workers
-    and the HTTP ``/solve_transient`` handler, so an internal lock
+    geometry and the time constant, which :meth:`prepare` builds (the
+    session's pool calls it) and a bare adapter builds on first use.  It is
+    pooled per ``(chip, resolution)`` and reachable concurrently from engine
+    workers and the HTTP ``/solve_transient`` handler, so an internal lock
     serialises its integrations.
     """
 
@@ -324,6 +325,14 @@ class TransientBackendAdapter:
         # streamed trace holds it for its lifetime).  RLock, not Lock:
         # solve() reads time_constant_s while holding it.
         self._solver_lock = threading.RLock()
+
+    def prepare(self) -> "TransientBackendAdapter":
+        """Build the geometry and the time constant eagerly (pools prepare
+        on first build), so a warmed key's first integration builds neither."""
+        with self._solver_lock:
+            self.solver.geometry  # built once, cached by the solver
+            self.time_constant_s  # estimated once, cached here
+        return self
 
     @property
     def time_constant_s(self) -> float:

@@ -33,7 +33,7 @@ import struct
 import threading
 import time
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -46,7 +46,6 @@ from repro.api.backends import (
     ThermalBackend,
     TransientBackendAdapter,
 )
-from repro.api.breaker import CircuitBreaker, CircuitOpenError
 from repro.api.pool import (
     DEFAULT_POOL_SIZE,
     DEFAULT_RESULT_CACHE_BYTES,
@@ -72,7 +71,7 @@ from repro.data.power import (
 )
 from repro.metrics.errors import MetricReport, evaluate_all
 from repro.obs.bus import EventBus, publish_all
-from repro.obs.events import BreakerTransition, CacheEviction
+from repro.obs.events import CacheEviction
 from repro.operators.factory import (
     LoadedOperator,
     build_operator,
@@ -80,7 +79,6 @@ from repro.operators.factory import (
     save_operator,
 )
 from repro.operators.gar import GARRegressor
-from repro.runtime.faults import FaultPlan
 from repro.runtime.plane import SerialPlane
 from repro.solvers.hotspot import HotSpotModel
 from repro.solvers.transient import PowerTrace
@@ -89,32 +87,14 @@ from repro.training.trainer import Trainer, TrainingConfig, TrainingHistory
 #: Grid resolution used when a query does not specify one.
 DEFAULT_RESOLUTION = 32
 
-#: The opt-in graceful-degradation order (``fallback=True``): when a
-#: requested backend fails or its circuit breaker is open, the session walks
-#: this chain and returns the first answer it can get, stamped
-#: ``degraded: true`` in provenance.  Chains prefer physically faithful
-#: surrogates first (a trained operator where one is registered) and end on
-#: ``hotspot``, the compact model that practically cannot fail.
-DEFAULT_FALLBACK_CHAIN: Dict[str, Tuple[str, ...]] = {
-    "fvm": ("operator", "hotspot"),
-    "transient": ("fvm", "hotspot"),
-    "operator": ("hotspot",),
-}
-
-#: Consecutive failures that open a backend's circuit breaker.
-DEFAULT_BREAKER_THRESHOLD = 5
-
-#: Seconds an open breaker rests before letting one half-open probe through.
-DEFAULT_BREAKER_COOLDOWN_S = 30.0
-
 ChipLike = Union[str, ChipStack]
 
 
 class DeadlineExceeded(TimeoutError):
     """A request's deadline expired before its work was started.
 
-    Raised by the session's fallback walk and by the serving engine when it
-    sheds a request that expired while waiting.  The work was *never
+    Raised by the session's deadline check and by the serving engine when
+    it sheds a request that expired while waiting.  The work was *never
     solved*: callers distinguishing "slow" from "shed" can rely on that.
     """
 
@@ -274,22 +254,6 @@ class ThermalSession:
         An existing :class:`ModelRegistry` to share; a fresh one otherwise.
     operator_batch_size:
         Forward-pass batch size of the operator backend.
-    breaker_threshold:
-        Consecutive solve failures that open a backend's circuit breaker
-        (see :class:`~repro.api.breaker.CircuitBreaker`).
-    breaker_cooldown_s:
-        Seconds an open breaker rests before letting one probe through.
-    fallback:
-        Graceful degradation.  ``False`` (default): a failing backend
-        raises, an open breaker raises
-        :class:`~repro.api.breaker.CircuitOpenError`.  ``True``: walk
-        :data:`DEFAULT_FALLBACK_CHAIN` and return the first obtainable
-        answer, stamped ``degraded: true`` in provenance (and never
-        cached).  A mapping of ``backend -> (fallback, ...)`` names
-        customises the chains.
-    faults:
-        An optional chaos :class:`~repro.runtime.faults.FaultPlan`; its
-        backend directives fire inside this session's solve path.
     """
 
     def __init__(
@@ -302,30 +266,9 @@ class ThermalSession:
         result_cache: Optional[ResultCache] = None,
         models: Optional[ModelRegistry] = None,
         operator_batch_size: int = 32,
-        breaker_threshold: int = DEFAULT_BREAKER_THRESHOLD,
-        breaker_cooldown_s: float = DEFAULT_BREAKER_COOLDOWN_S,
-        fallback: Union[bool, Mapping[str, Sequence[str]]] = False,
-        faults: Optional[FaultPlan] = None,
     ):
         self.cells_per_layer = cells_per_layer
         self.operator_batch_size = operator_batch_size
-        self.breaker_threshold = int(breaker_threshold)
-        self.breaker_cooldown_s = float(breaker_cooldown_s)
-        self.faults = faults
-        if fallback is True:
-            self.fallback_chain: Dict[str, Tuple[str, ...]] = dict(DEFAULT_FALLBACK_CHAIN)
-        elif fallback is False or fallback is None:
-            self.fallback_chain = {}
-        else:
-            self.fallback_chain = {
-                str(name): tuple(str(alt) for alt in alternates)
-                for name, alternates in dict(fallback).items()
-            }
-        self._breakers: Dict[str, CircuitBreaker] = {}
-        self._breaker_lock = threading.Lock()
-        self._reliability_lock = threading.Lock()
-        self._fallbacks = 0
-        self._breaker_rejections = 0
         self._chips: Dict[str, ChipStack] = {}
         self._pools: Dict[str, LRUPool] = {
             name: LRUPool(pool_size) for name in ("fvm", "hotspot", "transient")
@@ -365,33 +308,16 @@ class ThermalSession:
     # Telemetry
     # ------------------------------------------------------------------
     def attach_events(self, bus: EventBus) -> None:
-        """Publish this session's telemetry onto ``bus``.
+        """Publish this session's telemetry (result-cache evictions) onto ``bus``.
 
-        Wires the result cache's eviction listener and every existing (and
-        future) circuit breaker's transition listener.  Safe to call once
-        after construction; sessions without a bus emit nothing.
+        Safe to call once after construction; sessions without a bus emit
+        nothing.
         """
         self.events = bus
 
     def _on_cache_eviction(self, cause: str, key: Any) -> None:
         publish_all(
             self.events, [CacheEviction(source="session", cause=cause, key=str(key))]
-        )
-
-    def _on_breaker_transition(
-        self, backend: str, old_state: str, new_state: str, streak: int
-    ) -> None:
-        publish_all(
-            self.events,
-            [
-                BreakerTransition(
-                    source="session",
-                    backend=backend,
-                    from_state=old_state,
-                    to_state=new_state,
-                    consecutive_failures=streak,
-                )
-            ],
         )
 
     # ------------------------------------------------------------------
@@ -527,7 +453,7 @@ class ThermalSession:
                 key,
                 lambda: TransientBackendAdapter(
                     chip_stack, resolution, cells_per_layer=self.cells_per_layer
-                ),
+                ).prepare(),
             )
         if name == "operator":
             loaded = self.models.lookup(chip_stack.name, resolution)
@@ -618,15 +544,10 @@ class ThermalSession:
         pass and the cold remainder still reaches the backend in one call.
 
         ``deadline`` (absolute ``time.monotonic()`` seconds) is checked
-        before each solve attempt; expired work raises
+        before the misses are solved; expired work raises
         :class:`DeadlineExceeded` instead of burning solver time.  Cached
         answers are still served — a dictionary lookup beats any deadline
         worth having.
-
-        When the session was built with ``fallback`` enabled, a failing (or
-        breaker-open) backend degrades to its fallback chain instead of
-        raising; degraded answers carry ``degraded: true`` plus the
-        ``requested_backend`` in provenance and are never cached.
         """
         chip_stack = self._resolve_chip(chip)
         assignments = [self._coerce_assignment(chip_stack, case) for case in cases]
@@ -659,165 +580,31 @@ class ThermalSession:
                 else:
                     misses.append(index)
         if misses:
-            miss_assignments = [assignments[index] for index in misses]
-            solved, producer = self._solve_misses(
-                chip_stack,
-                resolution,
-                backend,
-                miss_assignments,
+            if deadline is not None and time.monotonic() >= deadline:
+                raise DeadlineExceeded(
+                    f"request deadline expired before backend '{backend}' "
+                    "could start solving"
+                )
+            adapter = self.backend(backend, chip_stack, resolution)
+            if include_values and not adapter.capabilities().get("values", False):
+                raise ValueError(
+                    f"backend '{backend}' cannot produce a 3-D field; drop "
+                    "include_values or use a field backend (fvm, transient)"
+                )
+            solved = adapter.solve_batch(
+                [assignments[index] for index in misses],
                 include_maps=include_maps,
                 include_values=include_values,
-                deadline=deadline,
             )
-            degraded = producer != backend
             for index, solution in zip(misses, solved):
                 solutions[index] = solution
-                if use_cache and not degraded:
+                if use_cache:
                     # Store a pristine clone: consumers (the serving engine)
                     # stamp latency and trace metadata onto what we return.
-                    # Degraded answers are never cached — the real backend
-                    # must get to answer again once it recovers.
                     self.result_cache.put(
                         keys[index], solution.clone(), _solution_nbytes(solution)
                     )
         return solutions  # type: ignore[return-value]
-
-    def _solve_misses(
-        self,
-        chip_stack: ChipStack,
-        resolution: int,
-        backend: str,
-        assignments: List[Dict[str, float]],
-        *,
-        include_maps: bool,
-        include_values: bool,
-        deadline: Optional[float],
-    ) -> Tuple[List[ThermalSolution], str]:
-        """Solve one miss batch through the breaker + fallback chain.
-
-        Returns ``(solutions, producer)`` where ``producer`` is the backend
-        that actually answered.  Walks ``(backend, *fallback_chain)``: a
-        candidate whose breaker is open is skipped (counted as a
-        rejection), a candidate that cannot serve the request shape (no
-        registered model, no 3-D field capability) is skipped without
-        touching its breaker, and a candidate whose *solve* fails records a
-        breaker failure before the next one is tried.  With no fallback
-        configured the chain is just the requested backend and errors
-        surface exactly as before.
-        """
-        chain = (backend,) + self.fallback_chain.get(backend, ())
-        first_error: Optional[BaseException] = None
-        for candidate in chain:
-            if deadline is not None and time.monotonic() >= deadline:
-                raise DeadlineExceeded(
-                    f"request deadline expired before backend '{candidate}' "
-                    "could start solving"
-                )
-            try:
-                solve = self._prepare_candidate(
-                    chip_stack,
-                    resolution,
-                    candidate,
-                    assignments,
-                    include_maps=include_maps,
-                    include_values=include_values,
-                )
-            except Exception as error:  # noqa: BLE001 — config, not health
-                # The candidate cannot serve this request *shape* (unknown
-                # backend, no registered model, no field capability): skip
-                # it without charging its breaker.
-                first_error = first_error if first_error is not None else error
-                continue
-            breaker = self._breaker(candidate)
-            if not breaker.allow():
-                with self._reliability_lock:
-                    self._breaker_rejections += 1
-                if first_error is None:
-                    first_error = CircuitOpenError(
-                        f"circuit breaker for backend '{candidate}' is open "
-                        f"(cooldown {breaker.cooldown_s:.0f}s)"
-                    )
-                continue
-            try:
-                if self.faults is not None:
-                    self.faults.on_backend_solve(candidate)
-                solved = solve()
-            except DeadlineExceeded:
-                # A shed is the deadline's fault, not the backend's: leave
-                # the breaker verdict-free and stop the whole chain.
-                breaker.release_probe()
-                raise
-            except Exception as error:  # noqa: BLE001 — fall through chain
-                breaker.record_failure()
-                first_error = first_error if first_error is not None else error
-                continue
-            breaker.record_success()
-            if candidate != backend:
-                with self._reliability_lock:
-                    self._fallbacks += len(assignments)
-                for solution in solved:
-                    solution.provenance["degraded"] = True
-                    solution.provenance["requested_backend"] = backend
-            return solved, candidate
-        assert first_error is not None  # chain is never empty
-        raise first_error
-
-    def _prepare_candidate(
-        self,
-        chip_stack: ChipStack,
-        resolution: int,
-        candidate: str,
-        assignments: List[Dict[str, float]],
-        *,
-        include_maps: bool,
-        include_values: bool,
-    ) -> Callable[[], List[ThermalSolution]]:
-        """A zero-argument solve closure for one fallback-chain candidate.
-
-        Raises immediately (before any breaker bookkeeping) when the
-        candidate cannot serve the request shape at all.
-        """
-        adapter = self.backend(candidate, chip_stack, resolution)
-        if include_values and not adapter.capabilities().get("values", False):
-            raise ValueError(
-                f"backend '{candidate}' cannot produce a 3-D field; drop "
-                "include_values or use a field backend (fvm, transient)"
-            )
-        return lambda: adapter.solve_batch(
-            assignments,
-            include_maps=include_maps,
-            include_values=include_values,
-        )
-
-    # ------------------------------------------------------------------
-    # Reliability
-    # ------------------------------------------------------------------
-    def _breaker(self, backend: str) -> CircuitBreaker:
-        """The (lazily created) circuit breaker of one backend name."""
-        with self._breaker_lock:
-            breaker = self._breakers.get(backend)
-            if breaker is None:
-                breaker = CircuitBreaker(
-                    failure_threshold=self.breaker_threshold,
-                    cooldown_s=self.breaker_cooldown_s,
-                    listener=(
-                        lambda old, new, streak, _name=backend:
-                        self._on_breaker_transition(_name, old, new, streak)
-                    ),
-                )
-                self._breakers[backend] = breaker
-            return breaker
-
-    def open_breakers(self) -> List[str]:
-        """Backends currently refusing work (open *or* half-open breakers).
-
-        ``/healthz`` reports ``degraded`` while this list is non-empty: a
-        half-open breaker is still recovering and most traffic to it is
-        refused until its probe succeeds.
-        """
-        with self._breaker_lock:
-            breakers = list(self._breakers.items())
-        return sorted(name for name, breaker in breakers if breaker.state != "closed")
 
     def solve_transient(
         self,
@@ -858,11 +645,12 @@ class ThermalSession:
         ``keys`` is a sequence of ``(chip, resolution, backend)`` triples or
         ``{"chip": ..., "resolution": ..., "backend": ...}`` mappings.  Each
         key warms by touching the session's adapter pools, which builds the
-        prepared adapter (geometry and block basis).  Returns
+        prepared adapter: the geometry and block basis of an ``fvm`` key,
+        the geometry and time constant of a ``transient`` key.  Returns
         ``{"warmed": [labels...], "errors": {label: message}}``.
 
         A server answering ``POST /warm_up`` calls this, so it can build
-        the bases of the keys it expects before their first requests.
+        that state for the keys it expects before their first requests.
         """
         warmed: List[str] = []
         errors: Dict[str, str] = {}
@@ -1051,26 +839,11 @@ class ThermalSession:
 
     def stats(self) -> Dict[str, Any]:
         """Counters for ``/stats`` and interactive inspection."""
-        with self._breaker_lock:
-            breakers = {name: b.stats() for name, b in sorted(self._breakers.items())}
-        with self._reliability_lock:
-            fallbacks = self._fallbacks
-            rejections = self._breaker_rejections
         return {
             "result_cache": self.result_cache.stats(),
             "pools": {name: pool.stats() for name, pool in self._pools.items()},
             "models": len(self.models),
             "custom_chips": sorted(self._chips),
-            "reliability": {
-                "breakers": breakers,
-                "open_breakers": self.open_breakers(),
-                "fallbacks": fallbacks,
-                "breaker_rejections": rejections,
-                "fallback_chain": {
-                    name: list(chain) for name, chain in self.fallback_chain.items()
-                },
-                "faults": self.faults.stats() if self.faults is not None else None,
-            },
         }
 
 

@@ -92,16 +92,6 @@ class ThermalSolution:
         """Whether this answer came from the session result cache."""
         return bool(self.provenance.get("cached", False))
 
-    @property
-    def degraded(self) -> bool:
-        """Whether a fallback backend answered in place of the requested one.
-
-        Degraded answers carry ``provenance["requested_backend"]`` naming the
-        backend the caller asked for; ``backend`` names the one that actually
-        solved.  The session never caches degraded answers.
-        """
-        return bool(self.provenance.get("degraded", False))
-
     def layer_map(self, layer_name: str) -> np.ndarray:
         """Temperature map (ny, nx) of one power layer."""
         if self.layer_maps is None:
@@ -191,11 +181,6 @@ class ThermalSolution:
         }
         if self.cached:
             body["cached"] = True
-        if self.degraded:
-            body["degraded"] = True
-            requested = self.provenance.get("requested_backend")
-            if requested:
-                body["requested_backend"] = requested
         trace = self.provenance.get("trace")
         if trace:
             body["trace"] = trace

@@ -135,27 +135,11 @@ def build_parser() -> argparse.ArgumentParser:
                        help="time-to-live of memoised answers (default: no expiry)")
     serve.add_argument("--cache-max-mb", type=float, default=128.0, metavar="MB",
                        help="byte budget of the result cache in megabytes")
-    serve.add_argument("--fallback", action="store_true",
-                       help="degrade gracefully: when a backend fails or its "
-                            "circuit breaker is open, answer from the next "
-                            "backend in its fallback chain (fvm -> operator -> "
-                            "hotspot), provenance-stamped 'degraded'")
-    serve.add_argument("--breaker-threshold", type=int, default=5, metavar="N",
-                       help="consecutive backend failures that open its circuit "
-                            "breaker (default: 5)")
-    serve.add_argument("--breaker-cooldown", type=float, default=30.0,
-                       metavar="SECONDS",
-                       help="seconds an open breaker rests before letting one "
-                            "probe request through (default: 30)")
-    serve.add_argument("--chaos", type=str, default=None, metavar="SPEC",
-                       help="inject backend faults for reliability drills, e.g. "
-                            "'fail-backend:fvm@3,delay-backend:hotspot:0.5@2'; "
-                            "see repro.runtime.faults.FaultPlan.parse")
     serve.add_argument("--verbose", action="store_true", help="log HTTP requests")
     serve.add_argument("--log-json", action="store_true",
                        help="structured access log: one JSON line per request "
                             "(method, path, status, latency_ms, trace_id, "
-                            "backend, shed/degraded flags) on stderr; the "
+                            "backend, cached/shed flags) on stderr; the "
                             "plain-text log stays the default")
     serve.add_argument("--sample-interval", type=float, default=1.0,
                        metavar="SECONDS",
@@ -346,26 +330,13 @@ def _cmd_serve(args) -> int:
 
     if args.cache_max_mb <= 0:
         raise ValueError("--cache-max-mb must be positive")
-    if args.breaker_threshold < 1:
-        raise ValueError("--breaker-threshold must be >= 1")
-    if args.breaker_cooldown < 0:
-        raise ValueError("--breaker-cooldown must be >= 0")
     if args.sample_interval <= 0:
         raise ValueError("--sample-interval must be positive")
-    faults = None
-    if args.chaos:
-        from repro.runtime.faults import FaultPlan
-
-        faults = FaultPlan.parse(args.chaos)  # ValueError -> exit 2 with message
     session = ThermalSession(
         pool_size=args.solver_cache_size,
         result_cache_size=args.result_cache_size,
         result_cache_max_bytes=int(args.cache_max_mb * 1024 * 1024),
         result_cache_ttl_s=args.cache_ttl,
-        fallback=args.fallback,
-        breaker_threshold=args.breaker_threshold,
-        breaker_cooldown_s=args.breaker_cooldown,
-        faults=faults,
     )
     for path in args.models:
         _load_model(session, path)
@@ -380,13 +351,6 @@ def _cmd_serve(args) -> int:
           + (f" ({len(args.models)} operator model(s) loaded)" if args.models else ""))
     if args.max_queue:
         print(f"  max queue: {args.max_queue}")
-    if args.fallback or faults is not None:
-        print("  reliability: "
-              + ("fallback on" if args.fallback else "fallback off")
-              + f" · breaker threshold {args.breaker_threshold}"
-              + f" · cooldown {args.breaker_cooldown:g}s"
-              + (f" · CHAOS ARMED: {faults.spec}" if faults is not None else ""),
-              flush=True)
     print("  endpoints: POST /solve /solve_transient · GET /chips /models /healthz "
           "/stats /events /metrics", flush=True)
     print("  streaming: POST /solve_transient with Accept: text/event-stream",

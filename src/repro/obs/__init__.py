@@ -3,7 +3,7 @@
 The telemetry layer under the serving stack:
 
 * :mod:`repro.obs.events` — the typed event catalog (``RequestDone``,
-  ``BreakerTransition``, ``CacheEviction``, …) that is also the wire schema
+  ``QueueSaturated``, ``CacheEviction``, …) that is also the wire schema
   of ``GET /events``,
 * :mod:`repro.obs.bus` — the in-process :class:`EventBus` with bounded
   per-subscriber queues, drop counters, and cursor-replayable history,
@@ -26,7 +26,6 @@ from repro.obs.bus import EventBus, Subscription, publish_all
 from repro.obs.events import (
     ALERT_KINDS,
     EVENT_KINDS,
-    BreakerTransition,
     CacheEviction,
     QueueSaturated,
     RequestDone,
@@ -42,7 +41,6 @@ from repro.obs.trace import build_trace, new_trace_id
 __all__ = [
     "ALERT_KINDS",
     "EVENT_KINDS",
-    "BreakerTransition",
     "CacheEviction",
     "EventBus",
     "LatencyReservoir",

@@ -1,6 +1,6 @@
 """In-process event bus: bounded fan-out with a replayable history ring.
 
-Instrumented subsystems (engine, session, breakers, watchdog) call
+Instrumented subsystems (engine, session, watchdog) call
 :meth:`EventBus.publish`; consumers either **subscribe** (a bounded queue
 per subscriber, drained by the SSE streamer and the tests) or **replay**
 from the bus's fixed-size history ring by sequence cursor (the ``/events``

@@ -1,7 +1,7 @@
 """Typed telemetry events of the observability plane.
 
 Every notable incident in the serving stack — a request answered, a cache
-eviction, a circuit breaker opening — is described by one small
+eviction, a saturated queue — is described by one small
 validated dataclass here and published onto the in-process
 :class:`~repro.obs.bus.EventBus`.  The wire surfaces (``GET /events``
 long-poll and SSE) serialise events with :meth:`TelemetryEvent.to_json`
@@ -28,7 +28,6 @@ EVENT_KINDS: Dict[str, Type["TelemetryEvent"]] = {}
 #: dashboard's scrolling alert row and ``/healthz``'s ``last_alert``).
 ALERT_KINDS = frozenset(
     {
-        "breaker_transition",
         "queue_saturated",
         "throughput_flatlined",
     }
@@ -60,9 +59,7 @@ class TelemetryEvent:
     ``seq`` (a monotonically increasing sequence number) and ``ts`` (wall
     clock seconds) are stamped by the :class:`~repro.obs.bus.EventBus` at
     publish time; emitters leave them zero.  ``source`` names the emitting
-    subsystem (``engine``, ``session``, ``watchdog``) so e.g. a
-    session-observed breaker transition is distinguishable from the
-    watchdog's sample-derived alert for the same incident.
+    subsystem (``engine``, ``session``, ``watchdog``).
     """
 
     kind: ClassVar[str] = "event"
@@ -94,30 +91,10 @@ class RequestDone(TelemetryEvent):
     status: str = "ok"
     latency_ms: float = 0.0
     cached: bool = False
-    degraded: bool = False
 
     def __post_init__(self) -> None:
         _require_in("status", self.status, ("ok", "error", "shed"))
         _require_non_negative("latency_ms", self.latency_ms)
-
-
-@_register
-@dataclass
-class BreakerTransition(TelemetryEvent):
-    """A backend's circuit breaker changed state."""
-
-    kind: ClassVar[str] = "breaker_transition"
-    backend: str = ""
-    from_state: str = "closed"
-    to_state: str = "open"
-    consecutive_failures: int = 0
-
-    _STATES: ClassVar[tuple] = ("closed", "open", "half_open")
-
-    def __post_init__(self) -> None:
-        _require_in("from_state", self.from_state, self._STATES)
-        _require_in("to_state", self.to_state, self._STATES)
-        _require_non_negative("consecutive_failures", self.consecutive_failures)
 
 
 @_register

@@ -10,8 +10,8 @@ The flow, wired up by :class:`~repro.obs.telemetry.Telemetry`:
    requests/sec, latency percentiles, hit rate, queue depth — for
    ``/metrics/history`` and the ``watch`` dashboard,
 3. the :class:`Watchdog` compares consecutive samples and converts bad
-   trends into alert events on the bus: queue saturation, flatlined
-   throughput, a breaker opening.
+   trends into alert events on the bus: queue saturation and flatlined
+   throughput.
 
 :class:`LatencyReservoir` lives here too: the fixed-size uniform sample
 (Vitter's Algorithm R) behind the engine's per-backend latency
@@ -30,12 +30,7 @@ from typing import Any, Callable, Deque, Dict, List, Mapping, Optional, Sequence
 import numpy as np
 
 from repro.obs.bus import EventBus
-from repro.obs.events import (
-    BreakerTransition,
-    QueueSaturated,
-    TelemetryEvent,
-    ThroughputFlatlined,
-)
+from repro.obs.events import QueueSaturated, TelemetryEvent, ThroughputFlatlined
 
 #: Samples kept by a default :class:`MetricsStore` (at the default 1 s
 #: sampling interval: about 34 minutes of history in constant memory).
@@ -107,9 +102,7 @@ class MetricsStore:
 
     :meth:`add` keeps only the numeric fields of a sample (plus its
     timestamp), so the sampler can hand the same dict to the store and
-    the watchdog (which also reads non-numeric fields like the open
-    breaker name list).  ``clock`` injects the timestamp source for
-    tests.
+    the watchdog.  ``clock`` injects the timestamp source for tests.
     """
 
     def __init__(
@@ -207,16 +200,14 @@ class MetricsStore:
 class Watchdog:
     """Turns consecutive metric samples into alert events on the bus.
 
-    Three rules, each edge-triggered (one event per incident, re-armed when
+    Two rules, each edge-triggered (one event per incident, re-armed when
     the condition clears):
 
     * **queue saturation** — queue depth at or past
       ``saturation_fraction`` of ``max_queue`` (re-armed below half the
       threshold),
     * **flatlined throughput** — requests are queued but
-      ``requests_total`` has not moved for ``flatline_after_s`` seconds,
-    * **breaker open** — a backend name appeared in the sample's
-      ``open_breakers`` list.
+      ``requests_total`` has not moved for ``flatline_after_s`` seconds.
 
     ``clock`` injects monotonic time so the flatline rule is testable
     without sleeping.
@@ -242,7 +233,6 @@ class Watchdog:
         self._clock = clock
         self._last_requests: Optional[float] = None
         self._progress_at: Optional[float] = None
-        self._open_breakers: set = set()
         self._saturated = False
         self._flatlined = False
         self._alerts = 0
@@ -257,7 +247,6 @@ class Watchdog:
         fired: List[TelemetryEvent] = []
         fired.extend(self._check_queue(sample))
         fired.extend(self._check_flatline(sample))
-        fired.extend(self._check_breakers(sample))
         self._alerts += len(fired)
         if self.bus is not None:
             for event in fired:
@@ -307,17 +296,6 @@ class Watchdog:
                 )
             ]
         return []
-
-    def _check_breakers(self, sample: Mapping[str, Any]) -> List[TelemetryEvent]:
-        open_now = set(sample.get("open_breakers", ()) or ())
-        fired = [
-            BreakerTransition(
-                source="watchdog", backend=str(name), from_state="closed", to_state="open"
-            )
-            for name in sorted(open_now - self._open_breakers)
-        ]
-        self._open_breakers = open_now
-        return fired
 
 
 class Sampler:

@@ -18,9 +18,6 @@ from __future__ import annotations
 
 from typing import Any, Iterable, List, Mapping, Optional, Tuple
 
-#: Breaker state encoding of the ``repro_breaker_state`` gauge.
-BREAKER_STATE_CODES = {"closed": 0, "half_open": 1, "open": 2}
-
 
 def _escape_label(value: Any) -> str:
     """Escape a label value per the exposition-format rules."""
@@ -208,35 +205,6 @@ def _render_session(out: _Lines, session: Mapping[str, Any]) -> None:
             "counter",
             [("cause", cause)],
         )
-
-    reliability = session.get("reliability") or {}
-    for backend, breaker in sorted((reliability.get("breakers") or {}).items()):
-        out.add(
-            "repro_breaker_state",
-            BREAKER_STATE_CODES.get(breaker.get("state"), 0),
-            "Circuit breaker state (0 closed, 1 half-open, 2 open).",
-            "gauge",
-            [("backend", backend)],
-        )
-        out.add(
-            "repro_breaker_opened_total",
-            breaker.get("opened"),
-            "Times each breaker has opened.",
-            "counter",
-            [("backend", backend)],
-        )
-    out.add(
-        "repro_breaker_rejections_total",
-        reliability.get("breaker_rejections"),
-        "Solves rejected by an open breaker.",
-        "counter",
-    )
-    out.add(
-        "repro_fallbacks_total",
-        reliability.get("fallbacks"),
-        "Solves answered by a fallback backend.",
-        "counter",
-    )
 
 
 def _render_events(out: _Lines, events: Mapping[str, Any]) -> None:

@@ -4,8 +4,8 @@ The URL is a running ``repro-thermal serve`` instance.  Polls ``/stats``
 and ``/healthz`` every refresh and drains ``/events`` with a sequence
 cursor (so no alert is missed between frames), then
 redraws a full-screen ANSI view: engine throughput and queue, per-backend
-latency quantiles, cache hit rate, breaker states, and a scrolling row of
-the most recent alert events.  Pure stdlib; when
+latency quantiles, cache hit rate, and a scrolling row of the most recent
+alert events.  Pure stdlib; when
 `Textual <https://textual.textualize.io>`_ happens to be importable and
 stdout is a TTY the same data renders into a ``DataTable`` app instead
 (the ``Dacs`` idiom from gridworks-scada) — but nothing requires it.
@@ -57,11 +57,6 @@ def _fmt(value: Any, digits: int = 1) -> str:
 
 def _describe_alert(event: Mapping[str, Any]) -> str:
     kind = event.get("kind", "?")
-    if kind == "breaker_transition":
-        return (
-            f"breaker {event.get('backend')}:"
-            f" {event.get('from_state')} -> {event.get('to_state')}"
-        )
     if kind == "queue_saturated":
         return f"queue saturated {event.get('depth')}/{event.get('max_queue')}"
     if kind == "throughput_flatlined":
@@ -114,16 +109,6 @@ def render_dashboard(
             f" {summary.get('samples_dropped', 0):>8}"
         )
         lines.append(_paint(row, _RED, color) if errors else row)
-
-    reliability = session.get("reliability") or {}
-    breakers = reliability.get("breakers") or {}
-    if breakers:
-        parts = []
-        for name, breaker in sorted(breakers.items()):
-            state = breaker.get("state", "closed")
-            text = f"{name}={state}"
-            parts.append(_paint(text, _RED, color) if state != "closed" else text)
-        lines.append("breakers: " + "  ".join(parts))
 
     sampler = (health.get("sampler") or {})
     lines.append(

@@ -16,11 +16,8 @@ into a long-running service:
 Reliability: requests may carry a ``deadline_ms`` latency budget — work that
 expires while waiting for the solver is shed (504) instead of solved; a
 stopped engine refuses new and waiting requests with :class:`EngineStopped`
-(503); backend failures
-trip per-backend circuit breakers in the session, which (with fallback
-enabled) answers from the next backend in the chain, provenance-stamped
-``degraded``.  ``repro-thermal serve --chaos`` injects backend failures and
-delays to drill exactly these paths.
+(503); a backend that raises answers 500 with its message (400 for a
+request it cannot serve).
 """
 
 from repro.serving.backends import (

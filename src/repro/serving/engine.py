@@ -308,7 +308,6 @@ class MicroBatchEngine:
                     status=status,
                     latency_ms=round(max(latency_s, 0.0) * 1e3, 3),
                     cached=bool(result.cached) if result is not None else False,
-                    degraded=bool(result.degraded) if result is not None else False,
                 )
             ],
         )

@@ -29,7 +29,8 @@ Endpoints
 * ``POST /warm_up`` — pre-build solver state for a set of group keys
   (``{"keys": [{"chip": ..., "resolution": ..., "backend": ...}]}``)
   before traffic arrives, so the first requests for those keys do not
-  pay for building the block basis or the HotSpot network.
+  pay for building the block basis, the HotSpot network or the transient
+  geometry and time constant.
 * ``GET /chips`` — built-in benchmark chips and their block names.
 * ``GET /models`` — operator surrogates loaded into the model registry.
 * ``GET /healthz`` — liveness probe (uptime, sampler liveness, last alert).
@@ -55,7 +56,7 @@ queueing without bound.
 
 With ``log_json=True`` (``serve --log-json``) every answered request emits
 one JSON line to stderr — method, path, status, latency, trace id, backend,
-shed/degraded flags — for log shippers; the default plain-text access log
+cached/shed flags — for log shippers; the default plain-text access log
 (gated on ``verbose``) is unchanged.
 """
 
@@ -70,7 +71,6 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Dict, List, Optional
 
 from repro import __version__
-from repro.api.breaker import CircuitOpenError
 from repro.api.session import DeadlineExceeded, ThermalSession
 from repro.chip.designs import get_chip, list_chips
 from repro.data.power import error_message
@@ -126,7 +126,7 @@ def _error_frame_payload(error: BaseException) -> Dict[str, Any]:
             "status": 504,
             "shed": False,
         }
-    if isinstance(error, (EngineStopped, CircuitOpenError)):
+    if isinstance(error, EngineStopped):
         return {"error": str(error), "status": 503, "shed": False}
     if isinstance(error, (KeyError, ValueError)):
         return {"error": error_message(error), "status": 400, "shed": False}
@@ -419,9 +419,6 @@ class _Handler(BaseHTTPRequestHandler):
         except EngineStopped as error:
             self._send_error_json(503, str(error))
             return
-        except CircuitOpenError as error:
-            self._send_error_json(503, str(error))
-            return
         except (KeyError, ValueError) as error:
             self._send_error_json(400, error_message(error))
             return
@@ -433,7 +430,6 @@ class _Handler(BaseHTTPRequestHandler):
             "trace_id": trace.get("trace_id", ""),
             "backend": result.backend,
             "cached": result.cached,
-            "degraded": result.degraded,
         }
         self._send_json(200, result.to_json())
 
@@ -611,8 +607,8 @@ class ThermalServer:
             ),
             None,
         )
-        # Telemetry: one bus shared by the engine, the session (cache +
-        # breakers) and the watchdog.  The engine may arrive with a
+        # Telemetry: one bus shared by the engine, the session (cache
+        # evictions) and the watchdog.  The engine may arrive with a
         # bus already attached (tests do this); it then becomes the server's.
         self.telemetry = (
             telemetry
@@ -797,24 +793,15 @@ class ThermalServer:
 
     # ------------------------------------------------------------------
     def health(self) -> Dict[str, Any]:
-        """Liveness payload of ``GET /healthz``.
-
-        ``status`` is ``"ok"`` while every breaker is closed, ``"degraded"``
-        otherwise — degraded still answers (fallback chains keep requests
-        flowing), but operators should look; ``open_breakers`` says where.
-        """
-        open_breakers = self.session.open_breakers() if self.session is not None else []
-        degraded = bool(open_breakers)
+        """Liveness payload of ``GET /healthz``; ``status`` reads ``"ok"``."""
         body: Dict[str, Any] = {
-            "status": "degraded" if degraded else "ok",
+            "status": "ok",
             "version": __version__,
             "uptime_seconds": round(time.time() - self._started_at, 3),
             "backends": sorted(self.engine.backends),
             "engine_running": self.engine.is_running,
         }
         body.update(self.telemetry.health())
-        if degraded:
-            body["open_breakers"] = open_breakers
         return body
 
     def describe_chips(self) -> list:
@@ -878,9 +865,7 @@ class ThermalServer:
         latencies = [b.get("latency_ms") or {} for b in backends.values()]
         session = stats.get("session") or {}
         cache = session.get("result_cache") or {}
-        reliability = session.get("reliability") or {}
         events = stats.get("events") or {}
-        open_breakers = reliability.get("open_breakers") or []
         sample: Dict[str, Any] = {
             "requests_total": stats.get("total_requests", 0),
             "rejected_total": stats.get("rejected_requests", 0),
@@ -894,8 +879,6 @@ class ThermalServer:
             "cache_hits": cache.get("hits", 0),
             "cache_misses": cache.get("misses", 0),
             "cache_hit_rate": cache.get("hit_rate", 0.0),
-            "breakers_open": len(open_breakers),
-            "open_breakers": open_breakers,
             "events_published": events.get("published", 0),
             "events_dropped": events.get("dropped", 0),
         }

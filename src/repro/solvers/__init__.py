@@ -1,7 +1,7 @@
 """Thermal solvers: the "slow but accurate" substrates the operator replaces.
 
-* :mod:`repro.solvers.voxelize` — turn a :class:`~repro.chip.ChipStack` plus a
-  power assignment into conductivity / heat-source voxel grids.
+* :mod:`repro.solvers.voxelize` — turn a :class:`~repro.chip.ChipStack` into
+  a conductivity grid and a power assignment into its heat source.
 * :mod:`repro.solvers.fvm` — steady-state finite-volume heat-conduction
   solver (the stand-in for MTA / COMSOL used both as ground truth for
   training data and as the accuracy/runtime baseline of Table IV).
@@ -11,7 +11,7 @@
   numerical solvers.
 """
 
-from repro.solvers.voxelize import GridGeometry, VoxelGrid, build_geometry, voxelize
+from repro.solvers.voxelize import GridGeometry, build_geometry
 from repro.solvers.factor import SPDFactor, factorize
 from repro.solvers.fvm import FVMSolver, SOLVER_VERSION, TemperatureField
 from repro.solvers.hotspot import HotSpotModel, BlockTemperatures
@@ -20,9 +20,7 @@ from repro.solvers.transient import TransientFVMSolver, TransientResult
 
 __all__ = [
     "GridGeometry",
-    "VoxelGrid",
     "build_geometry",
-    "voxelize",
     "SPDFactor",
     "factorize",
     "FVMSolver",

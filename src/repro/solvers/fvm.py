@@ -405,8 +405,7 @@ class FVMSolver:
     def _assemble_system(self, grid):
         """Assemble the conduction system from COO triplets.
 
-        ``grid`` is a :class:`GridGeometry` (a :class:`VoxelGrid` works too:
-        only the geometric fields are read).  Returns ``(matrix,
+        ``grid`` is a :class:`GridGeometry`.  Returns ``(matrix,
         rhs_boundary, cell_volumes)`` where ``matrix`` is a canonical
         :class:`scipy.sparse.csc_matrix` (sorted, duplicate-free indices),
         ``rhs_boundary`` holds the ambient (Robin) terms and

@@ -129,6 +129,12 @@ class TransientFVMSolver:
         self.cells_per_layer = cells_per_layer
         self._steady = FVMSolver(chip, nx=nx, ny=self.ny, cells_per_layer=cells_per_layer)
 
+    @property
+    def geometry(self) -> GridGeometry:
+        """The voxelised geometry, built on first use and shared with
+        :meth:`steady_state`'s reference solver."""
+        return self._steady.geometry
+
     # ------------------------------------------------------------------
     def _plane_capacity(self, geometry: GridGeometry) -> np.ndarray:
         """Heat capacity ``rho c_p * V`` of one cell of each z-plane, in J/K."""
@@ -173,7 +179,7 @@ class TransientFVMSolver:
         if store_every < 1:
             raise ValueError("store_every must be >= 1")
 
-        geometry = self._steady.geometry
+        geometry = self.geometry
         shape = (geometry.nz, geometry.ny, geometry.nx)
         ambient = self.chip.cooling.ambient_K
         if initial_field is None:

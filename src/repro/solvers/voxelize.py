@@ -17,84 +17,16 @@ expensive part:
 * :meth:`GridGeometry.rasterize_power` — the cheap per-case pass.  Power
   enters the discretisation only through the volumetric heat source, which
   is a lookup of per-block power densities through the cached label maps.
-
-:func:`voxelize` composes the two passes and keeps the original one-shot
-API for callers that only need a single grid.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
 from repro.chip.stack import ChipStack
-
-
-class _GridLayout:
-    """Cell sizes of a structured grid, shared by :class:`VoxelGrid` and
-    :class:`GridGeometry` (both carry ``chip``, ``nx``, ``ny`` and
-    ``dz_mm``)."""
-
-    @property
-    def nz(self) -> int:
-        return len(self.dz_mm)
-
-    @property
-    def dx_m(self) -> float:
-        return self.chip.die_width_mm * 1e-3 / self.nx
-
-    @property
-    def dy_m(self) -> float:
-        return self.chip.die_height_mm * 1e-3 / self.ny
-
-    @property
-    def dz_m(self) -> np.ndarray:
-        return self.dz_mm * 1e-3
-
-    @property
-    def cell_count(self) -> int:
-        return self.nz * self.ny * self.nx
-
-
-@dataclass
-class VoxelGrid(_GridLayout):
-    """Cell-centred voxel representation of a chip stack.
-
-    Attributes
-    ----------
-    chip:
-        The chip the grid was built from.
-    nx, ny:
-        In-plane resolution (cells along x and y).
-    dz_mm:
-        Thickness of every vertical cell, bottom to top (length ``nz``).
-    conductivity:
-        Cell conductivities, shape ``(nz, ny, nx)`` in W/(m·K).
-    heat_source:
-        Volumetric heat generation, shape ``(nz, ny, nx)`` in W/m^3.
-    layer_of_cell:
-        For every vertical cell index, the index of the chip layer it
-        belongs to.
-    power_layer_slices:
-        Mapping from power-layer name to the vertical cell indices that
-        represent it (used to extract per-layer temperature maps).
-    """
-
-    chip: ChipStack
-    nx: int
-    ny: int
-    dz_mm: np.ndarray
-    conductivity: np.ndarray
-    heat_source: np.ndarray
-    layer_of_cell: np.ndarray
-    power_layer_slices: Dict[str, List[int]]
-
-    def total_power_W(self) -> float:
-        """Integral of the heat source over the die volume."""
-        volumes = self.dx_m * self.dy_m * self.dz_m[:, None, None]
-        return float((self.heat_source * volumes).sum())
 
 
 def _cells_per_layer(chip: ChipStack, cells_per_layer: int, min_cell_mm: float) -> List[int]:
@@ -121,16 +53,35 @@ class _PowerLayerRaster:
 
 
 @dataclass
-class GridGeometry(_GridLayout):
+class GridGeometry:
     """The power-independent half of the voxelisation.
 
     Everything here — the vertical layout, the conductivity field and the
     per-power-layer floorplan rasters — depends only on the chip geometry
-    and the grid resolution.  Building it is the expensive part of
-    :func:`voxelize`; once built, :meth:`rasterize_power` produces the heat
+    and the grid resolution.  Building it is the expensive part of the
+    voxelisation; once built, :meth:`rasterize_power` produces the heat
     source of any power assignment with a cheap per-case pass.  Solver
     answers carry the geometry itself as their ``grid``, with no per-case
     heat source.
+
+    Attributes
+    ----------
+    chip:
+        The chip the grid was built from.
+    nx, ny:
+        In-plane resolution (cells along x and y).
+    dz_mm:
+        Thickness of every vertical cell, bottom to top (length ``nz``).
+    conductivity:
+        Cell conductivities, shape ``(nz, ny, nx)`` in W/(m·K).
+    layer_of_cell:
+        For every vertical cell index, the index of the chip layer it
+        belongs to.
+    power_layer_slices:
+        Mapping from power-layer name to the vertical cell indices that
+        represent it (used to extract per-layer temperature maps).
+    rasters:
+        Each power layer's place in the vertical layout.
     """
 
     chip: ChipStack
@@ -142,14 +93,33 @@ class GridGeometry(_GridLayout):
     power_layer_slices: Dict[str, List[int]]
     rasters: List[_PowerLayerRaster] = field(default_factory=list)
 
+    @property
+    def nz(self) -> int:
+        return len(self.dz_mm)
+
+    @property
+    def dx_m(self) -> float:
+        return self.chip.die_width_mm * 1e-3 / self.nx
+
+    @property
+    def dy_m(self) -> float:
+        return self.chip.die_height_mm * 1e-3 / self.ny
+
+    @property
+    def dz_m(self) -> np.ndarray:
+        return self.dz_mm * 1e-3
+
+    @property
+    def cell_count(self) -> int:
+        return self.nz * self.ny * self.nx
+
     # ------------------------------------------------------------------
     def rasterize_power(self, power_assignment: Mapping[str, float]) -> np.ndarray:
         """Rasterise one power assignment to a heat source, shape (nz, ny, nx).
 
         This is the per-case pass: per block it computes the volumetric
         density ``P / (cells * cell_area * thickness)`` and scatters it
-        through the cached label map, exactly reproducing the values a full
-        :func:`voxelize` would produce.
+        through the cached label map.
         """
         per_layer_power = self.chip.split_power_assignment(dict(power_assignment))
         heat_source = np.zeros((self.nz, self.ny, self.nx), dtype=np.float64)
@@ -160,24 +130,6 @@ class GridGeometry(_GridLayout):
             for z in raster.z_indices:
                 heat_source[z] = volumetric
         return heat_source
-
-    def grid_for(self, power_assignment: Mapping[str, float]) -> VoxelGrid:
-        """Build a full :class:`VoxelGrid` for one power assignment.
-
-        The returned grid shares the cached conductivity/layout arrays with
-        the geometry (treat them as read-only); only the heat source is per
-        grid.
-        """
-        return VoxelGrid(
-            chip=self.chip,
-            nx=self.nx,
-            ny=self.ny,
-            dz_mm=self.dz_mm,
-            conductivity=self.conductivity,
-            heat_source=self.rasterize_power(power_assignment),
-            layer_of_cell=self.layer_of_cell,
-            power_layer_slices=self.power_layer_slices,
-        )
 
     def coarsen(self, factor: int) -> "GridGeometry":
         """A geometry for the same chip at ``1/factor`` the in-plane resolution.
@@ -226,9 +178,21 @@ def build_geometry(
 ) -> GridGeometry:
     """Run the power-independent voxelisation pass for ``chip``.
 
-    Parameters match :func:`voxelize` minus the power assignment.  The
-    result can be reused for any number of power cases via
-    :meth:`GridGeometry.rasterize_power` / :meth:`GridGeometry.grid_for`.
+    The result can be reused for any number of power cases via
+    :meth:`GridGeometry.rasterize_power`.
+
+    Parameters
+    ----------
+    chip:
+        The chip stack to voxelize.
+    nx, ny:
+        In-plane resolution; ``ny`` defaults to ``nx``.
+    cells_per_layer:
+        Maximum number of vertical cells per chip layer (thin layers get
+        fewer cells, never below one).
+    min_cell_mm:
+        Minimum vertical cell thickness, used to limit the cell count of
+        thick layers.
     """
     if nx < 2:
         raise ValueError("nx must be at least 2")
@@ -273,39 +237,3 @@ def build_geometry(
         power_layer_slices=power_layer_slices,
         rasters=rasters,
     )
-
-
-def voxelize(
-    chip: ChipStack,
-    power_assignment: Mapping[str, float],
-    nx: int,
-    ny: Optional[int] = None,
-    cells_per_layer: int = 2,
-    min_cell_mm: float = 0.01,
-) -> VoxelGrid:
-    """Build the voxel grid for ``chip`` under a given power assignment.
-
-    One-shot convenience composing :func:`build_geometry` and
-    :meth:`GridGeometry.grid_for`.  Hot paths that solve many power cases on
-    the same grid should build the geometry once instead.
-
-    Parameters
-    ----------
-    chip:
-        The chip stack to voxelize.
-    power_assignment:
-        Flat mapping ``"layer/block" -> power in W`` covering (a subset of)
-        the chip's power-dissipating blocks.
-    nx, ny:
-        In-plane resolution; ``ny`` defaults to ``nx``.
-    cells_per_layer:
-        Maximum number of vertical cells per chip layer (thin layers get
-        fewer cells, never below one).
-    min_cell_mm:
-        Minimum vertical cell thickness, used to limit the cell count of
-        thick layers.
-    """
-    geometry = build_geometry(
-        chip, nx=nx, ny=ny, cells_per_layer=cells_per_layer, min_cell_mm=min_cell_mm
-    )
-    return geometry.grid_for(power_assignment)

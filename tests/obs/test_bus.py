@@ -6,7 +6,7 @@ import time
 import pytest
 
 from repro.obs.bus import EventBus, publish_all
-from repro.obs.events import BreakerTransition, CacheEviction, QueueSaturated, RequestDone
+from repro.obs.events import CacheEviction, QueueSaturated, RequestDone
 
 
 def _request(n):
@@ -51,10 +51,10 @@ class TestPublishAndReplay:
         bus = EventBus()
         assert bus.last_alert() is None
         bus.publish(_request(0))
-        bus.publish(BreakerTransition(backend="fvm", from_state="closed", to_state="open"))
+        bus.publish(QueueSaturated(depth=8, max_queue=8))
         bus.publish(CacheEviction(cause="ttl", key="k"))
         alert = bus.last_alert()
-        assert alert is not None and alert.kind == "breaker_transition"
+        assert alert is not None and alert.kind == "queue_saturated"
 
     def test_publish_all_no_ops_on_none_bus(self):
         publish_all(None, [_request(0)])  # must not raise
@@ -138,11 +138,11 @@ class TestStats:
         bus = EventBus()
         bus.publish(_request(0))
         bus.publish(_request(1))
-        bus.publish(BreakerTransition(backend="fvm", from_state="closed", to_state="open"))
+        bus.publish(QueueSaturated(depth=8, max_queue=8))
         stats = bus.stats()
         assert stats["published"] == 3
         assert stats["cursor"] == 3
-        assert stats["by_kind"] == {"request_done": 2, "breaker_transition": 1}
+        assert stats["by_kind"] == {"request_done": 2, "queue_saturated": 1}
         assert stats["dropped"] == 0
 
     def test_validation(self):

@@ -7,7 +7,6 @@ import pytest
 from repro.obs.events import (
     ALERT_KINDS,
     EVENT_KINDS,
-    BreakerTransition,
     CacheEviction,
     QueueSaturated,
     RequestDone,
@@ -21,7 +20,6 @@ class TestCatalog:
     def test_registry_covers_every_subclass(self):
         expected = {
             "request_done": RequestDone,
-            "breaker_transition": BreakerTransition,
             "queue_saturated": QueueSaturated,
             "throughput_flatlined": ThroughputFlatlined,
             "cache_eviction": CacheEviction,
@@ -31,13 +29,10 @@ class TestCatalog:
     def test_alert_kinds_are_registered_kinds(self):
         assert ALERT_KINDS <= set(EVENT_KINDS)
         assert "request_done" not in ALERT_KINDS
-        assert "breaker_transition" in ALERT_KINDS
-        assert ALERT_KINDS == {
-            "breaker_transition", "queue_saturated", "throughput_flatlined",
-        }
+        assert ALERT_KINDS == {"queue_saturated", "throughput_flatlined"}
 
     def test_is_alert_property_matches_alert_kinds(self):
-        assert BreakerTransition(backend="fvm", from_state="closed", to_state="open").is_alert
+        assert ThroughputFlatlined(idle_s=5.0, queue_depth=2).is_alert
         assert QueueSaturated(depth=8, max_queue=8).is_alert
         assert not RequestDone(request_id="r1").is_alert
         assert not CacheEviction(cause="ttl", key="k").is_alert
@@ -47,10 +42,6 @@ class TestValidation:
     def test_request_done_rejects_unknown_status(self):
         with pytest.raises(ValueError, match="status"):
             RequestDone(request_id="r1", status="weird")
-
-    def test_breaker_transition_rejects_unknown_state(self):
-        with pytest.raises(ValueError):
-            BreakerTransition(backend="fvm", from_state="closed", to_state="exploded")
 
     def test_cache_eviction_rejects_unknown_cause(self):
         with pytest.raises(ValueError, match="cause"):
@@ -69,22 +60,21 @@ class TestWireFormat:
         assert field_names <= set(body)
 
     def test_round_trip_preserves_payload(self):
-        original = BreakerTransition(backend="transient", from_state="open",
-                                     to_state="half_open", consecutive_failures=3)
+        original = QueueSaturated(depth=6, max_queue=8, rejected=3)
         original.seq = 17
         original.ts = 123.5
         original.source = "session"
         restored = event_from_json(original.to_json())
-        assert isinstance(restored, BreakerTransition)
+        assert isinstance(restored, QueueSaturated)
         assert restored == original
         assert (restored.seq, restored.ts, restored.source) == (17, 123.5, "session")
 
     def test_from_json_ignores_unknown_fields(self):
-        body = BreakerTransition(backend="fvm", from_state="closed", to_state="open").to_json()
+        body = QueueSaturated(depth=8, max_queue=8).to_json()
         body["added_in_a_future_version"] = True
         restored = event_from_json(body)
-        assert isinstance(restored, BreakerTransition)
-        assert restored.backend == "fvm"
+        assert isinstance(restored, QueueSaturated)
+        assert restored.depth == 8
 
     def test_from_json_rejects_unknown_kind(self):
         with pytest.raises(ValueError, match="unknown"):

@@ -150,19 +150,6 @@ class TestWatchdog:
         # Idle with an empty queue is just a quiet service, not an incident.
         assert dog.observe({"requests_total": 10, "queue_depth": 0}) == []
 
-    def test_breaker_opening_fires_per_new_backend(self):
-        dog = Watchdog()
-        assert dog.observe({"open_breakers": []}) == []
-        [event] = dog.observe({"open_breakers": ["fvm"]})
-        assert event.kind == "breaker_transition" and event.backend == "fvm"
-        assert dog.observe({"open_breakers": ["fvm"]}) == []
-        [other] = dog.observe({"open_breakers": ["fvm", "hotspot"]})
-        assert other.backend == "hotspot"
-        # Close then re-open fires again.
-        assert dog.observe({"open_breakers": []}) == []
-        [again] = dog.observe({"open_breakers": ["fvm"]})
-        assert again.backend == "fvm"
-
     def test_validation(self):
         with pytest.raises(ValueError):
             Watchdog(saturation_fraction=0.0)

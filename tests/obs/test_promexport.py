@@ -39,15 +39,10 @@ FULL_STATS = {
             "hit_rate": 0.25, "evictions_count": 2, "evictions_bytes": 1,
             "expirations": 4,
         },
-        "reliability": {
-            "breakers": {"fvm": {"state": "open", "opened": 2}},
-            "breaker_rejections": 5,
-            "fallbacks": 6,
-        },
     },
     "events": {
         "published": 120, "dropped": 4, "subscribers": 1,
-        "by_kind": {"request_done": 100, "breaker_transition": 1},
+        "by_kind": {"request_done": 100, "queue_saturated": 1},
     },
     "transient_endpoint": {"requests": 9},
 }
@@ -82,7 +77,6 @@ class TestExposition:
         assert 'repro_backend_latency_ms{backend="fvm",quantile="0.99"} 15.0' in text
         assert 'repro_backend_latency_samples_dropped_total{backend="fvm"} 5' in text
         assert 'repro_cache_evictions_total{cause="ttl"} 4' in text
-        assert 'repro_breaker_state{backend="fvm"} 2' in text  # open = 2
         assert 'repro_events_by_kind_total{kind="request_done"} 100' in text
         assert "repro_transient_requests_total 9" in text
         assert "repro_engine_workers" not in text

@@ -2,10 +2,11 @@
 
 Covers the wire surfaces end to end — SSE framing and cursor resume across
 reconnects, Prometheus exposition, long-poll delivery, trace spans in
-``/solve`` answers, the enriched ``/healthz`` and the structured access
-log — against a real server on a real socket.
+``/solve`` answers, the enriched ``/healthz``, the structured access log
+and one ``watch`` frame — against a real server on a real socket.
 """
 
+import io
 import json
 import socket
 import threading
@@ -18,6 +19,7 @@ import pytest
 
 from repro.obs.bus import EventBus
 from repro.obs.events import event_from_json
+from repro.obs.watch import ALERT_ROWS, render_dashboard, run_watch
 from repro.serving.backends import build_backends
 from repro.serving.engine import MicroBatchEngine
 from repro.serving.server import ThermalServer
@@ -219,6 +221,25 @@ class TestHealthEnrichment:
         assert stats["backends"]["fvm"]["samples_dropped"] == 0
 
 
+class TestWatchDashboard:
+    def test_renders_a_frame_from_a_live_server(self, server):
+        _solve(server, power=71.0)
+        _, stats = _get(server.url + "/stats")
+        _, health = _get(server.url + "/healthz")
+        frame = render_dashboard(stats, health, [], url=server.url, color=False)
+        lines = frame.splitlines()
+        # The header goes on with the uptime, which moves between frames.
+        header = f"repro-thermal watch  {server.url}  status=ok"
+        assert lines[0].startswith(header)
+        assert lines[1].startswith("engine: rps=")
+        assert any(line.startswith("fvm ") for line in lines)
+        assert lines[-2:] == [f"alerts (last {ALERT_ROWS}):", "  (none)"]
+        assert "\x1b[" not in frame
+        out = io.StringIO()
+        assert run_watch(server.url, once=True, out=out) == 0
+        assert out.getvalue().startswith(header)
+
+
 class TestAccessLog:
     def test_log_json_emits_one_line_per_request(self, capsys):
         engine = MicroBatchEngine(build_backends())
@@ -236,7 +257,7 @@ class TestAccessLog:
         assert record["latency_ms"] > 0
         assert record["trace_id"]
         assert record["backend"] == "fvm"
-        assert record["cached"] is False and record["degraded"] is False
+        assert record["cached"] is False and "degraded" not in record
 
     def test_plain_text_log_stays_the_default(self, capsys):
         engine = MicroBatchEngine(build_backends())

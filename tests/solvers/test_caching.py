@@ -15,7 +15,6 @@ from repro.solvers import (
     HotSpotModel,
     TransientFVMSolver,
     build_geometry,
-    voxelize,
 )
 
 
@@ -31,16 +30,6 @@ def cases(tiny_chip):
 
 
 class TestGeometryCache:
-    def test_grid_for_matches_voxelize(self, tiny_chip, cases):
-        geometry = build_geometry(tiny_chip, nx=12, cells_per_layer=2)
-        for case in cases:
-            fresh = voxelize(tiny_chip, case.assignment, nx=12, cells_per_layer=2)
-            cached = geometry.grid_for(case.assignment)
-            assert np.array_equal(fresh.heat_source, cached.heat_source)
-            assert np.array_equal(fresh.conductivity, cached.conductivity)
-            assert np.array_equal(fresh.dz_mm, cached.dz_mm)
-            assert fresh.power_layer_slices == cached.power_layer_slices
-
     def test_rasterize_power_validation(self, tiny_chip):
         geometry = build_geometry(tiny_chip, nx=8)
         with pytest.raises(KeyError):

@@ -10,8 +10,8 @@ from repro.solvers import (
     FVMSolver,
     HotSpotModel,
     TransientFVMSolver,
+    build_geometry,
     slab_1d_robin,
-    voxelize,
 )
 from repro.solvers.analytic import poisson_2d_dirichlet_series
 
@@ -23,27 +23,28 @@ def _uniform_assignment(chip, total):
 
 class TestVoxelize:
     def test_grid_shapes_and_power_conservation(self, tiny_chip):
-        assignment = _uniform_assignment(tiny_chip, 30.0)
-        grid = voxelize(tiny_chip, assignment, nx=16, cells_per_layer=2)
-        assert grid.conductivity.shape == grid.heat_source.shape
-        assert grid.conductivity.shape[1:] == (16, 16)
-        assert grid.total_power_W() == pytest.approx(30.0, rel=1e-6)
+        geometry = build_geometry(tiny_chip, nx=16, cells_per_layer=2)
+        heat_source = geometry.rasterize_power(_uniform_assignment(tiny_chip, 30.0))
+        assert geometry.conductivity.shape == heat_source.shape
+        assert geometry.conductivity.shape[1:] == (16, 16)
+        volumes = geometry.dx_m * geometry.dy_m * geometry.dz_m[:, None, None]
+        assert float((heat_source * volumes).sum()) == pytest.approx(30.0, rel=1e-6)
 
     def test_power_layer_slices_cover_power_layers(self, tiny_chip):
-        grid = voxelize(tiny_chip, _uniform_assignment(tiny_chip, 10.0), nx=8)
-        assert set(grid.power_layer_slices) == set(tiny_chip.power_layer_names)
-        for indices in grid.power_layer_slices.values():
+        geometry = build_geometry(tiny_chip, nx=8)
+        assert set(geometry.power_layer_slices) == set(tiny_chip.power_layer_names)
+        for indices in geometry.power_layer_slices.values():
             assert indices
 
     def test_materials_mapped_correctly(self, tiny_chip):
-        grid = voxelize(tiny_chip, _uniform_assignment(tiny_chip, 10.0), nx=8)
+        geometry = build_geometry(tiny_chip, nx=8)
         # TIM cells (top of the stack) must carry the TIM conductivity.
-        assert grid.conductivity[-1].max() == pytest.approx(4.0)
-        assert grid.conductivity[0].max() == pytest.approx(100.0)
+        assert geometry.conductivity[-1].max() == pytest.approx(4.0)
+        assert geometry.conductivity[0].max() == pytest.approx(100.0)
 
     def test_minimum_resolution_enforced(self, tiny_chip):
         with pytest.raises(ValueError):
-            voxelize(tiny_chip, {}, nx=1)
+            build_geometry(tiny_chip, nx=1)
 
 
 class TestFVMSolver:

@@ -52,6 +52,10 @@ class TestParser:
             ["generate", "--output", "x.npz", "--shards", "2"],
             ["serve", "--exec", "processes"],
             ["serve", "--exec-workers", "2"],
+            pytest.param(["serve", "--fallback"], id="serve--fallback"),
+            ["serve", "--breaker-threshold", "1"],
+            ["serve", "--breaker-cooldown", "1"],
+            ["serve", "--chaos", "x"],
         ],
         ids=lambda argv: f"{argv[0]}{argv[-2]}",
     )
