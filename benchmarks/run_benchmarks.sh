@@ -36,7 +36,7 @@ if [[ "${1:-}" == "--smoke" ]]; then
         --batch-size 4 --output "$SMOKE_DATASET" > /dev/null
     echo "== smoke: serve --max-queue 64 end-to-end (solve + transient + stats + events + metrics + watch) =="
     python benchmarks/smoke_serving.py
-    echo "== smoke: streaming (streamed /solve_transient, first segment beats blocking, resume) =="
+    echo "== smoke: streaming (streamed /solve_transient, first segment beats blocking, resume, blocking deadline 504) =="
     python benchmarks/smoke_streaming.py
     echo "== smoke: benchmark bodies (no timing repetitions) =="
     python -m pytest \

@@ -1,13 +1,14 @@
-"""Streaming smoke check: streamed transient answers through the real CLI
-server.
+"""Streaming smoke check: streamed and blocking transient answers through
+the real CLI server.
 
 Launched by ``benchmarks/run_benchmarks.sh --smoke``.  Boots one
-``repro-thermal serve`` process and drives streaming
-``POST /solve_transient`` end to end over actual sockets: per-step
-``segment`` frames with the step index as the resume cursor, the
-``result`` frame matching the blocking transient answer, time-to-first-
-segment beating the blocking call's total latency, and a ``Last-Event-ID``
-resume returning exactly the complement.
+``repro-thermal serve`` process and drives ``POST /solve_transient`` end to
+end over actual sockets: per-step ``segment`` frames with the step index as
+the resume cursor, the ``result`` frame matching the blocking transient
+answer, time-to-first-segment beating the blocking call's total latency, a
+``Last-Event-ID`` resume returning exactly the complement, and a blocking
+20,000-step trace whose 200 ms ``deadline_ms`` sheds it with a 504 counted
+under ``/stats`` ``transient_endpoint.shed``.
 
 The server shuts down with SIGINT and must exit 0.
 """
@@ -20,6 +21,7 @@ import signal
 import subprocess
 import sys
 import time
+import urllib.error
 import urllib.parse
 import urllib.request
 
@@ -33,6 +35,10 @@ TRANSIENT = {
     "chip": "chip1", "resolution": 16,
     "duration_s": 0.2, "dt_s": 0.005, "total_power": 40.0,
 }
+
+# 20,000 backward-Euler steps take seconds; a 200 ms budget must shed the
+# blocking trace long before it ends.
+SHED = dict(TRANSIENT, duration_s=2.0, dt_s=1e-4, deadline_ms=200)
 
 
 def _spawn(argv):
@@ -52,15 +58,18 @@ def _boot_url(process):
 
 
 def _post_timed(url, body, headers=None):
-    """Blocking POST; returns (body-dict, seconds)."""
+    """Blocking POST; returns (status, body-dict, seconds)."""
     request = urllib.request.Request(
         url, data=json.dumps(body).encode("utf-8"), method="POST",
         headers={"Content-Type": "application/json", **(headers or {})},
     )
     started = time.perf_counter()
-    with urllib.request.urlopen(request, timeout=REQUEST_TIMEOUT_S) as response:
-        answer = json.loads(response.read())
-    return answer, time.perf_counter() - started
+    try:
+        with urllib.request.urlopen(request, timeout=REQUEST_TIMEOUT_S) as response:
+            status, answer = response.status, json.loads(response.read())
+    except urllib.error.HTTPError as error:
+        status, answer = error.code, json.loads(error.read())
+    return status, answer, time.perf_counter() - started
 
 
 def _parse_sse(text):
@@ -121,9 +130,10 @@ def _stream_timed(url, body, headers=None):
 
 def _drive(url):
     """The full streaming drill against one server's base URL."""
-    transient_blocking, transient_blocking_s = _post_timed(
+    status, transient_blocking, transient_blocking_s = _post_timed(
         url + "/solve_transient", TRANSIENT
     )
+    assert status == 200, (status, transient_blocking)
     assert transient_blocking["backend"] == "transient", transient_blocking
 
     frames, first_segment_s, _ = _stream_timed(
@@ -155,6 +165,14 @@ def _drive(url):
     print(f"  first transient segment {first_segment_s * 1e3:.1f} ms "
           f"vs blocking {transient_blocking_s * 1e3:.1f} ms")
 
+    # A blocking trace drains the same stream: its deadline sheds it.
+    status, answer, shed_s = _post_timed(url + "/solve_transient", SHED)
+    assert status == 504, (status, answer)
+    with urllib.request.urlopen(url + "/stats", timeout=REQUEST_TIMEOUT_S) as response:
+        shed = json.loads(response.read())["transient_endpoint"]["shed"]
+    assert shed == 1, f"transient_endpoint.shed reads {shed}, not 1"
+    print(f"  blocking 20k-step trace, 200 ms budget: 504 after {shed_s * 1e3:.0f} ms")
+
 
 def main() -> int:
     server = _spawn(["serve", "--port", "0", "--max-queue", "64"])
@@ -164,7 +182,7 @@ def main() -> int:
         returncode = server.wait(timeout=STARTUP_TIMEOUT_S)
         assert returncode == 0, f"serve exited {returncode} on SIGINT"
         print("streaming smoke ok: streamed transient first segment beat the "
-              "blocking trace")
+              "blocking trace; a blocking trace past its deadline was shed")
         return 0
     finally:
         if server.poll() is None:

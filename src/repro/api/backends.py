@@ -22,9 +22,13 @@ ever see the protocol.
 
 from __future__ import annotations
 
+import collections
 import threading
 import time
-from typing import Any, Dict, List, Mapping, Optional, Protocol, Sequence, Union, runtime_checkable
+from typing import (
+    Any, Dict, Iterator, List, Mapping, Optional, Protocol, Sequence, Tuple, Union,
+    runtime_checkable,
+)
 
 import numpy as np
 
@@ -34,12 +38,18 @@ from repro.data.power import PowerCase, rasterize_assignment
 from repro.operators.factory import LoadedOperator
 from repro.solvers.fvm import FVMSolver, TemperatureField
 from repro.solvers.hotspot import BlockTemperatures, HotSpotModel
-from repro.solvers.transient import PowerTrace, TransientFVMSolver, TransientResult
+from repro.solvers.transient import PowerTrace, TransientFVMSolver
 
 #: Backend names every session knows how to build, in registry order.
 BACKEND_NAMES = ("fvm", "hotspot", "transient", "operator")
 
+#: Cases per forward pass of the operator backend.
+OPERATOR_BATCH_SIZE = 32
+
 Case = Union[PowerCase, Mapping[str, float]]
+
+#: One frame of :meth:`TransientBackendAdapter.stream_trace`.
+TraceFrame = Tuple[str, Any]
 
 
 def as_assignment(case: Case) -> Mapping[str, float]:
@@ -55,6 +65,12 @@ def as_assignment(case: Case) -> Mapping[str, float]:
 
 def _total_power(assignment: Mapping[str, float]) -> float:
     return float(sum(assignment.values()))
+
+
+def result_frame(frames: Iterator[TraceFrame]) -> ThermalSolution:
+    """Drain a :meth:`TransientBackendAdapter.stream_trace` generator and
+    return its final ``result`` payload, holding one frame at a time."""
+    return collections.deque(frames, maxlen=1)[0][1]
 
 
 @runtime_checkable
@@ -296,19 +312,20 @@ STEPS_PER_TIME_CONSTANT = 4
 class TransientBackendAdapter:
     """Time-integrating answers from the backward-Euler transient solver.
 
-    For the protocol's steady question (``solve`` on a constant power case)
-    it integrates the constant trace for :data:`HORIZON_TIME_CONSTANTS`
-    thermal time constants in :data:`STEPS_PER_TIME_CONSTANT` steps each
-    and reports the final snapshot, with the integration parameters
-    recorded in the provenance.  :meth:`solve_trace` exposes the full
-    time-varying API for genuine transient workloads.
+    :meth:`stream_trace` is the one integration loop: it yields each stored
+    step as it lands, then the answer for the final snapshot.  For the
+    protocol's steady question (``solve`` on a constant power case) it
+    integrates the constant trace for :data:`HORIZON_TIME_CONSTANTS`
+    thermal time constants in :data:`STEPS_PER_TIME_CONSTANT` steps each,
+    with the integration parameters recorded in the provenance.
 
     Each integration builds its own separable backward-Euler operator and
     keeps nothing between calls; the adapter itself holds only the solver's
     geometry and the time constant, which :meth:`prepare` builds (the
     session's pool calls it) and a bare adapter builds on first use.  It is
-    pooled per ``(chip, resolution)`` and reachable concurrently from engine
-    workers and the HTTP ``/solve_transient`` handler, so an internal lock
+    pooled per ``(chip, resolution)`` and reachable concurrently from
+    ``/solve`` handler threads (under the engine's solve lock) and
+    ``/solve_transient`` handler threads (outside it), so an internal lock
     serialises its integrations.
     """
 
@@ -321,9 +338,9 @@ class TransientBackendAdapter:
             chip, nx=self.resolution, cells_per_layer=cells_per_layer
         )
         self._time_constant: Optional[float] = None
-        # Serialises the lazy time-constant build and whole traces (a
-        # streamed trace holds it for its lifetime).  RLock, not Lock:
-        # solve() reads time_constant_s while holding it.
+        # Serialises the lazy time-constant build and whole traces (a trace
+        # holds it for its generator's lifetime).  RLock, not Lock:
+        # prepare() reads time_constant_s while holding it.
         self._solver_lock = threading.RLock()
 
     def prepare(self) -> "TransientBackendAdapter":
@@ -342,80 +359,27 @@ class TransientBackendAdapter:
                 self._time_constant = self.solver.thermal_time_constant_estimate()
             return self._time_constant
 
-    def _solution(
-        self,
-        result: TransientResult,
-        total_power_W: float,
-        include_maps: bool,
-        include_values: bool,
-        provenance: Dict[str, Any],
-        history: Optional[Dict[str, np.ndarray]] = None,
-    ) -> ThermalSolution:
-        final = result.final
-        flat_index = int(np.argmax(final))
-        z, y, x = np.unravel_index(flat_index, final.shape)
-        hotspot = {
-            "x_mm": (x + 0.5) * self.chip.die_width_mm / result.grid.nx,
-            "y_mm": (y + 0.5) * self.chip.die_height_mm / result.grid.ny,
-            "cell_z": float(z),
-            "temperature_K": float(final[z, y, x]),
-        }
-        layer_maps = None
-        if include_maps:
-            layer_maps = {
-                name: result.layer_history(name)[-1]
-                for name in self.chip.power_layer_names
-            }
-        return ThermalSolution(
-            chip=self.chip.name,
-            resolution=self.resolution,
-            backend=self.name,
-            max_K=float(final.max()),
-            min_K=float(final.min()),
-            mean_K=float(final.mean()),
-            total_power_W=total_power_W,
-            hotspot=hotspot,
-            solve_seconds=result.solve_seconds,
-            layer_maps=layer_maps,
-            values=final if include_values else None,
-            provenance={"source": "transient", **provenance},
-            history=(
-                history
-                if history is not None
-                else {
-                    "times_s": result.times_s,
-                    "peak_K": result.peak_history(),
-                    "mean_K": result.mean_history(),
-                }
-            ),
-        )
-
     def solve(
         self, case: Case, *, include_maps: bool = False, include_values: bool = False
     ) -> ThermalSolution:
         """Integrate the constant case to quasi-steady state."""
-        assignment = as_assignment(case)
-        with self._solver_lock:
-            tau = self.time_constant_s
-            dt_s = tau / STEPS_PER_TIME_CONSTANT
-            duration_s = HORIZON_TIME_CONSTANTS * tau
-            num_steps = int(round(duration_s / dt_s))
-            result = self.solver.solve(
-                assignment, duration_s=duration_s, dt_s=dt_s,
+        tau = self.time_constant_s
+        dt_s = tau / STEPS_PER_TIME_CONSTANT
+        duration_s = HORIZON_TIME_CONSTANTS * tau
+        num_steps = int(round(duration_s / dt_s))
+        solution = result_frame(
+            self.stream_trace(
+                as_assignment(case),
+                duration_s,
+                dt_s,
                 store_every=max(num_steps // 8, 1),
+                include_maps=include_maps,
+                include_values=include_values,
             )
-        return self._solution(
-            result,
-            _total_power(assignment),
-            include_maps,
-            include_values,
-            {
-                "duration_s": duration_s,
-                "dt_s": dt_s,
-                "num_steps": num_steps,
-                "quasi_steady": True,
-            },
         )
+        del solution.provenance["time_varying"]
+        solution.provenance["quasi_steady"] = True
+        return solution
 
     def solve_batch(
         self,
@@ -432,46 +396,6 @@ class TransientBackendAdapter:
             for case in cases
         ]
 
-    def solve_trace(
-        self,
-        power_trace: PowerTrace,
-        duration_s: float,
-        dt_s: float,
-        *,
-        store_every: int = 1,
-        initial_field: Optional[np.ndarray] = None,
-        include_maps: bool = False,
-        include_values: bool = False,
-    ) -> ThermalSolution:
-        """Integrate a (possibly time-varying) power trace.
-
-        The returned solution's summary statistics describe the **final**
-        snapshot; the full peak/mean time histories ride along in
-        ``solution.history``.
-        """
-        trace = power_trace if callable(power_trace) else as_assignment(power_trace)
-        with self._solver_lock:
-            result = self.solver.solve(
-                trace,
-                duration_s=duration_s,
-                dt_s=dt_s,
-                initial_field=initial_field,
-                store_every=store_every,
-            )
-        total = _total_power(trace(0.0) if callable(trace) else trace)
-        return self._solution(
-            result,
-            total,
-            include_maps,
-            include_values,
-            {
-                "duration_s": float(duration_s),
-                "dt_s": float(dt_s),
-                "num_steps": int(round(duration_s / dt_s)),
-                "time_varying": callable(power_trace),
-            },
-        )
-
     def stream_trace(
         self,
         power_trace: PowerTrace,
@@ -482,29 +406,28 @@ class TransientBackendAdapter:
         initial_field: Optional[np.ndarray] = None,
         include_maps: bool = False,
         include_values: bool = False,
-    ):
-        """Incremental :meth:`solve_trace`: a generator of typed frames.
+    ) -> Iterator[TraceFrame]:
+        """Integrate a (possibly time-varying) power trace as typed frames.
 
         Yields ``("segment", {"step", "t_s", "peak_K", "mean_K"})`` for each
         stored snapshot as the integrator advances, then one
-        ``("result", ThermalSolution)`` whose payload is bitwise-identical
-        to what :meth:`solve_trace` would have returned for the same
-        arguments — the streaming ``/solve_transient`` endpoint forwards
-        the segments as SSE frames and the result as the final frame.
+        ``("result", ThermalSolution)`` whose summary statistics, hotspot,
+        layer maps and field describe the **final** snapshot, with the
+        peak/mean time histories in ``solution.history``.  Every transient
+        answer is this frame: :func:`result_frame` drains the generator for
+        :meth:`solve` and the session, and the ``/solve_transient`` endpoint
+        forwards the frames (streamed) or drains them (blocking).
 
         Only the running scalar histories and the latest snapshot are held
-        in memory, so a 20k-step trace no longer buffers every field.  The
-        solver lock is held for the generator's whole lifetime (the same
-        per-``(chip, resolution)`` serialisation as the blocking path);
-        closing the generator early releases it.
+        in memory, whatever the trace length.  The solver lock is held for
+        the generator's whole lifetime; closing the generator early
+        releases it.
         """
         trace = power_trace if callable(power_trace) else as_assignment(power_trace)
         started = time.perf_counter()
         times: List[float] = []
         peaks: List[float] = []
         means: List[float] = []
-        final = None
-        grid = None
         with self._solver_lock:
             for item in self.solver.iter_steps(
                 trace,
@@ -513,14 +436,9 @@ class TransientBackendAdapter:
                 initial_field=initial_field,
                 store_every=store_every,
             ):
-                grid = item.grid
                 final = item.snapshot
-                # .max()/.mean() over one contiguous snapshot reduce the
-                # same memory in the same order as the stacked-history
-                # reductions of the blocking path, so the collected arrays
-                # match it bitwise.
-                peak = item.snapshot.max()
-                mean = item.snapshot.mean()
+                peak = final.max()
+                mean = final.mean()
                 times.append(item.t_s)
                 peaks.append(peak)
                 means.append(mean)
@@ -533,27 +451,40 @@ class TransientBackendAdapter:
                         "mean_K": float(mean),
                     },
                 )
-        result = TransientResult(
-            chip=self.chip,
-            grid=grid,
-            times_s=np.asarray(times),
-            snapshots=final[np.newaxis],
-            solve_seconds=time.perf_counter() - started,
-        )
-        total = _total_power(trace(0.0) if callable(trace) else trace)
+        grid = self.solver.geometry
+        z, y, x = np.unravel_index(int(np.argmax(final)), final.shape)
         yield (
             "result",
-            self._solution(
-                result,
-                total,
-                include_maps,
-                include_values,
-                {
+            ThermalSolution(
+                chip=self.chip.name,
+                resolution=self.resolution,
+                backend=self.name,
+                max_K=float(peaks[-1]),
+                min_K=float(final.min()),
+                mean_K=float(means[-1]),
+                total_power_W=_total_power(trace(0.0) if callable(trace) else trace),
+                hotspot={
+                    "x_mm": (x + 0.5) * self.chip.die_width_mm / grid.nx,
+                    "y_mm": (y + 0.5) * self.chip.die_height_mm / grid.ny,
+                    "cell_z": float(z),
+                    "temperature_K": float(final[z, y, x]),
+                },
+                solve_seconds=time.perf_counter() - started,
+                layer_maps=(
+                    {
+                        name: final[grid.power_layer_slices[name]].mean(axis=0)
+                        for name in self.chip.power_layer_names
+                    }
+                    if include_maps
+                    else None
+                ),
+                values=final if include_values else None,
+                provenance={
+                    "source": "transient",
                     "duration_s": float(duration_s),
                     "dt_s": float(dt_s),
                     "num_steps": int(round(duration_s / dt_s)),
                     "time_varying": callable(power_trace),
-                    "streamed": True,
                 },
                 history={
                     "times_s": np.asarray(times),
@@ -597,13 +528,12 @@ class OperatorBackendAdapter:
 
     name = "operator"
 
-    def __init__(self, chip: ChipStack, loaded: LoadedOperator, batch_size: int = 32):
+    def __init__(self, chip: ChipStack, loaded: LoadedOperator):
         if loaded.resolution is None:
             raise ValueError("the loaded operator records no training resolution")
         self.chip = chip
         self.loaded = loaded
         self.resolution = int(loaded.resolution)
-        self.batch_size = batch_size
 
     def solve(
         self, case: Case, *, include_maps: bool = False, include_values: bool = False
@@ -629,7 +559,7 @@ class OperatorBackendAdapter:
                 for assignment in assignments
             ]
         ).astype(np.float32)
-        maps = self.loaded.predict(inputs, batch_size=self.batch_size)
+        maps = self.loaded.predict(inputs, batch_size=OPERATOR_BATCH_SIZE)
         per_case = (time.perf_counter() - start) / len(assignments)
 
         layer_names = self.chip.power_layer_names

@@ -45,6 +45,7 @@ from repro.api.backends import (
     OperatorBackendAdapter,
     ThermalBackend,
     TransientBackendAdapter,
+    result_frame,
 )
 from repro.api.pool import (
     DEFAULT_POOL_SIZE,
@@ -252,8 +253,6 @@ class ThermalSession:
         this way); mutually exclusive with the three cache parameters.
     models:
         An existing :class:`ModelRegistry` to share; a fresh one otherwise.
-    operator_batch_size:
-        Forward-pass batch size of the operator backend.
     """
 
     def __init__(
@@ -265,10 +264,8 @@ class ThermalSession:
         result_cache_ttl_s: Optional[float] = None,
         result_cache: Optional[ResultCache] = None,
         models: Optional[ModelRegistry] = None,
-        operator_batch_size: int = 32,
     ):
         self.cells_per_layer = cells_per_layer
-        self.operator_batch_size = operator_batch_size
         self._chips: Dict[str, ChipStack] = {}
         self._pools: Dict[str, LRUPool] = {
             name: LRUPool(pool_size) for name in ("fvm", "hotspot", "transient")
@@ -456,9 +453,8 @@ class ThermalSession:
                 ).prepare(),
             )
         if name == "operator":
-            loaded = self.models.lookup(chip_stack.name, resolution)
             return OperatorBackendAdapter(
-                chip_stack, loaded, batch_size=self.operator_batch_size
+                chip_stack, self.models.lookup(chip_stack.name, resolution)
             )
         raise ValueError(
             f"unknown backend '{name}'; available: {', '.join(BACKEND_NAMES)}"
@@ -621,19 +617,24 @@ class ThermalSession:
     ) -> ThermalSolution:
         """Integrate a (possibly time-varying) power trace.
 
-        The returned :class:`ThermalSolution` summarises the final snapshot
-        and carries the peak/mean time histories in ``solution.history``.
-        Traces are not cacheable, so this path bypasses the result cache.
+        The returned :class:`ThermalSolution` is the ``result`` frame of
+        :meth:`TransientBackendAdapter.stream_trace`: it summarises the
+        final snapshot and carries the peak/mean time histories in
+        ``solution.history``, and the integration holds one snapshot at a
+        time.  Traces are not cacheable, so this path bypasses the result
+        cache.
         """
         adapter = self.backend("transient", chip, resolution)
-        return adapter.solve_trace(
-            power_trace,
-            duration_s,
-            dt_s,
-            store_every=store_every,
-            initial_field=initial_field,
-            include_maps=include_maps,
-            include_values=include_values,
+        return result_frame(
+            adapter.stream_trace(
+                power_trace,
+                duration_s,
+                dt_s,
+                store_every=store_every,
+                initial_field=initial_field,
+                include_maps=include_maps,
+                include_values=include_values,
+            )
         )
 
     # ------------------------------------------------------------------

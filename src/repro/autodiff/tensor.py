@@ -40,12 +40,6 @@ _GRAD_ENABLED = contextvars.ContextVar("repro_grad_enabled", default=True)
 _TWO_OVER_SQRT_PI = 2.0 / math.sqrt(math.pi)
 
 
-def set_default_dtype(dtype) -> None:
-    """Set the dtype used when tensors are created from Python data."""
-    global _DEFAULT_DTYPE
-    _DEFAULT_DTYPE = np.dtype(dtype).type
-
-
 def get_default_dtype():
     """Return the dtype used for tensors created from Python data."""
     return _DEFAULT_DTYPE

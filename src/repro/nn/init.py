@@ -13,16 +13,6 @@ _GLOBAL_SEED_SEQUENCE = np.random.SeedSequence(20250613)
 _DEFAULT_RNG = np.random.default_rng(_GLOBAL_SEED_SEQUENCE)
 
 
-def seed_all(seed: int) -> None:
-    """Re-seed the generator used for parameter initialisation.
-
-    Calling this before building a model makes its initial weights
-    reproducible across runs, which the experiment harness relies on.
-    """
-    global _DEFAULT_RNG
-    _DEFAULT_RNG = np.random.default_rng(seed)
-
-
 def default_rng() -> np.random.Generator:
     """The generator used when a layer is built without an explicit ``rng``."""
     return _DEFAULT_RNG

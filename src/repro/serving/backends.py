@@ -117,9 +117,9 @@ class TransientBackend(SessionBackend):
     """Quasi-steady answers by backward-Euler time integration.
 
     Constant-power queries integrated over several thermal time constants:
-    slower than ``fvm`` but exercises the transient discretisation, and the
-    stepping-stone to full trace endpoints (the session already exposes
-    :meth:`~repro.api.session.ThermalSession.solve_transient`).
+    slower than ``fvm`` but exercises the transient discretisation, through
+    the same :meth:`~repro.api.backends.TransientBackendAdapter.stream_trace`
+    loop that answers ``/solve_transient``.
     """
 
     name = "transient"
@@ -137,11 +137,10 @@ class OperatorBackend(SessionBackend):
     def __init__(
         self,
         registry: Optional[ModelRegistry] = None,
-        batch_size: int = 32,
         session: Optional[ThermalSession] = None,
     ):
         if session is None:
-            session = ThermalSession(models=registry, operator_batch_size=batch_size)
+            session = ThermalSession(models=registry)
         super().__init__(session=session)
 
     @property

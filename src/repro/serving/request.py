@@ -289,10 +289,10 @@ class TransientRequest:
     def expired(self, now: Optional[float] = None) -> bool:
         """Whether this request's deadline (if any) has already passed.
 
-        The streaming ``/solve_transient`` path re-checks this between
-        segments: an in-flight stream whose budget runs out is terminated
-        with a typed ``error`` frame and counted as shed, exactly the
-        engine's deadline semantics.
+        ``/solve_transient`` re-checks this after every stored step, in
+        both modes: an in-flight trace whose budget runs out ends with a
+        504 (a typed ``error`` frame once streaming has begun) and is
+        counted as shed, exactly the engine's deadline semantics.
         """
         if self.deadline is None:
             return False
@@ -356,8 +356,8 @@ class TransientRequest:
         ``powers`` / ``total_power_W`` forms.  The request is bounded by
         :data:`MAX_TRANSIENT_STEPS` so one query cannot occupy the service
         for minutes.  ``deadline_ms`` is an optional latency budget relative
-        to now; a streamed trace whose budget expires mid-integration is
-        terminated with a typed ``error`` frame (counted as shed).  Raises
+        to now; a trace whose budget expires mid-integration is shed (a 504,
+        or a typed ``error`` frame once streaming has begun).  Raises
         :class:`ValueError` / :class:`KeyError` with messages safe to
         return to an API client.
         """

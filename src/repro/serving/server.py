@@ -23,9 +23,10 @@ Endpoints
   ``event: segment`` frame per stored step (``id:`` carries the step
   index as a resumable cursor; reconnect with ``Last-Event-ID`` or
   ``?since=`` to suppress already-seen segments) followed by one
-  ``event: result`` frame with the ordinary blocking answer.  A request
-  whose ``deadline_ms`` budget expires mid-stream is terminated with a
-  typed ``event: error`` frame and counted as shed.
+  ``event: result`` frame with the blocking answer.  Both modes run the
+  same integration, holding one snapshot at a time; a request whose
+  ``deadline_ms`` budget expires before its trace completes is shed,
+  with a 504 (blocking) or a typed ``event: error`` frame (streamed).
 * ``POST /warm_up`` — pre-build solver state for a set of group keys
   (``{"keys": [{"chip": ..., "resolution": ..., "backend": ...}]}``)
   before traffic arrives, so the first requests for those keys do not
@@ -108,13 +109,13 @@ SSE_KEEPALIVE_S = 10.0
 
 
 def _error_frame_payload(error: BaseException) -> Dict[str, Any]:
-    """Typed ``event: error`` SSE payload for one solve failure.
+    """The server's one map from a failure to its answer.
 
-    Mirrors the blocking ``/solve`` status ladder so a streaming client
-    sees the same taxonomy it would have gotten as an HTTP status —
-    ``status`` carries the code the blocking path would have answered,
-    ``shed`` flags deadline-driven load shedding.  DeadlineExceeded must be
-    matched before TimeoutError, which it subclasses.
+    ``/solve``, both ``/solve_transient`` modes and the typed
+    ``event: error`` SSE frames all answer with it: ``status`` is the HTTP
+    code, ``error`` the client-safe message and ``shed`` flags
+    deadline-driven load shedding.  DeadlineExceeded must be matched
+    before TimeoutError, which it subclasses.
     """
     if isinstance(error, QueueFullError):
         return {"error": str(error), "status": 429, "shed": False}
@@ -187,6 +188,12 @@ class _Handler(BaseHTTPRequestHandler):
 
     def _send_error_json(self, status: int, message: str) -> None:
         self._send_json(status, {"error": message})
+
+    def _send_error_frame(self, frame: Dict[str, Any]) -> None:
+        """Answer an :func:`_error_frame_payload` frame as a plain HTTP error."""
+        if frame["shed"]:
+            self._access_extra["shed"] = True
+        self._send_error_json(frame["status"], frame["error"])
 
     # ------------------------------------------------------------------
     # SSE plumbing shared by /events and streaming /solve_transient — one
@@ -389,41 +396,29 @@ class _Handler(BaseHTTPRequestHandler):
         payload = self._read_json_body()
         if payload is None:
             return
+        engine = self.server.service.engine
         try:
             request = ThermalRequest.from_payload(
                 payload,
-                allowed_backends=self.server.service.engine.backends,
+                allowed_backends=engine.backends,
                 chips=self.server.service.session,
             )
+            backend = engine.backends[request.backend]
+            if isinstance(backend, OperatorBackend):
+                # No model for this (chip, resolution) is the client's
+                # error, refused before admission like an unknown backend.
+                backend.registry.lookup(request.chip, request.resolution)
         except (KeyError, ValueError) as error:
-            self._send_error_json(400, error_message(error))
+            self._send_error_frame(_error_frame_payload(error))
             return
         mode = self._query().get("mode", "exact")
         if mode != "exact":
             self._send_error_json(400, f"unknown mode '{mode}'; use 'exact'")
             return
         try:
-            result = self.server.service.engine.solve(request, timeout=SOLVE_TIMEOUT_S)
-        except QueueFullError as error:
-            self._send_error_json(429, str(error))
-            return
-        # DeadlineExceeded subclasses TimeoutError — it must be matched first
-        # or the shed would masquerade as an engine timeout.
-        except DeadlineExceeded as error:
-            self._access_extra["shed"] = True
-            self._send_error_json(504, str(error))
-            return
-        except TimeoutError:
-            self._send_error_json(504, "solve timed out; the service is overloaded")
-            return
-        except EngineStopped as error:
-            self._send_error_json(503, str(error))
-            return
-        except (KeyError, ValueError) as error:
-            self._send_error_json(400, error_message(error))
-            return
-        except Exception as error:  # noqa: BLE001 — surface backend failures as 500s
-            self._send_error_json(500, f"solve failed: {error}")
+            result = engine.solve(request, timeout=SOLVE_TIMEOUT_S)
+        except Exception as error:  # noqa: BLE001 — every failure maps to a status
+            self._send_error_frame(_error_frame_payload(error))
             return
         trace = result.provenance.get("trace") or {}
         self._access_extra = {
@@ -467,7 +462,7 @@ class _Handler(BaseHTTPRequestHandler):
         try:
             request = TransientRequest.from_payload(payload, chips=service.session)
         except (KeyError, ValueError) as error:
-            self._send_error_json(400, error_message(error))
+            self._send_error_frame(_error_frame_payload(error))
             return
         query = self._query()
         mode = query.get("mode", "")
@@ -480,18 +475,16 @@ class _Handler(BaseHTTPRequestHandler):
         if mode == "stream" or "text/event-stream" in accept:
             self._stream_solve_transient(service, request, query)
             return
+        # Blocking: drain the stream, answering its last frame.
         try:
-            result = service.solve_transient(request)
+            for kind, _, data in service.stream_transient(request):
+                pass
         except QueueFullError as error:
-            self._send_error_json(429, str(error))
-            return
-        except (KeyError, ValueError) as error:
-            self._send_error_json(400, error_message(error))
-            return
-        except Exception as error:  # noqa: BLE001
-            self._send_error_json(500, f"transient solve failed: {error}")
-            return
-        self._send_json(200, result.to_json())
+            kind, data = "error", _error_frame_payload(error)
+        if kind == "result":
+            self._send_json(200, data)
+        else:
+            self._send_error_frame(data)
 
     def _stream_solve_transient(
         self, service: "ThermalServer", request: "TransientRequest", query: Dict[str, str]
@@ -521,23 +514,16 @@ class _Handler(BaseHTTPRequestHandler):
         try:
             first = next(frames)
         except QueueFullError as error:
-            self._send_error_json(429, str(error))
+            self._send_error_frame(_error_frame_payload(error))
             return
-        except StopIteration:
-            self._send_error_json(500, "transient stream produced no frames")
-            return
-        except (KeyError, ValueError) as error:
-            self._send_error_json(400, error_message(error))
-            return
-        except Exception as error:  # noqa: BLE001
-            self._send_error_json(500, f"transient solve failed: {error}")
-            return
+        with service._transient_stats_lock:  # SSE-mode requests only
+            service._transient_streams += 1
         self._access_extra["streamed"] = True
         if first[0] == "error":
             # The trace failed before a single step landed: answer the
-            # status the blocking path would have, not a one-frame stream.
+            # status the blocking mode would have, not a one-frame stream.
             frames.close()
-            self._send_error_json(first[2].get("status", 500), first[2]["error"])
+            self._send_error_frame(first[2])
             return
         self._sse_begin()
         try:
@@ -659,58 +645,22 @@ class ThermalServer:
         return f"http://{self.host}:{self.port}"
 
     # ------------------------------------------------------------------
-    def solve_transient(self, request: "TransientRequest"):
-        """Integrate one validated transient request through the session.
-
-        Runs in the calling (HTTP handler) thread, outside the engine's
-        solve lock; the pooled transient adapter serialises concurrent
-        traces per ``(chip, resolution)`` internally.  At most
-        :data:`TRANSIENT_MAX_PENDING` requests are admitted at once —
-        beyond that the caller gets :class:`QueueFullError` (HTTP 429)
-        instead of an unbounded pile-up of handler threads.
-        """
-        with self._transient_stats_lock:
-            if self._transient_pending >= TRANSIENT_MAX_PENDING:
-                raise QueueFullError(
-                    f"{self._transient_pending} transient requests are already "
-                    f"running or queued (limit {TRANSIENT_MAX_PENDING}); retry later"
-                )
-            self._transient_pending += 1
-        start = time.perf_counter()
-        try:
-            solution = self.session.solve_transient(
-                request.chip,
-                request.trace(),
-                request.duration_s,
-                request.dt_s,
-                resolution=request.resolution,
-                store_every=request.store_every,
-                include_maps=request.include_maps,
-            )
-        except Exception:
-            with self._transient_stats_lock:
-                self._transient_pending -= 1
-                self._transient_errors += 1
-            raise
-        solution.request_id = request.request_id
-        with self._transient_stats_lock:
-            self._transient_pending -= 1
-            self._transient_requests += 1
-            self._transient_seconds += time.perf_counter() - start
-        return solution
-
     def stream_transient(self, request: "TransientRequest"):
         """Generator of ``(kind, cursor, payload)`` frames for one trace.
 
-        ``kind`` is ``"segment"`` (cursor = step index, payload = the
+        The one path of ``/solve_transient``: the streaming mode forwards
+        the frames as SSE, the blocking mode drains them and answers the
+        last.  ``kind`` is ``"segment"`` (cursor = step index, payload = the
         per-step scalars), ``"result"`` (payload = the final solution's
-        JSON body — identical to the blocking answer's) or ``"error"``
-        (payload = a typed error frame).  Admission shares the blocking
-        endpoint's :data:`TRANSIENT_MAX_PENDING` slot budget; the slot is
-        released in a ``finally`` so a client disconnect (which closes the
-        generator) can never leak it.  A request whose deadline expires
-        between segments is terminated with a shed error frame — the
-        engine's deadline semantics, applied mid-stream.
+        JSON body) or ``"error"`` (payload = an :func:`_error_frame_payload`
+        frame).  At most :data:`TRANSIENT_MAX_PENDING` traces are admitted
+        at once (running + waiting): beyond that the first ``next()``
+        raises :class:`QueueFullError` (HTTP 429) instead of stacking
+        handler threads.  The slot is released in a ``finally`` so a client
+        disconnect (which closes the generator) can never leak it.  A
+        request whose deadline expires between segments ends with a shed
+        error frame (504) — the engine's deadline semantics, applied
+        mid-trace.
         """
         with self._transient_stats_lock:
             if self._transient_pending >= TRANSIENT_MAX_PENDING:
@@ -719,7 +669,6 @@ class ThermalServer:
                     f"running or queued (limit {TRANSIENT_MAX_PENDING}); retry later"
                 )
             self._transient_pending += 1
-            self._transient_streams += 1
         start = time.perf_counter()
         completed = False
         shed = False
@@ -742,7 +691,7 @@ class ThermalServer:
                         None,
                         {
                             "error": (
-                                "deadline expired mid-stream after "
+                                "deadline expired mid-trace after "
                                 f"{time.perf_counter() - start:.3f}s; "
                                 "the remaining trace was shed"
                             ),

@@ -150,6 +150,24 @@ class TestSessionSolve:
         assert quasi.history is not None and len(quasi.history["times_s"]) > 1
         assert abs(quasi.max_K - steady.max_K) < 0.5
 
+    def test_transient_trace_holds_one_snapshot(self, session):
+        """A 2,000-step trace keeps the latest field and the scalar
+        histories, not every stored snapshot (those alone are ~50 MB)."""
+        import tracemalloc
+
+        session.backend("transient", "chip1", 16)  # geometry built up front
+        tracemalloc.start()
+        try:
+            solution = session.solve_transient(
+                "chip1", uniform_power_assignment(get_chip("chip1"), 40.0),
+                0.2, 1e-4, resolution=16,
+            )
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(solution.history["peak_K"]) == 2001
+        assert peak < 2 * 2**20, f"peak {peak / 2**20:.1f} MB"
+
     def test_powers_accepts_number_mapping_and_case(self, session):
         from repro.data.power import PowerSampler
 

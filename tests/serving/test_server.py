@@ -227,6 +227,22 @@ class TestSolveEndpoint:
         assert status == 400
         assert "no operator model registered" in body["error"]
 
+    def test_operator_without_model_is_not_a_backend_error(self, server):
+        """The missing model is refused before admission: a client error the
+        engine never sees, so no backend counter or group records it."""
+        status, body = _post(
+            server.url + "/solve",
+            {"chip": "chip3", "resolution": RES, "backend": "operator", "total_power": 30},
+        )
+        assert status == 400
+        assert "no operator model registered" in body["error"]
+        _, stats = _get(server.url + "/stats")
+        assert stats["backends"]["operator"]["errors"] == 0
+        assert not any(
+            group["chip"] == "chip3" and group["backend"] == "operator"
+            for group in stats["groups"]
+        )
+
     def test_validation_errors_are_400(self, server):
         cases = [
             {"total_power": 10},  # missing chip

@@ -4,7 +4,7 @@ Covers the wire contract end to end against a real socket: frame grammar
 (``id:`` / ``event:`` / ``data:``), keepalive comments, ``Last-Event-ID``
 resume mid-trace (the resumed stream is the exact complement of what was
 seen), client disconnects releasing the integration slot, and deadlines
-expiring mid-stream becoming typed shed frames.
+expiring mid-trace becoming typed shed frames (streamed) or 504s (blocking).
 """
 
 import json
@@ -122,18 +122,30 @@ class TestFrameGrammar:
 
 class TestStreamedResultMatchesBlocking:
     def test_result_frame_is_the_blocking_answer(self, server):
-        _, text = _post_raw(server.url + "/solve_transient?mode=stream", TRACE)
-        streamed = _parse_sse(text)[-1][2]
-        status, blocking = _post_json(server.url + "/solve_transient", TRACE)
-        assert status == 200
-        for volatile in ("request_id", "solve_seconds"):
-            streamed.pop(volatile), blocking.pop(volatile)
-        streamed_prov = streamed.pop("history"), blocking.pop("history")
-        assert streamed == blocking
-        first, second = streamed_prov
-        assert first["times_s"] == second["times_s"]
-        assert first["peak_K"] == second["peak_K"]
-        assert first["mean_K"] == second["mean_K"]
+        scheduled = {key: value for key, value in TRACE.items() if key != "total_power"}
+        scheduled["schedule"] = [
+            {"t_s": 0.0, "total_power": 40.0},
+            {"t_s": 0.006, "total_power": 5.0},
+        ]
+        for body in (
+            TRACE,
+            dict(TRACE, include_maps=True),
+            scheduled,
+            dict(scheduled, include_maps=True),
+        ):
+            _, text = _post_raw(server.url + "/solve_transient?mode=stream", body)
+            streamed = _parse_sse(text)[-1][2]
+            status, blocking = _post_json(server.url + "/solve_transient", body)
+            assert status == 200
+            for volatile in ("request_id", "solve_seconds"):
+                streamed.pop(volatile), blocking.pop(volatile)
+            assert ("layer_maps" in blocking) == body.get("include_maps", False)
+            streamed_prov = streamed.pop("history"), blocking.pop("history")
+            assert streamed == blocking
+            first, second = streamed_prov
+            assert first["times_s"] == second["times_s"]
+            assert first["peak_K"] == second["peak_K"]
+            assert first["mean_K"] == second["mean_K"]
 
     def test_segments_replay_the_history_arrays(self, server):
         _, text = _post_raw(server.url + "/solve_transient?mode=stream", TRACE)
@@ -232,6 +244,19 @@ class TestDeadlineMidStream:
         assert "deadline" in error["error"]
         assert not any(kind == "result" for _, kind, _ in frames)
         assert _stats(server)["transient_endpoint"]["shed"] == shed_before + 1
+
+    def test_blocking_trace_past_its_budget_is_shed(self, server):
+        # The blocking mode drains the same stream, so the same budget ends
+        # it with a 504 counted under shed, long before the 20k steps end.
+        before = _stats(server)["transient_endpoint"]
+        body = dict(TRACE, duration_s=20.0, dt_s=0.001, deadline_ms=200)
+        status, answer = _post_json(server.url + "/solve_transient", body)
+        assert status == 504
+        assert "deadline" in answer["error"]
+        after = _stats(server)["transient_endpoint"]
+        assert after["shed"] == before["shed"] + 1
+        assert after["requests"] == before["requests"]
+        assert after["pending"] == 0
 
     def test_generous_budget_still_completes(self, server):
         body = dict(TRACE, deadline_ms=120_000)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import sparse
 
-from repro.api.backends import TransientBackendAdapter
+from repro.api.session import ThermalSession
 from repro.chip.designs import get_chip
 from repro.solvers import FVMSolver, TransientFVMSolver, factorize
 
@@ -149,10 +149,11 @@ class TestSeparableSteps:
     def test_blocking_and_streamed_traces_neither_factorise_nor_back_substitute(
         self, tiny_chip, count_solver_calls
     ):
-        adapter = TransientBackendAdapter(tiny_chip, 8, cells_per_layer=1)
+        session = ThermalSession(cells_per_layer=1)
+        adapter = session.backend("transient", tiny_chip, 8)
         assignment = _uniform_assignment(tiny_chip, 20.0)
         calls = count_solver_calls()
-        blocking = adapter.solve_trace(assignment, duration_s=0.01, dt_s=0.002)
+        blocking = session.solve_transient(tiny_chip, assignment, 0.01, 0.002, resolution=8)
         frames = list(adapter.stream_trace(assignment, duration_s=0.01, dt_s=0.002))
         assert calls == {"factorize": 0, "backsub": 0, "separable": 2}
         streamed = frames[-1][1]
